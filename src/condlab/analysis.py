@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import PreferenceRelation, Profile, all_relations, alternative_name, profile_key
+from .core import PreferenceRelation, Profile, alternative_name, profile_key
 from .axioms import Verdict
-from .domains import Domain, ExtendedDomain, OutOfDomainError, enumeration_cap
+from .domains import Domain, ExtendedDomain, OutOfDomainError
 from .lottery import Lottery
 from .ratlp import fm_feasible, simplex_maximize
-from .sds import TableMissError
+from .sds import TableMissError, cached_evaluator
 
 
 class InfeasibleModelError(ValueError):
@@ -139,15 +139,7 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     """
     members = dom.members()
     n, m = dom.n, dom.m
-    cache: Dict[Profile, Lottery] = {}
-
-    def f(profile: Profile) -> Lottery:
-        lot = cache.get(profile)
-        if lot is None:
-            lot = sds.evaluate(profile)
-            cache[profile] = lot
-        return lot
-
+    f = cached_evaluator(sds)
     rows: Dict[Tuple[int, ...], Fraction] = {}
 
     def add_row(coeffs: Tuple[int, ...], rhs: Fraction, context: str):
@@ -236,7 +228,8 @@ def _extension_rows(base_sds, base: Domain, extras: Sequence[Profile]):
     n, m = base.n, base.m
     reduced = m - 1
     index = {extra: e for e, extra in enumerate(extras)}
-    extra_set = frozenset(extras)
+    extended = ExtendedDomain(base, extras)
+    f = cached_evaluator(base_sds)
     num_vars = reduced * len(extras)
     rows: List[Tuple[Tuple[Fraction, ...], Fraction, frozenset]] = []
 
@@ -265,18 +258,10 @@ def _extension_rows(base_sds, base: Domain, extras: Sequence[Profile]):
             add(coeffs, rhs, f"lottery at {extra.to_text()!r} nonnegative on {alternative_name(x)}")
         for voter in range(n):
             truth_rel = extra[voter]
-            for rel in all_relations(m):
-                if rel == truth_rel:
-                    continue
-                neighbor = extra.replace(voter, rel)
-                if base.contains(neighbor):
-                    neighbor_lot = base_sds.evaluate(neighbor)
-                    neighbor_var = None
-                elif neighbor in extra_set:
-                    neighbor_lot = None
-                    neighbor_var = index[neighbor]
-                else:
-                    continue
+            for neighbor in extended.unilateral_deviations(extra, voter):
+                rel = neighbor[voter]
+                neighbor_var = index.get(neighbor)
+                neighbor_lot = f(neighbor) if neighbor_var is None else None
                 # truth at the extra profile: its lottery must dominate the deviation
                 cut: list = []
                 for x in truth_rel.order[:-1]:

@@ -25,14 +25,14 @@ The checkers implement, for a scheme f on domain D:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 from .core import Profile, alternative_index, alternative_name, pareto_dominates, swap
 from .domains import Domain, FullDomain
-from .lottery import Lottery, SDRelation, sd_compare
+from .lottery import Lottery, sd_compare
+from .sds import cached_evaluator
 
 
 @dataclass(frozen=True)
@@ -137,21 +137,10 @@ class Verdict:
         }
 
 
-def _evaluator(sds) -> Callable[[Profile], Lottery]:
-    cache: dict = {}
-
-    def f(profile: Profile) -> Lottery:
-        lot = cache.get(profile)
-        if lot is None:
-            lot = sds.evaluate(profile)
-            cache[profile] = lot
-        return lot
-
-    return f
-
-
-def _scan_strategyproof(sds, dom: Domain, members: Sequence[Profile]):
-    f = _evaluator(sds)
+def check_strategyproof(sds, dom: Domain) -> Verdict:
+    """Exhaustive stochastic-dominance strategyproofness check."""
+    members = dom.members()
+    f = cached_evaluator(sds)
     comparisons = 0
     for index, profile in enumerate(members):
         truthful = f(profile)
@@ -164,33 +153,8 @@ def _scan_strategyproof(sds, dom: Domain, members: Sequence[Profile]):
                         profile, voter, deviation, verdict.against_p,
                         truthful, f(deviation),
                     )
-                    return index + 1, comparisons, witness
-    return len(members), comparisons, None
-
-
-def check_strategyproof(sds, dom: Domain, workers: int = 1) -> Verdict:
-    """Exhaustive stochastic-dominance strategyproofness check."""
-    members = dom.members()
-    if workers <= 1 or len(members) < 2 * workers:
-        checked, comparisons, witness = _scan_strategyproof(sds, dom, members)
-    else:
-        # Contiguous chunks preserve canonical order: the first chunk (in
-        # member order) that reports a violation supplies the witness.
-        size = (len(members) + workers - 1) // workers
-        chunks = [members[i : i + size] for i in range(0, len(members), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _scan_strategyproof(sds, dom, c), chunks))
-        # Tally only the chunks a sequential scan would have reached, so the
-        # counters do not depend on the worker count.
-        checked = comparisons = 0
-        witness = None
-        for chunk_checked, chunk_comparisons, chunk_witness in results:
-            checked += chunk_checked
-            comparisons += chunk_comparisons
-            if chunk_witness is not None:
-                witness = chunk_witness
-                break
-    return Verdict("strategyproof", witness is None, witness, checked, comparisons)
+                    return Verdict("strategyproof", False, witness, index + 1, comparisons)
+    return Verdict("strategyproof", True, None, len(members), comparisons)
 
 
 def check_group_strategyproof(
@@ -204,25 +168,15 @@ def check_group_strategyproof(
     loses no violations and keeps the witness canonical.
     """
     members = dom.members()
-    in_dom = dom.member_set()
     n = dom.n
     bound = n if max_coalition is None else min(max_coalition, n)
-    f = _evaluator(sds)
-    from .core import all_relations
-
-    rels = all_relations(dom.m)
+    f = cached_evaluator(sds)
     comparisons = 0
     for index, profile in enumerate(members):
         truthful = f(profile)
         for size in range(1, bound + 1):
             for coalition in itertools.combinations(range(n), size):
-                pools = [
-                    [rel for rel in rels if rel != profile[i]] for i in coalition
-                ]
-                for claim in itertools.product(*pools):
-                    deviation = profile.replace_many(coalition, claim)
-                    if deviation not in in_dom:
-                        continue
+                for deviation in dom.deviations(profile, coalition):
                     outcome = f(deviation)
                     cuts = []
                     content = False
@@ -246,7 +200,7 @@ def check_group_strategyproof(
 def check_non_imposition(sds, dom: Domain) -> Verdict:
     """Every alternative must receive probability exactly 1 at some profile."""
     members = dom.members()
-    f = _evaluator(sds)
+    f = cached_evaluator(sds)
     hit = [False] * dom.m
     comparisons = 0
     for profile in members:
@@ -266,7 +220,7 @@ def check_non_imposition(sds, dom: Domain) -> Verdict:
 def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
     """Pareto-dominated alternatives must receive probability 0."""
     members = dom.members()
-    f = _evaluator(sds)
+    f = cached_evaluator(sds)
     comparisons = 0
     for index, profile in enumerate(members):
         lot = f(profile)
@@ -283,25 +237,14 @@ def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
     return Verdict("ex-post-efficient", True, None, len(members), comparisons)
 
 
-def _in_domain_swaps(dom: Domain, profile: Profile):
-    """All in-domain ordered adjacent swaps from ``profile``: (voter, x, y, result)."""
-    for voter in range(dom.n):
-        order = profile[voter].order
-        for slot in range(dom.m - 1):
-            x, y = order[slot], order[slot + 1]
-            candidate = swap(profile, voter, x, y)
-            if dom.contains(candidate):
-                yield voter, x, y, candidate
-
-
 def check_localized(sds, dom: Domain) -> Verdict:
     """Adjacent swaps of x and y must leave all other probabilities unchanged."""
     members = dom.members()
-    f = _evaluator(sds)
+    f = cached_evaluator(sds)
     comparisons = 0
     for index, profile in enumerate(members):
         before = f(profile)
-        for voter, x, y, neighbor in _in_domain_swaps(dom, profile):
+        for voter, x, y, neighbor in dom.adjacent_swaps(profile):
             after = f(neighbor)
             for z in range(dom.m):
                 if z == x or z == y:
@@ -318,11 +261,11 @@ def check_localized(sds, dom: Domain) -> Verdict:
 def check_non_perverse(sds, dom: Domain) -> Verdict:
     """Reinforcing y by one adjacent position never lowers y's probability."""
     members = dom.members()
-    f = _evaluator(sds)
+    f = cached_evaluator(sds)
     comparisons = 0
     for index, profile in enumerate(members):
         before = f(profile)
-        for voter, x, y, neighbor in _in_domain_swaps(dom, profile):
+        for voter, x, y, neighbor in dom.adjacent_swaps(profile):
             comparisons += 1
             after = f(neighbor)
             if after[y] < before[y]:

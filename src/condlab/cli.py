@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -35,6 +34,7 @@ from .core import alternative_index, parse_profiles
 from .domains import (
     CapExceededError,
     TieBreakingCondorcetDomain,
+    capped_enumeration,
     parse_domain,
 )
 from .sds import CondorcetRule, TieBreakingCondorcetRule, parse_sds
@@ -52,16 +52,6 @@ AXIOM_ALIASES = {
     "localized": "localized",
     "non-perverse": "non-perverse",
 }
-
-
-def _threads() -> int:
-    raw = os.environ.get("CONDLAB_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
 
 
 def _parse_alternative(text: str) -> int:
@@ -171,8 +161,6 @@ def _cmd_check(args) -> Tuple[int, Dict]:
         checker = checker_for(name)
         if name == "group-strategyproof":
             verdict = checker(sds, dom, max_coalition=args.max_coalition)
-        elif name == "strategyproof":
-            verdict = checker(sds, dom, workers=_threads())
         else:
             verdict = checker(sds, dom)
         verdicts[name] = verdict.to_json_dict()
@@ -267,7 +255,7 @@ def _add_common(parser, need_n: bool = True) -> None:
         "--max-profiles",
         type=int,
         default=None,
-        help="enumeration cap (overrides CONDLAB_MAX_PROFILES)",
+        help="enumeration cap for this invocation (overrides CONDLAB_MAX_PROFILES)",
     )
 
 
@@ -354,10 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_profiles is not None:
-        os.environ["CONDLAB_MAX_PROFILES"] = str(args.max_profiles)
     try:
-        code, payload = args.handler(args)
+        with capped_enumeration(args.max_profiles):
+            code, payload = args.handler(args)
     except CapExceededError as exc:
         _emit({"error": str(exc), "kind": "cap-exceeded"}, args.format)
         return EXIT_USAGE

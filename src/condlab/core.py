@@ -124,6 +124,13 @@ def all_relations(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def other_relations(m: int) -> dict:
+    """For each relation on ``m`` alternatives, every other one in lexicographic order."""
+    rels = all_relations(m)
+    return {rel: tuple(other for other in rels if other != rel) for rel in rels}
+
+
+@lru_cache(maxsize=None)
 def _relation_ranks(m: int) -> dict:
     return {rel: i for i, rel in enumerate(all_relations(m))}
 

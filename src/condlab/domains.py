@@ -16,18 +16,21 @@ alternative ``x`` are linked by swaps that never touch ``x``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .core import (
     PreferenceRelation,
     Profile,
     TieBreaker,
     all_profiles,
-    all_relations,
     condorcet_winner,
     full_profile_count,
+    other_relations,
     parse_profiles,
     profile_key,
     swap,
@@ -46,8 +49,15 @@ class OutOfDomainError(ValueError):
     """A profile outside the relevant domain was passed where a member is required."""
 
 
+_cap_override: ContextVar[Optional[int]] = ContextVar("enumeration_cap", default=None)
+
+
 def enumeration_cap() -> int:
-    """Active enumeration cap; the CONDLAB_MAX_PROFILES env var overrides the default."""
+    """Active enumeration cap: a :func:`capped_enumeration` override, then the
+    CONDLAB_MAX_PROFILES env var, then the default."""
+    override = _cap_override.get()
+    if override is not None:
+        return override
     raw = os.environ.get("CONDLAB_MAX_PROFILES")
     if raw:
         try:
@@ -55,6 +65,16 @@ def enumeration_cap() -> int:
         except ValueError:
             pass
     return DEFAULT_ENUM_CAP
+
+
+@contextmanager
+def capped_enumeration(cap: Optional[int]) -> Iterator[None]:
+    """Make ``cap`` the enumeration cap inside the block; ``None`` changes nothing."""
+    token = _cap_override.set(cap)
+    try:
+        yield
+    finally:
+        _cap_override.reset(token)
 
 
 class Domain:
@@ -66,7 +86,6 @@ class Domain:
         self.n = n
         self.m = m
         self._members: Optional[tuple] = None
-        self._member_set: Optional[frozenset] = None
 
     # -- identity ---------------------------------------------------------
 
@@ -107,55 +126,64 @@ class Domain:
             if self._contains(profile):
                 yield profile
 
-    def enumerate(self, cap: Optional[int] = None) -> Iterator[Profile]:
-        """Stream every member exactly once, in canonical order."""
+    def _check_cap(self, cap: Optional[int]) -> None:
         cap = enumeration_cap() if cap is None else cap
         if self.size_bound() > cap:
             raise CapExceededError(
                 f"enumerating {self.describe()} needs {self.size_bound()} profiles, "
                 f"cap is {cap}"
             )
+
+    def enumerate(self, cap: Optional[int] = None) -> Iterator[Profile]:
+        """Stream every member exactly once, in canonical order."""
+        self._check_cap(cap)
         return self._iter_members()
 
     def members(self, cap: Optional[int] = None) -> tuple:
+        """Every member in canonical order; the cap is checked on every call."""
+        self._check_cap(cap)
         if self._members is None:
-            self._members = tuple(self.enumerate(cap))
+            self._members = tuple(self._iter_members())
         return self._members
-
-    def member_set(self, cap: Optional[int] = None) -> frozenset:
-        if self._member_set is None:
-            self._member_set = frozenset(self.members(cap))
-        return self._member_set
 
     # -- neighborhood structure -------------------------------------------
 
-    def unilateral_deviations(self, profile: Profile, voter: int) -> Iterator[Profile]:
-        """In-domain profiles obtained by replacing one voter's relation."""
+    def deviations(self, profile: Profile, coalition: Sequence[int]) -> Iterator[Profile]:
+        """In-domain profiles where every coalition member reports a different
+        relation and everyone else reports the same, in lexicographic product
+        order of the members' new relations."""
         if not self.contains(profile):
             raise OutOfDomainError("deviations are only defined for domain members")
-        truth = profile[voter]
-        for rel in all_relations(self.m):
-            if rel == truth:
-                continue
-            candidate = profile.replace(voter, rel)
+        others = other_relations(self.m)
+        pools = [others[profile[voter]] for voter in coalition]
+        for claim in itertools.product(*pools):
+            candidate = profile.replace_many(coalition, claim)
             if self._contains(candidate):
                 yield candidate
 
-    def adjacent_neighbors(
+    def unilateral_deviations(self, profile: Profile, voter: int) -> Iterator[Profile]:
+        """In-domain profiles obtained by replacing one voter's relation."""
+        return self.deviations(profile, (voter,))
+
+    def adjacent_swaps(
         self, profile: Profile, fixed: Optional[int] = None
-    ) -> Iterator[Profile]:
-        """In-domain profiles one adjacent swap away, optionally avoiding ``fixed``."""
+    ) -> Iterator[Tuple[int, int, int, Profile]]:
+        """In-domain profiles one adjacent swap away, optionally avoiding ``fixed``.
+
+        Yields ``(voter, x, y, neighbor)`` where ``x`` sat directly above ``y``
+        in the voter's order; voters ascend, then slots top-down.
+        """
         if not self.contains(profile):
             raise OutOfDomainError("neighbors are only defined for domain members")
         for voter in range(self.n):
             order = profile[voter].order
             for slot in range(self.m - 1):
                 x, y = order[slot], order[slot + 1]
-                if fixed is not None and fixed in (x, y):
+                if fixed in (x, y):
                     continue
                 candidate = swap(profile, voter, x, y)
                 if self._contains(candidate):
-                    yield candidate
+                    yield voter, x, y, candidate
 
 
 class FullDomain(Domain):
@@ -294,7 +322,7 @@ def _bfs_cover(
     frontier = deque([start])
     while frontier:
         current = frontier.popleft()
-        for neighbor in dom.adjacent_neighbors(current, fixed=fixed):
+        for *_, neighbor in dom.adjacent_swaps(current, fixed=fixed):
             if neighbor not in seen:
                 seen.add(neighbor)
                 frontier.append(neighbor)
@@ -373,13 +401,11 @@ def beyond_unilateral_reach(profile: Profile, base: Domain) -> bool:
     """True when neither ``profile`` nor any single-voter change of it is in ``base``."""
     if base.contains(profile):
         return False
-    for voter in range(profile.n):
-        for rel in all_relations(profile.m):
-            if rel == profile[voter]:
-                continue
-            if base.contains(profile.replace(voter, rel)):
-                return False
-    return True
+    reach = ExtendedDomain(base, [profile])
+    return all(
+        next(reach.unilateral_deviations(profile, voter), None) is None
+        for voter in range(profile.n)
+    )
 
 
 def find_profiles_beyond_unilateral_reach(

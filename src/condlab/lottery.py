@@ -169,22 +169,11 @@ def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
 
 def mix(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:
     """Convex combination of lotteries; weights must be nonnegative and sum to 1."""
-    if not parts:
-        raise ValueError("nothing to mix")
-    total = sum(Fraction(w) for w, _ in parts)
-    if total != 1:
-        raise ValueError(f"weights sum to {total}, not 1")
-    m = parts[0][1].m
-    acc = [Fraction(0)] * m
-    for w, lot in parts:
+    for w, _ in parts:
         w = Fraction(w)
         if w < 0:
             raise ValueError(f"negative weight {w} in a convex mixture")
-        if lot.m != m:
-            raise ValueError("mismatched alternative counts")
-        for x in range(m):
-            acc[x] += w * lot.probs[x]
-    return Lottery(acc)
+    return affine_combine(parts)
 
 
 def affine_combine(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:

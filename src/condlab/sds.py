@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     PreferenceRelation,
     Profile,
     TieBreaker,
     condorcet_winner,
-    parse_profiles,
-    profile_key,
     tiebroken_winner,
 )
 from .domains import (
@@ -29,7 +27,7 @@ from .domains import (
     OutOfDomainError,
     TieBreakingCondorcetDomain,
 )
-from .lottery import Lottery, affine_combine, mix
+from .lottery import Lottery, affine_combine
 
 
 class TableMissError(LookupError):
@@ -66,6 +64,20 @@ class SDS:
 
     def __repr__(self) -> str:
         return f"<SDS {self.describe()}>"
+
+
+def cached_evaluator(sds: SDS) -> Callable[[Profile], Lottery]:
+    """``sds.evaluate`` memoised per profile; the cache lives as long as the
+    returned function, so each scan gets its own and frees it when done."""
+    cache: dict = {}
+
+    def evaluate(profile: Profile) -> Lottery:
+        lot = cache.get(profile)
+        if lot is None:
+            lot = cache[profile] = sds.evaluate(profile)
+        return lot
+
+    return evaluate
 
 
 class Dictatorship(SDS):
@@ -143,26 +155,30 @@ def _common_domain(parts: Sequence[Tuple[Fraction, SDS]]) -> Domain:
 class Mixture(SDS):
     """Convex mixture of component schemes."""
 
+    label = "mix"
+    noun = "mixture"
+    allows_negative = False
+
     def __init__(
         self,
         parts: Sequence[Tuple[Fraction, SDS]],
         valid_domain: Optional[Domain] = None,
     ):
         parts = tuple((Fraction(w), part) for w, part in parts)
-        if any(w < 0 for w, _ in parts):
+        if not self.allows_negative and any(w < 0 for w, _ in parts):
             raise ValueError("mixture weights must be nonnegative")
         if sum(w for w, _ in parts) != 1:
-            raise ValueError("mixture weights must sum to 1")
+            raise ValueError(f"{self.noun} weights must sum to 1")
         dom = valid_domain if valid_domain is not None else _common_domain(parts)
-        name = "mix:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
+        name = f"{self.label}:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
         super().__init__(dom, name)
         self.parts = parts
 
     def _lottery(self, profile: Profile) -> Lottery:
-        return mix([(w, part.evaluate(profile)) for w, part in self.parts])
+        return affine_combine([(w, part.evaluate(profile)) for w, part in self.parts])
 
 
-class SignedMixture(SDS):
+class SignedMixture(Mixture):
     """Affine combination of component schemes; weights may be negative.
 
     Well-definedness is not assumed: evaluation raises
@@ -170,21 +186,9 @@ class SignedMixture(SDS):
     the combination leaves the probability simplex.
     """
 
-    def __init__(
-        self,
-        parts: Sequence[Tuple[Fraction, SDS]],
-        valid_domain: Optional[Domain] = None,
-    ):
-        parts = tuple((Fraction(w), part) for w, part in parts)
-        if sum(w for w, _ in parts) != 1:
-            raise ValueError("signed mixture weights must sum to 1")
-        dom = valid_domain if valid_domain is not None else _common_domain(parts)
-        name = "signed:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
-        super().__init__(dom, name)
-        self.parts = parts
-
-    def _lottery(self, profile: Profile) -> Lottery:
-        return affine_combine([(w, part.evaluate(profile)) for w, part in self.parts])
+    label = "signed"
+    noun = "signed mixture"
+    allows_negative = True
 
 
 class Plurality(SDS):

@@ -43,7 +43,7 @@ def bfs_distances(dom, src):
     queue = deque([src])
     while queue:
         cur = queue.popleft()
-        for nb in dom.adjacent_neighbors(cur):
+        for *_, nb in dom.adjacent_swaps(cur):
             if nb not in dist:
                 dist[nb] = dist[cur] + 1
                 queue.append(nb)

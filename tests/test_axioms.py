@@ -81,17 +81,6 @@ def test_positional_rules_are_manipulable_on_full_domain():
     assert not check_strategyproof(Borda(3, 3), FullDomain(3, 3)).holds
 
 
-def test_worker_count_does_not_change_verdict():
-    table = perturbed_condorcet_table(3, 3)
-    dom = CondorcetDomain(3, 3)
-    sequential = check_strategyproof(table, dom, workers=1)
-    parallel = check_strategyproof(table, dom, workers=2)
-    assert sequential.holds == parallel.holds
-    assert sequential.witness.profile == parallel.witness.profile
-    assert sequential.witness.voter == parallel.witness.voter
-    assert sequential.witness.deviation == parallel.witness.deviation
-
-
 # -- group strategyproofness -------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from condlab.cli import main
+from condlab.domains import CondorcetDomain
 
 
 def run(capsys, argv):
@@ -235,17 +236,14 @@ def test_usage_errors(capsys):
 
 def test_enumeration_cap(capsys, monkeypatch):
     monkeypatch.delenv("CONDLAB_MAX_PROFILES", raising=False)
-    try:
-        code, data = run_json(
-            capsys,
-            [
-                "enumerate", "--n", "5", "--domain", "condorcet",
-                "--count-only", "--max-profiles", "100",
-            ],
-        )
-        assert code == 2 and data["kind"] == "cap-exceeded"
-    finally:
-        os.environ.pop("CONDLAB_MAX_PROFILES", None)
+    code, data = run_json(
+        capsys,
+        [
+            "enumerate", "--n", "5", "--domain", "condorcet",
+            "--count-only", "--max-profiles", "100",
+        ],
+    )
+    assert code == 2 and data["kind"] == "cap-exceeded"
 
 
 def test_cap_flag_overrides_environment(capsys, monkeypatch):
@@ -253,21 +251,17 @@ def test_cap_flag_overrides_environment(capsys, monkeypatch):
     argv = ["enumerate", "--n", "3", "--domain", "condorcet", "--count-only"]
     code, data = run_json(capsys, argv)
     assert code == 2 and data["kind"] == "cap-exceeded"
-    try:
-        code, data = run_json(capsys, argv[:-1] + ["--count-only", "--max-profiles", "300"])
-        assert code == 0 and data["count"] == 204
-    finally:
-        os.environ.pop("CONDLAB_MAX_PROFILES", None)
+    code, data = run_json(capsys, argv[:-1] + ["--count-only", "--max-profiles", "300"])
+    assert code == 0 and data["count"] == 204
 
 
-def test_thread_count_does_not_change_reports(capsys, monkeypatch):
-    argv = ["check", "--n", "3", "--domain", "full", "--sds", "borda", "--axiom", "sp"]
-    monkeypatch.delenv("CONDLAB_THREADS", raising=False)
-    code_one, out_one = run(capsys, argv)
-    monkeypatch.setenv("CONDLAB_THREADS", "2")
-    code_two, out_two = run(capsys, argv)
-    assert code_one == code_two == 1
-    assert out_one == out_two
+def test_cap_flag_applies_to_one_invocation(capsys, monkeypatch):
+    monkeypatch.delenv("CONDLAB_MAX_PROFILES", raising=False)
+    argv = ["enumerate", "--n", "3", "--domain", "condorcet", "--count-only"]
+    code, data = run_json(capsys, argv + ["--max-profiles", "100"])
+    assert code == 2 and data["kind"] == "cap-exceeded"
+    assert "CONDLAB_MAX_PROFILES" not in os.environ
+    assert len(CondorcetDomain(3, 3).members()) == 204
 
 
 def test_reports_are_byte_identical(capsys):

@@ -2,13 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condlab.core import (
     PreferenceRelation,
     Profile,
+    all_profiles,
     all_relations,
     condorcet_winner,
     profile_key,
+    swap,
 )
 from condlab.domains import (
     CapExceededError,
@@ -84,8 +88,8 @@ def test_condorcet_domain_size_matches_oracle_n3():
 
 
 def test_cycle_profiles_n3():
-    full = FullDomain(3, 3).member_set()
-    cond = CondorcetDomain(3, 3).member_set()
+    full = frozenset(FullDomain(3, 3).members())
+    cond = frozenset(CondorcetDomain(3, 3).members())
     cycles = full - cond
     assert len(cycles) == 12
     assert majority_cycle_profile(3, 3) in cycles
@@ -120,8 +124,8 @@ def test_tiebreaking_domain_sizes_n4():
 
 
 def test_tiebreaking_domain_contains_condorcet_domain():
-    base = CondorcetDomain(4, 3).member_set()
-    tb_dom = TieBreakingCondorcetDomain(rel("b>a>c"), 4, 3).member_set()
+    base = frozenset(CondorcetDomain(4, 3).members())
+    tb_dom = frozenset(TieBreakingCondorcetDomain(rel("b>a>c"), 4, 3).members())
     assert base < tb_dom
 
 
@@ -152,16 +156,17 @@ def test_adjacent_neighbors_symmetry_sampled():
     members = dom.members()
     for _ in range(25):
         p = members[rng.randrange(len(members))]
-        for q in dom.adjacent_neighbors(p):
-            assert p in set(dom.adjacent_neighbors(q))
+        for *_, q in dom.adjacent_swaps(p):
+            assert p in {r for *_, r in dom.adjacent_swaps(q)}
 
 
 def test_adjacent_neighbors_fixed_preserves_contours():
     dom = CondorcetDomain(3, 3)
     p = prof("b>a>c\nb>a>c\na>c>b")
-    for q in dom.adjacent_neighbors(p, fixed=2):
-        for voter in range(3):
-            assert p[voter].upper_contour(2) == q[voter].upper_contour(2)
+    for voter, x, y, q in dom.adjacent_swaps(p, fixed=2):
+        assert 2 not in (x, y) and q == swap(p, voter, x, y)
+        for i in range(3):
+            assert p[i].upper_contour(2) == q[i].upper_contour(2)
 
 
 # -- connectivity ----------------------------------------------------------------
@@ -247,6 +252,15 @@ def test_enumeration_cap_enforced():
         list(dom.enumerate(cap=100))
 
 
+def test_members_cap_checked_on_every_call():
+    dom = CondorcetDomain(3, 3)
+    assert len(dom.members()) == 204
+    with pytest.raises(CapExceededError):
+        dom.members(cap=10)
+    with pytest.raises(CapExceededError):
+        is_weakly_connected(dom, cap=10)
+
+
 # -- parsing ----------------------------------------------------------------------
 
 
@@ -266,3 +280,37 @@ def test_parse_domain_with_extras_file(tmp_path):
     dom = parse_domain(f"condorcet+file:{extras}", 3, 3)
     assert dom.contains(majority_cycle_profile(3, 3))
     assert len(dom.members()) == 205
+
+
+# -- neighbourhood walk against a brute-force reference ------------------------------
+
+
+def reference_deviations(dom, profile, coalition):
+    """Every in-domain profile that differs from ``profile`` exactly on ``coalition``."""
+    return [
+        other
+        for other in all_profiles(dom.n, dom.m)
+        if all((other[i] != profile[i]) == (i in coalition) for i in range(dom.n))
+        and dom.contains(other)
+    ]
+
+
+NEIGHBOURHOOD_DOMAINS = (
+    CondorcetDomain(3, 3),
+    CondorcetDomain(2, 4),
+    TieBreakingCondorcetDomain(rel("b>a>c"), 4, 3),
+    ExtendedDomain(CondorcetDomain(3, 3), [majority_cycle_profile(3, 3)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deviations_match_brute_force(data):
+    dom = data.draw(st.sampled_from(NEIGHBOURHOOD_DOMAINS))
+    members = dom.members()
+    profile = members[data.draw(st.integers(0, len(members) - 1))]
+    voters = data.draw(st.sets(st.integers(0, dom.n - 1), min_size=1))
+    coalition = tuple(sorted(voters))
+    assert list(dom.deviations(profile, coalition)) == reference_deviations(
+        dom, profile, coalition
+    )

@@ -1,0 +1,50 @@
+"""Golden CLI reports: refactors must reproduce them byte for byte.
+
+Each case names a command line and the exit code it must return; its
+expected stdout is ``tests/golden/<name>.out``. The reports include the
+witnesses and the ``profiles_checked`` and ``comparisons`` counters, so any
+change to scan order or deviation generation shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from condlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CYCLE3 = str(GOLDEN / "cycle3.txt")
+MIX = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
+
+CASES = {
+    "check-all-cond-condorcet": (0, ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--axiom", "all"]),
+    "check-all-cond-full": (2, ["check", "--n", "3", "--domain", "full", "--sds", "cond", "--axiom", "all"]),
+    "check-all-borda-condorcet": (1, ["check", "--n", "3", "--domain", "condorcet", "--sds", "borda", "--axiom", "all"]),
+    "check-all-borda-full": (1, ["check", "--n", "3", "--domain", "full", "--sds", "borda", "--axiom", "all"]),
+    "check-all-mix-condorcet": (1, ["check", "--n", "3", "--domain", "condorcet", "--sds", MIX, "--axiom", "all"]),
+    "check-all-mix-full": (2, ["check", "--n", "3", "--domain", "full", "--sds", MIX, "--axiom", "all"]),
+    "check-all-borda-full-text": (
+        1, ["check", "--n", "3", "--domain", "full", "--sds", "borda", "--axiom", "all", "--format", "text"],
+    ),
+    "check-gsp-dict-blend": (
+        1, ["check", "--n", "3", "--domain", "condorcet", "--sds", "mix:1/2*cond+1/2*dict:0", "--axiom", "gsp"],
+    ),
+    "check-gsp-rd-full": (1, ["check", "--n", "3", "--domain", "full", "--sds", "rd:1/3,1/3,1/3", "--axiom", "gsp"]),
+    "gamma-mix": (0, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", MIX]),
+    "gamma-borda": (1, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", "borda"]),
+    "extend-cond-cycle": (1, ["extend", "--n", "3", "--base", "condorcet", "--sds", "cond", "--extras", CYCLE3]),
+    "extend-rd-cycle": (
+        0, ["extend", "--n", "3", "--base", "condorcet", "--sds", "rd:1/3,1/3,1/3", "--extras", CYCLE3],
+    ),
+    "extend-mix-cycle-non-imposing": (
+        1,
+        ["extend", "--n", "3", "--base", "condorcet", "--sds", MIX, "--extras", CYCLE3, "--require-non-imposition"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys):
+    code, argv = CASES[name]
+    assert main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from condlab.ratlp import UnboundedModelError, fm_feasible, simplex_maximize
 
@@ -87,3 +89,48 @@ def test_fm_handles_equalities_as_paired_rows():
     )
     assert ok
     assert point == [F(2, 3)]
+
+
+small = st.integers(min_value=-3, max_value=3).map(F)
+
+
+@st.composite
+def bounded_models(draw):
+    """A small LP over x >= 0 with a box row per variable, so it is bounded."""
+    num_vars = draw(st.integers(min_value=1, max_value=3))
+    objective = draw(st.lists(small, min_size=num_vars, max_size=num_vars))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(small, min_size=num_vars, max_size=num_vars).map(tuple),
+                st.integers(min_value=0, max_value=5).map(F),
+            ),
+            max_size=3,
+        )
+    )
+    for var in range(num_vars):
+        unit = tuple(F(1) if j == var else F(0) for j in range(num_vars))
+        rows.append((unit, F(draw(st.integers(min_value=0, max_value=4)))))
+    return objective, rows
+
+
+@given(
+    bounded_models(),
+    st.fractions(min_value=0, max_value=2).filter(lambda e: e > 0),
+)
+def test_simplex_optimum_is_tight_under_fourier_motzkin(model, epsilon):
+    objective, rows = model
+    value, point = simplex_maximize(objective, rows)
+    num_vars = len(objective)
+    assert all(x >= 0 for x in point)
+    assert sum(c * x for c, x in zip(objective, point)) == value
+    nonnegative = [
+        (tuple(F(-1) if j == var else F(0) for j in range(num_vars)), F(0))
+        for var in range(num_vars)
+    ]
+    model_rows = [(coeffs, rhs, frozenset()) for coeffs, rhs in rows + nonnegative]
+    goal = tuple(-c for c in objective)
+    reached, _, _ = fm_feasible(model_rows + [(goal, -value, frozenset())], num_vars)
+    assert reached
+    beyond, _, _ = fm_feasible(model_rows + [(goal, -(value + epsilon), frozenset())], num_vars)
+    assert not beyond
