@@ -9,6 +9,7 @@ extra profiles without breaking strategyproofness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .core import PreferenceRelation, Profile, alternative_name, profile_key
 from .axioms import Verdict
 from .domains import Domain, ExtendedDomain, OutOfDomainError
-from .lottery import Lottery
+from .lottery import (
+    AffineLottery, Lottery, constant_form, nonnegative_rows, sd_rows,
+)
 from .ratlp import fm_feasible, simplex_maximize
 from .sds import TableMissError, cached_evaluator
 
@@ -127,7 +130,8 @@ def verify_mixture(
 
 
 def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
-    """Largest total weight splittable off onto dictatorships.
+    """Largest total dictatorial weight whose removal leaves a nonnegative,
+    strategyproof remainder.
 
     Maximizes the sum of per-voter weights ``w_i`` such that the scheme minus
     the weighted dictatorships is pointwise nonnegative and still satisfies
@@ -142,48 +146,34 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     f = cached_evaluator(sds)
     rows: Dict[Tuple[int, ...], Fraction] = {}
 
-    def add_row(coeffs: Tuple[int, ...], rhs: Fraction, context: str):
-        if all(c == 0 for c in coeffs):
-            if rhs < 0:
-                raise InfeasibleModelError(context)
-            return
-        if all(c <= 0 for c in coeffs) and rhs >= 0:
-            return  # implied by w >= 0
-        if rhs < 0:
-            raise InfeasibleModelError(context)
-        kept = rows.get(coeffs)
-        if kept is None or rhs < kept:
-            rows[coeffs] = rhs
+    @functools.lru_cache(maxsize=None)
+    def dictator_terms(tops: Tuple[int, ...]):
+        return tuple(tuple((v, -1) for v in range(n) if tops[v] == x) for x in range(m))
+
+    def residual(profile: Profile) -> AffineLottery:
+        # the scheme's lottery minus w_i on each voter's top, affine in w
+        tops = tuple(rel.top() for rel in profile.relations)
+        return tuple(zip(f(profile).probs, dictator_terms(tops)))
+
+    def add_row(coeffs: Tuple[int, ...], rhs: Fraction):
+        # Every coefficient is >= 0, so with w >= 0 an all-zero row is implied.
+        if any(coeffs):
+            kept = rows.get(coeffs)
+            if kept is None or rhs < kept:
+                rows[coeffs] = rhs
 
     for profile in members:
-        lot = f(profile)
-        tops = tuple(profile[voter].top() for voter in range(n))
-        for x in range(m):
-            coeffs = tuple(1 if tops[voter] == x else 0 for voter in range(n))
-            add_row(coeffs, lot[x], f"residual negative at {profile!r} on {alternative_name(x)}")
+        truth = residual(profile)
+        for _, coeffs, rhs in nonnegative_rows(truth, n):
+            add_row(coeffs, rhs)  # rhs is a probability, never negative
         for voter in range(n):
-            truth_rel = profile[voter]
             for deviation in dom.unilateral_deviations(profile, voter):
-                dev_lot = f(deviation)
-                dev_top = deviation[voter].top()
-                cum = Fraction(0)
-                dev_cum = Fraction(0)
-                seen_truth_top = False
-                seen_dev_top = False
-                for x in truth_rel.order[:-1]:
-                    cum += lot[x]
-                    dev_cum += dev_lot[x]
-                    seen_truth_top = seen_truth_top or x == tops[voter]
-                    seen_dev_top = seen_dev_top or x == dev_top
-                    coeff = (1 if seen_dev_top else 0) - (1 if seen_truth_top else 0)
-                    coeffs = tuple(
-                        coeff if j == voter else 0 for j in range(n)
-                    )
-                    add_row(
-                        coeffs,
-                        cum - dev_cum,
-                        f"scheme is manipulable at {profile!r} by voter {voter}",
-                    )
+                for _, coeffs, rhs in sd_rows(profile[voter], truth, residual(deviation), n):
+                    if rhs < 0:
+                        raise InfeasibleModelError(
+                            f"scheme is manipulable at {profile!r} by voter {voter}"
+                        )
+                    add_row(coeffs, rhs)
 
     if not rows:
         # No binding constraints can only happen on degenerate domains.
@@ -227,73 +217,41 @@ def _extension_rows(base_sds, base: Domain, extras: Sequence[Profile]):
     """
     n, m = base.n, base.m
     reduced = m - 1
-    index = {extra: e for e, extra in enumerate(extras)}
     extended = ExtendedDomain(base, extras)
     f = cached_evaluator(base_sds)
     num_vars = reduced * len(extras)
-    rows: List[Tuple[Tuple[Fraction, ...], Fraction, frozenset]] = []
+    forms: Dict[Profile, AffineLottery] = {}
+    for e, extra in enumerate(extras):
+        own = range(e * reduced, (e + 1) * reduced)
+        forms[extra] = tuple((0, ((v, 1),)) for v in own) + ((1, tuple((v, -1) for v in own)),)
+    rows: List[Tuple[Tuple[int, ...], Fraction, frozenset]] = []
 
-    def blank():
-        return [Fraction(0)] * num_vars, Fraction(0)
-
-    def add_mass(coeffs, rhs, extra_idx, cut, sign):
-        # adds sign * p_extra(cut) to the left side, in reduced variables
-        for x in cut:
-            if x < reduced:
-                coeffs[extra_idx * reduced + x] += sign
-            else:
-                for j in range(reduced):
-                    coeffs[extra_idx * reduced + j] -= sign
-                rhs -= sign
-        return rhs
-
-    def add(coeffs, rhs, tag):
-        rows.append((tuple(coeffs), rhs, frozenset([tag])))
+    def add(built, tag):
+        for x, coeffs, rhs in built:
+            rows.append((coeffs, rhs, frozenset([tag(x)])))
 
     for extra in extras:
-        e = index[extra]
-        for x in range(m):
-            coeffs, rhs = blank()
-            rhs = add_mass(coeffs, rhs, e, [x], -1)
-            add(coeffs, rhs, f"lottery at {extra.to_text()!r} nonnegative on {alternative_name(x)}")
+        here = forms[extra]
+        name = repr(extra.to_text())
+        add(
+            nonnegative_rows(here, num_vars),
+            lambda x: f"lottery at {name} nonnegative on {alternative_name(x)}",
+        )
         for voter in range(n):
-            truth_rel = extra[voter]
             for neighbor in extended.unilateral_deviations(extra, voter):
-                rel = neighbor[voter]
-                neighbor_var = index.get(neighbor)
-                neighbor_lot = f(neighbor) if neighbor_var is None else None
+                there = forms.get(neighbor) or constant_form(f(neighbor))
                 # truth at the extra profile: its lottery must dominate the deviation
-                cut: list = []
-                for x in truth_rel.order[:-1]:
-                    cut.append(x)
-                    coeffs, rhs = blank()
-                    rhs = add_mass(coeffs, rhs, e, cut, -1)
-                    if neighbor_var is None:
-                        rhs -= neighbor_lot.mass(cut)
-                    else:
-                        rhs = add_mass(coeffs, rhs, neighbor_var, cut, 1)
-                    add(
-                        coeffs,
-                        rhs,
-                        f"voter {voter} gains by leaving {extra.to_text()!r} "
-                        f"(cut at {alternative_name(x)})",
-                    )
+                add(
+                    sd_rows(extra[voter], here, there, num_vars),
+                    lambda x: f"voter {voter} gains by leaving {name} "
+                    f"(cut at {alternative_name(x)})",
+                )
                 # truth at the neighbor: deviating into the extra must not pay
-                cut = []
-                for x in rel.order[:-1]:
-                    cut.append(x)
-                    coeffs, rhs = blank()
-                    rhs = add_mass(coeffs, rhs, e, cut, 1)
-                    if neighbor_var is None:
-                        rhs += neighbor_lot.mass(cut)
-                    else:
-                        rhs = add_mass(coeffs, rhs, neighbor_var, cut, -1)
-                    add(
-                        coeffs,
-                        rhs,
-                        f"voter {voter} gains by deviating into {extra.to_text()!r} "
-                        f"(cut at {alternative_name(x)})",
-                    )
+                add(
+                    sd_rows(neighbor[voter], there, here, num_vars),
+                    lambda x: f"voter {voter} gains by deviating into {name} "
+                    f"(cut at {alternative_name(x)})",
+                )
     return rows, num_vars
 
 

@@ -167,6 +167,8 @@ def check_group_strategyproof(
     with passive members succeeds exactly when its active core does, so this
     loses no violations and keeps the witness canonical.
     """
+    if max_coalition is not None and max_coalition < 1:
+        raise ValueError(f"max_coalition must be at least 1, got {max_coalition}")
     members = dom.members()
     n = dom.n
     bound = n if max_coalition is None else min(max_coalition, n)

@@ -63,7 +63,7 @@ def enumeration_cap() -> int:
         try:
             return int(raw)
         except ValueError:
-            pass
+            raise ValueError(f"CONDLAB_MAX_PROFILES must be an integer, got {raw!r}") from None
     return DEFAULT_ENUM_CAP
 
 

@@ -167,6 +167,45 @@ def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
     return SDVerdict(rel, against_p, against_q)
 
 
+# An affine lottery gives each alternative a constant plus integer multiples
+# of model variables: ``(const, ((var, coef), ...))`` per alternative.
+AffineLottery = Sequence[Tuple[Fraction, Tuple[Tuple[int, int], ...]]]
+
+
+def constant_form(lottery: Lottery) -> AffineLottery:
+    """``lottery`` as an affine lottery with no variable terms."""
+    return tuple((p, ()) for p in lottery.probs)
+
+
+def sd_rows(pref: PreferenceRelation, p: AffineLottery, q: AffineLottery, width: int):
+    """Linear rows saying that ``p`` weakly SD-dominates ``q`` under ``pref``.
+
+    Yields ``(cut, coeffs, rhs)`` for each proper upper contour set, top-down,
+    where ``cut`` is the alternative closing the set and the row
+    ``coeffs . v <= rhs`` over ``width`` variables reads ``p(U) >= q(U)``.
+    """
+    coeffs = [0] * width
+    rhs = 0
+    for x in pref.order[:-1]:
+        p_const, p_terms = p[x]
+        q_const, q_terms = q[x]
+        rhs += p_const - q_const
+        for var, c in q_terms:
+            coeffs[var] += c
+        for var, c in p_terms:
+            coeffs[var] -= c
+        yield x, tuple(coeffs), rhs
+
+
+def nonnegative_rows(p: AffineLottery, width: int):
+    """Rows ``(x, coeffs, rhs)`` saying ``p(x) >= 0``, one per alternative."""
+    for x, (const, terms) in enumerate(p):
+        coeffs = [0] * width
+        for var, c in terms:
+            coeffs[var] -= c
+        yield x, tuple(coeffs), const
+
+
 def mix(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:
     """Convex combination of lotteries; weights must be nonnegative and sum to 1."""
     for w, _ in parts:

@@ -5,6 +5,7 @@ import pytest
 from condlab.analysis import (
     InfeasibleModelError,
     MixtureCoefficients,
+    _extension_rows,
     extension_feasibility,
     max_dictatorial_weight,
     probe_coefficients,
@@ -12,12 +13,20 @@ from condlab.analysis import (
     verify_extension_witness,
     verify_mixture,
 )
-from condlab.core import PreferenceRelation, Profile, condorcet_winner
-from condlab.domains import CondorcetDomain, TieBreakingCondorcetDomain, majority_cycle_profile
+from condlab.axioms import check_strategyproof
+from condlab.core import PreferenceRelation, Profile, alternative_name, condorcet_winner
+from condlab.domains import (
+    CondorcetDomain,
+    ExtendedDomain,
+    FullDomain,
+    TieBreakingCondorcetDomain,
+    majority_cycle_profile,
+)
 from condlab.lottery import Lottery
 from condlab.sds import (
     CondorcetRule,
     Dictatorship,
+    cached_evaluator,
     Mixture,
     RandomDictatorship,
     TableSDS,
@@ -176,6 +185,35 @@ def test_max_dictatorial_weight_rejects_manipulable_scheme():
         max_dictatorial_weight(perturbed_condorcet_table(3, 3), CondorcetDomain(3, 3))
 
 
+def uniform_table(dom):
+    return TableSDS({p: Lottery.uniform(3) for p in dom.members()}, valid_domain=dom, name="uniform")
+
+
+@pytest.mark.parametrize("domain", [FullDomain, CondorcetDomain])
+def test_max_dictatorial_weight_of_constant_uniform_is_zero(domain):
+    dom = domain(3, 3)
+    assert max_dictatorial_weight(uniform_table(dom), dom) == 0
+    # Taking 1/9 per voter off leaves a remainder (rescaled to a lottery)
+    # that voter 0 manipulates at the unanimous profile.
+    remainder = TableSDS(
+        {
+            p: Lottery([F(1, 2) - F(sum(1 for v in range(3) if p[v].top() == x), 6) for x in range(3)])
+            for p in dom.members()
+        },
+        valid_domain=dom,
+        name="remainder",
+    )
+    witness = check_strategyproof(remainder, dom).witness
+    assert (witness.profile, witness.voter) == (prof("a>b>c\na>b>c\na>b>c"), 0)
+
+
+@pytest.mark.parametrize("domain", [FullDomain, CondorcetDomain])
+def test_max_dictatorial_weight_of_half_uniform_blend(domain):
+    dom = domain(3, 3)
+    blend = Mixture([(F(1, 2), uniform_table(dom)), (F(1, 2), RandomDictatorship([F(1, 3)] * 3, 3))])
+    assert max_dictatorial_weight(blend, dom) == F(1, 2)
+
+
 # -- extension feasibility ----------------------------------------------------------------
 
 
@@ -245,3 +283,94 @@ def test_feasibility_json_shape():
     assert sorted(data) == ["conflict", "feasible", "witness"]
     assert data["feasible"] is True
     assert cycle.to_text() in data["witness"]
+
+
+def reference_extension_rows(base_sds, base, extras):
+    """Cut-by-cut reference for ``_extension_rows``: every row is assembled by
+    hand from the reduced variables, without the shared SD row builder."""
+    n, m = base.n, base.m
+    reduced = m - 1
+    index = {extra: e for e, extra in enumerate(extras)}
+    extended = ExtendedDomain(base, extras)
+    f = cached_evaluator(base_sds)
+    num_vars = reduced * len(extras)
+    rows = []
+
+    def blank():
+        return [F(0)] * num_vars, F(0)
+
+    def add_mass(coeffs, rhs, extra_idx, cut, sign):
+        # adds sign * p_extra(cut) to the left side, in reduced variables
+        for x in cut:
+            if x < reduced:
+                coeffs[extra_idx * reduced + x] += sign
+            else:
+                for j in range(reduced):
+                    coeffs[extra_idx * reduced + j] -= sign
+                rhs -= sign
+        return rhs
+
+    def add(coeffs, rhs, tag):
+        rows.append((tuple(coeffs), rhs, frozenset([tag])))
+
+    for extra in extras:
+        e = index[extra]
+        for x in range(m):
+            coeffs, rhs = blank()
+            rhs = add_mass(coeffs, rhs, e, [x], -1)
+            add(coeffs, rhs, f"lottery at {extra.to_text()!r} nonnegative on {alternative_name(x)}")
+        for voter in range(n):
+            truth_rel = extra[voter]
+            for neighbor in extended.unilateral_deviations(extra, voter):
+                rel = neighbor[voter]
+                neighbor_var = index.get(neighbor)
+                neighbor_lot = f(neighbor) if neighbor_var is None else None
+                cut = []
+                for x in truth_rel.order[:-1]:
+                    cut.append(x)
+                    coeffs, rhs = blank()
+                    rhs = add_mass(coeffs, rhs, e, cut, -1)
+                    if neighbor_var is None:
+                        rhs -= neighbor_lot.mass(cut)
+                    else:
+                        rhs = add_mass(coeffs, rhs, neighbor_var, cut, 1)
+                    add(
+                        coeffs,
+                        rhs,
+                        f"voter {voter} gains by leaving {extra.to_text()!r} "
+                        f"(cut at {alternative_name(x)})",
+                    )
+                cut = []
+                for x in rel.order[:-1]:
+                    cut.append(x)
+                    coeffs, rhs = blank()
+                    rhs = add_mass(coeffs, rhs, e, cut, 1)
+                    if neighbor_var is None:
+                        rhs += neighbor_lot.mass(cut)
+                    else:
+                        rhs = add_mass(coeffs, rhs, neighbor_var, cut, -1)
+                    add(
+                        coeffs,
+                        rhs,
+                        f"voter {voter} gains by deviating into {extra.to_text()!r} "
+                        f"(cut at {alternative_name(x)})",
+                    )
+    return rows, num_vars
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize(
+    "make_sds",
+    [
+        lambda m: CondorcetRule(3, m),
+        lambda m: Mixture(
+            [(F(1, 2), CondorcetRule(3, m)), (F(1, 2), RandomDictatorship([F(1, 3)] * 3, m))]
+        ),
+    ],
+    ids=["cond", "mix"],
+)
+def test_extension_rows_match_reference(m, make_sds):
+    base = CondorcetDomain(3, m)
+    extras = [majority_cycle_profile(3, m)]
+    got = _extension_rows(make_sds(m), base, extras)
+    assert got == reference_extension_rows(make_sds(m), base, extras)

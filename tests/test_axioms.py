@@ -136,6 +136,12 @@ def test_group_witness_stable_when_bound_grows():
     assert at_two.witness.to_json_dict() == at_three.witness.to_json_dict()
 
 
+@pytest.mark.parametrize("bound", [0, -2])
+def test_group_check_rejects_empty_coalition_bound(bound):
+    with pytest.raises(ValueError, match="max_coalition"):
+        check_group_strategyproof(CondorcetRule(3, 3), CondorcetDomain(3, 3), max_coalition=bound)
+
+
 # -- non-imposition ------------------------------------------------------------------
 
 

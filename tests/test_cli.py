@@ -255,6 +255,12 @@ def test_cap_flag_overrides_environment(capsys, monkeypatch):
     assert code == 0 and data["count"] == 204
 
 
+def test_malformed_cap_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CONDLAB_MAX_PROFILES", "abc")
+    code, data = run_json(capsys, ["enumerate", "--n", "3", "--domain", "condorcet", "--count-only"])
+    assert code == 2 and "CONDLAB_MAX_PROFILES" in data["error"]
+
+
 def test_cap_flag_applies_to_one_invocation(capsys, monkeypatch):
     monkeypatch.delenv("CONDLAB_MAX_PROFILES", raising=False)
     argv = ["enumerate", "--n", "3", "--domain", "condorcet", "--count-only"]

@@ -30,6 +30,9 @@ CASES = {
         1, ["check", "--n", "3", "--domain", "condorcet", "--sds", "mix:1/2*cond+1/2*dict:0", "--axiom", "gsp"],
     ),
     "check-gsp-rd-full": (1, ["check", "--n", "3", "--domain", "full", "--sds", "rd:1/3,1/3,1/3", "--axiom", "gsp"]),
+    "check-gsp-coalition-zero": (
+        2, ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--axiom", "gsp", "--max-coalition", "0"],
+    ),
     "gamma-mix": (0, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", MIX]),
     "gamma-borda": (1, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", "borda"]),
     "extend-cond-cycle": (1, ["extend", "--n", "3", "--base", "condorcet", "--sds", "cond", "--extras", CYCLE3]),

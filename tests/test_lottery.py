@@ -11,8 +11,10 @@ from condlab.lottery import (
     NegativeProbabilityError,
     SDRelation,
     affine_combine,
+    constant_form,
     mix,
     sd_compare,
+    sd_rows,
 )
 
 F = Fraction
@@ -171,3 +173,28 @@ def test_mix_interpolates(p, q, k):
     got = mix([(w, p), (1 - w, q)])
     for x in range(3):
         assert got[x] == w * p[x] + (1 - w) * q[x]
+
+
+@st.composite
+def preference_and_lotteries(draw):
+    """A random order over 2..4 alternatives and two lotteries with denominator 12."""
+    m = draw(st.integers(2, 4))
+    pref = PreferenceRelation(tuple(draw(st.permutations(range(m)))))
+
+    def lottery():
+        bounds = [0] + sorted(draw(st.lists(st.integers(0, 12), min_size=m - 1, max_size=m - 1))) + [12]
+        return Lottery([F(hi - lo, 12) for lo, hi in zip(bounds, bounds[1:])])
+
+    return pref, lottery(), lottery()
+
+
+@given(preference_and_lotteries())
+def test_sd_rows_agree_with_sd_compare(case):
+    pref, p, q = case
+    rows = list(sd_rows(pref, constant_form(p), constant_form(q), 0))
+    verdict = sd_compare(pref, p, q)
+    assert [cut for cut, _, _ in rows] == list(pref.order[:-1])
+    assert all(coeffs == () for _, coeffs, _ in rows)
+    assert all(0 <= rhs for _, _, rhs in rows) == verdict.weakly_prefers
+    failing = [cut for cut, _, rhs in rows if rhs < 0]
+    assert (failing[0] if failing else None) == verdict.against_p
