@@ -5,7 +5,7 @@ into mixtures, bound dictatorial weight, build adjacency paths, test
 extension feasibility, and run the check batteries.  Reports go to stdout as
 JSON (default) or indented text.  Exit status: 0 when the result is positive
 (holds, feasible, verified), 1 when a violation or negative result was found,
-2 for usage errors and exceeded enumeration caps.
+2 for usage errors and exceeded caps (enumeration, Fourier-Motzkin rows).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .domains import (
     capped_enumeration,
     parse_domain,
 )
-from .sds import CondorcetRule, TieBreakingCondorcetRule, parse_sds
+from .sds import CondorcetRule, SharedEvaluations, TieBreakingCondorcetRule, parse_sds
 from .theorems import DEFAULT_TIEBREAKERS, run_battery
 
 EXIT_OK = 0
@@ -155,6 +155,7 @@ def _cmd_check(args) -> Tuple[int, Dict]:
         names = list(AXIOM_ALIASES.values())
     else:
         names = [AXIOM_ALIASES[args.axiom]]
+    sds = SharedEvaluations(sds)
     verdicts: Dict[str, Dict] = {}
     all_hold = True
     for name in names:

@@ -10,9 +10,13 @@ Two engines, both exact:
 
 * :func:`fm_feasible` decides feasibility of ``A x <= b`` (free variables)
   by Fourier-Motzkin elimination, tracking which original constraints were
-  combined into each derived row. On infeasibility that provenance is an
-  audit trail: a nonnegative combination of exactly those constraints is
-  contradictory. On feasibility a point is rebuilt by back-substitution.
+  combined into each derived row. Each step eliminates the variable adding
+  the fewest rows (ties: highest index). On infeasibility that provenance
+  is an audit trail: a nonnegative combination of exactly those constraints
+  is contradictory. On feasibility the point depends on the feasible region
+  alone: in index order, each variable, projected with the earlier values
+  substituted, takes 0 if that fits, else its one finite bound, else the
+  midpoint of its interval.
 """
 
 from __future__ import annotations
@@ -108,30 +112,23 @@ def _dedupe(rows):
     return [(coeffs, rhs, tags) for coeffs, (rhs, tags) in best.items()]
 
 
-def fm_feasible(
-    rows: Sequence[Tuple[Sequence[Fraction], Fraction, frozenset]], num_vars: int
-):
-    """Fourier-Motzkin feasibility for ``coeffs . x <= rhs`` rows with free variables.
+def _eliminate(rows, variables):
+    """Project ``rows`` by eliminating ``variables``, each step taking the one
+    with least ``|pos| * |neg| - |pos| - |neg|``, ties to the highest index."""
+    current = _dedupe(rows)
+    remaining = set(variables)
+    while remaining:
+        def growth(var):
+            pos = sum(1 for coeffs, _, _ in current if coeffs[var] > 0)
+            neg = sum(1 for coeffs, _, _ in current if coeffs[var] < 0)
+            return pos * neg - pos - neg, -var
 
-    Each row carries a frozenset of caller-chosen tags. Returns
-    ``(True, point, None)`` or ``(False, None, conflict_tags)``.
-    """
-    current = _dedupe(
-        [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), tags) for coeffs, rhs, tags in rows]
-    )
-    levels = []
-    for var in range(num_vars - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs, tags in current:
-            a = coeffs[var]
-            if a > 0:
-                pos.append((coeffs, rhs, tags))
-            elif a < 0:
-                neg.append((coeffs, rhs, tags))
-            else:
-                rest.append((coeffs, rhs, tags))
-        levels.append((var, pos, neg))
-        combined = list(rest)
+        var = min(remaining, key=growth)
+        remaining.remove(var)
+        pos, neg, combined = [], [], []
+        for row in current:
+            a = row[0][var]
+            (pos if a > 0 else neg if a < 0 else combined).append(row)
         for pc, pr, pt in pos:
             a = pc[var]
             for nc, nr, nt in neg:
@@ -141,32 +138,47 @@ def fm_feasible(
                 if len(combined) > FM_ROW_CAP:
                     raise CapExceededError("Fourier-Motzkin row blow-up")
         current = _dedupe(combined)
+    return current
 
-    for coeffs, rhs, tags in current:
+
+def fm_feasible(
+    rows: Sequence[Tuple[Sequence[Fraction], Fraction, frozenset]], num_vars: int
+):
+    """Fourier-Motzkin feasibility for ``coeffs . x <= rhs`` rows with free variables.
+
+    Each row carries a frozenset of caller-chosen tags. Returns
+    ``(True, point, None)`` or ``(False, None, conflict_tags)``. A built point
+    that fails an input row is an internal fault and raises ``RuntimeError``.
+    """
+    given = [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), tags) for coeffs, rhs, tags in rows]
+    for coeffs, rhs, tags in _eliminate(given, range(num_vars)):
         if rhs < 0:
             return False, None, tags
 
     point = [Fraction(0)] * num_vars
-    for var, pos, neg in reversed(levels):
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for coeffs, rhs, _ in pos:
-            bound = (rhs - sum(coeffs[j] * point[j] for j in range(num_vars) if j != var)) / coeffs[var]
-            if hi is None or bound < hi:
-                hi = bound
-        for coeffs, rhs, _ in neg:
-            bound = (rhs - sum(coeffs[j] * point[j] for j in range(num_vars) if j != var)) / coeffs[var]
-            if lo is None or bound > lo:
-                lo = bound
-        if lo is None and hi is None:
+    current = given
+    for var in range(num_vars):
+        lo = hi = None
+        for coeffs, rhs, _ in _eliminate(current, range(var + 1, num_vars)):
+            a = coeffs[var]
+            if a > 0 and (hi is None or rhs / a < hi):
+                hi = rhs / a
+            elif a < 0 and (lo is None or rhs / a > lo):
+                lo = rhs / a
+        if lo is not None and hi is not None and lo > hi:
+            raise RuntimeError(f"Fourier-Motzkin found no value for variable {var}")
+        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
             value = Fraction(0)
-        elif lo is None:
-            value = min(hi, Fraction(0))
-        elif hi is None:
-            value = max(lo, Fraction(0))
-        elif lo <= 0 <= hi:
-            value = Fraction(0)
+        elif lo is None or hi is None:
+            value = lo if hi is None else hi
         else:
             value = (lo + hi) / 2
         point[var] = value
+        current = [
+            (coeffs[:var] + (Fraction(0),) + coeffs[var + 1 :], rhs - coeffs[var] * value, tags)
+            for coeffs, rhs, tags in current
+        ]
+    for coeffs, rhs, _ in given:
+        if sum(c * x for c, x in zip(coeffs, point)) > rhs:
+            raise RuntimeError("Fourier-Motzkin point violates an input row")
     return True, point, None

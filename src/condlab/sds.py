@@ -68,7 +68,10 @@ class SDS:
 
 def cached_evaluator(sds: SDS) -> Callable[[Profile], Lottery]:
     """``sds.evaluate`` memoised per profile; the cache lives as long as the
-    returned function, so each scan gets its own and frees it when done."""
+    returned function, so each scan gets its own and frees it when done,
+    unless ``sds`` is a :class:`SharedEvaluations` whose cache it reuses."""
+    if isinstance(sds, SharedEvaluations):
+        return sds.evaluate
     cache: dict = {}
 
     def evaluate(profile: Profile) -> Lottery:
@@ -78,6 +81,14 @@ def cached_evaluator(sds: SDS) -> Callable[[Profile], Lottery]:
         return lot
 
     return evaluate
+
+
+class SharedEvaluations(SDS):
+    """``sds`` memoised in one cache, shared by every scan over this object."""
+
+    def __init__(self, sds: SDS):
+        super().__init__(sds.valid_domain, sds.describe())
+        self.evaluate = cached_evaluator(sds)
 
 
 class Dictatorship(SDS):

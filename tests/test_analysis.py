@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +15,10 @@ from condlab.analysis import (
     verify_mixture,
 )
 from condlab.axioms import check_strategyproof
-from condlab.core import PreferenceRelation, Profile, alternative_name, condorcet_winner
+from condlab.core import PreferenceRelation, Profile, alternative_name, condorcet_winner, parse_profiles
 from condlab.domains import (
     CondorcetDomain,
+    CondorcetForDomain,
     ExtendedDomain,
     FullDomain,
     TieBreakingCondorcetDomain,
@@ -234,6 +236,20 @@ def test_random_dictatorship_extends_uniformly():
     assert result.feasible
     assert result.witness[cycle] == Lottery.uniform(3)
     assert verify_extension_witness(rd, base, [cycle], result.witness)
+
+
+def test_swapped_six_extras_extend_the_majority_rule():
+    # The first six canonical n=3 profiles outside condorcet-for:a with b and c
+    # swapped: feasible by symmetry with the unswapped set, and large enough
+    # that a fixed elimination order runs into the Fourier-Motzkin row cap.
+    text = (Path(__file__).resolve().parent / "golden" / "six-extras.txt").read_text(encoding="utf-8")
+    extras = parse_profiles(text.translate(str.maketrans("bc", "cb")))
+    base = CondorcetForDomain(0, 3, 3)
+    cond = CondorcetRule(3, 3)
+    result = extension_feasibility(cond, base, extras)
+    assert result.feasible
+    assert set(result.witness) == set(extras)
+    assert verify_extension_witness(cond, base, extras, result.witness)
 
 
 def test_extension_witness_checker_rejects_bad_assignment():

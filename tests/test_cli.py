@@ -5,6 +5,7 @@ import pytest
 
 from condlab.cli import main
 from condlab.domains import CondorcetDomain
+from condlab.sds import SDS, Mixture
 
 
 def run(capsys, argv):
@@ -92,6 +93,21 @@ def test_check_all_axioms(capsys):
         "strategyproof",
     ]
     assert all(v["holds"] for v in data["verdicts"].values())
+
+
+def test_check_all_evaluates_each_member_once(capsys, monkeypatch):
+    evaluated = []
+    evaluate = SDS.evaluate
+
+    def counting(self, profile):
+        if isinstance(self, Mixture):  # not the components it evaluates
+            evaluated.append(profile)
+        return evaluate(self, profile)
+
+    monkeypatch.setattr(SDS, "evaluate", counting)
+    mix = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
+    run(capsys, ["check", "--n", "3", "--domain", "condorcet", "--sds", mix, "--axiom", "all"])
+    assert len(evaluated) == len(set(evaluated)) == 204
 
 
 def test_check_gsp_finds_group_violation(capsys):

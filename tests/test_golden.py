@@ -14,6 +14,7 @@ from condlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CYCLE3 = str(GOLDEN / "cycle3.txt")
+SIX_EXTRAS = str(GOLDEN / "six-extras.txt")
 MIX = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
 
 CASES = {
@@ -36,6 +37,9 @@ CASES = {
     "gamma-mix": (0, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", MIX]),
     "gamma-borda": (1, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", "borda"]),
     "extend-cond-cycle": (1, ["extend", "--n", "3", "--base", "condorcet", "--sds", "cond", "--extras", CYCLE3]),
+    "extend-cond-six-extras": (
+        0, ["extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond", "--extras", SIX_EXTRAS],
+    ),
     "extend-rd-cycle": (
         0, ["extend", "--n", "3", "--base", "condorcet", "--sds", "rd:1/3,1/3,1/3", "--extras", CYCLE3],
     ),

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from typing import Optional
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condlab import ratlp
+from condlab.domains import CapExceededError
 from condlab.ratlp import UnboundedModelError, fm_feasible, simplex_maximize
 
 F = Fraction
@@ -134,3 +137,155 @@ def test_simplex_optimum_is_tight_under_fourier_motzkin(model, epsilon):
     assert reached
     beyond, _, _ = fm_feasible(model_rows + [(goal, -(value + epsilon), frozenset())], num_vars)
     assert not beyond
+
+
+def _reference_dedupe(rows):
+    best: dict = {}
+    for coeffs, rhs, tags in rows:
+        for c in coeffs:
+            if c != 0:
+                coeffs, rhs = tuple(v / abs(c) for v in coeffs), rhs / abs(c)
+                break
+        kept = best.get(coeffs)
+        if kept is None or rhs < kept[0]:
+            best[coeffs] = (rhs, tags)
+    return [(coeffs, rhs, tags) for coeffs, (rhs, tags) in best.items()]
+
+
+def reference_fm_feasible(rows, num_vars):
+    """Fixed-order reference for ``fm_feasible``: eliminate ``x[n-1], ..., x[0]``
+    and rebuild the point by back-substitution in index order."""
+    current = _reference_dedupe(
+        [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), tags) for coeffs, rhs, tags in rows]
+    )
+    levels = []
+    for var in range(num_vars - 1, -1, -1):
+        pos, neg, rest = [], [], []
+        for coeffs, rhs, tags in current:
+            a = coeffs[var]
+            if a > 0:
+                pos.append((coeffs, rhs, tags))
+            elif a < 0:
+                neg.append((coeffs, rhs, tags))
+            else:
+                rest.append((coeffs, rhs, tags))
+        levels.append((var, pos, neg))
+        combined = list(rest)
+        for pc, pr, pt in pos:
+            a = pc[var]
+            for nc, nr, nt in neg:
+                b = -nc[var]
+                coeffs = tuple(b * p + a * q for p, q in zip(pc, nc))
+                combined.append((coeffs, b * pr + a * nr, pt | nt))
+        current = _reference_dedupe(combined)
+
+    for coeffs, rhs, tags in current:
+        if rhs < 0:
+            return False, None, tags
+
+    point = [Fraction(0)] * num_vars
+    for var, pos, neg in reversed(levels):
+        lo: Optional[Fraction] = None
+        hi: Optional[Fraction] = None
+        for coeffs, rhs, _ in pos:
+            bound = (rhs - sum(coeffs[j] * point[j] for j in range(num_vars) if j != var)) / coeffs[var]
+            if hi is None or bound < hi:
+                hi = bound
+        for coeffs, rhs, _ in neg:
+            bound = (rhs - sum(coeffs[j] * point[j] for j in range(num_vars) if j != var)) / coeffs[var]
+            if lo is None or bound > lo:
+                lo = bound
+        if lo is None and hi is None:
+            value = Fraction(0)
+        elif lo is None:
+            value = min(hi, Fraction(0))
+        elif hi is None:
+            value = max(lo, Fraction(0))
+        elif lo <= 0 <= hi:
+            value = Fraction(0)
+        else:
+            value = (lo + hi) / 2
+        point[var] = value
+    return True, point, None
+
+
+@st.composite
+def tagged_systems(draw):
+    """Up to nine rows over up to four free variables, each row tagged with its
+    own index; some rows come with their negation, making an equality."""
+    num_vars = draw(st.integers(min_value=1, max_value=4))
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.lists(small, min_size=num_vars, max_size=num_vars).map(tuple),
+                st.integers(min_value=-4, max_value=4).map(F),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    rows = []
+    for coeffs, rhs, paired in drawn:
+        rows.append((coeffs, rhs))
+        if paired:
+            rows.append((tuple(-c for c in coeffs), -rhs))
+    return num_vars, [(coeffs, rhs, frozenset({i})) for i, (coeffs, rhs) in enumerate(rows[:9])]
+
+
+@settings(max_examples=300)
+@given(tagged_systems())
+def test_fm_feasible_matches_fixed_order_reference(system):
+    num_vars, rows = system
+    ok, point, conflict = fm_feasible(rows, num_vars)
+    ref_ok, ref_point, _ = reference_fm_feasible(rows, num_vars)
+    assert ok == ref_ok
+    if ok:
+        assert point == ref_point
+    else:
+        blamed = [row for row in rows if row[2] <= conflict]
+        assert blamed and not reference_fm_feasible(blamed, num_vars)[0]
+
+
+def _rows(*spec):
+    return [(tuple(F(c) for c in coeffs), F(rhs), frozenset({tag})) for coeffs, rhs, tag in spec]
+
+
+def test_fm_witness_guard_rejects_a_point_off_an_input_row(monkeypatch):
+    # x >= 1; a projection that loses every row leaves x = 0.
+    eliminate = ratlp._eliminate
+    calls = []
+
+    def lossy(rows, variables):
+        calls.append(variables)
+        return eliminate(rows, variables) if len(calls) == 1 else []
+
+    monkeypatch.setattr(ratlp, "_eliminate", lossy)
+    with pytest.raises(RuntimeError, match="violates"):
+        fm_feasible(_rows(((-1,), -1, "x>=1")), 1)
+
+
+def test_fm_witness_guard_rejects_an_empty_interval(monkeypatch):
+    eliminate = ratlp._eliminate
+    calls = []
+
+    def contradictory(rows, variables):
+        calls.append(variables)
+        if len(calls) == 1:
+            return eliminate(rows, variables)
+        return _rows(((1,), 0, "x<=0"), ((-1,), -1, "x>=1"))
+
+    monkeypatch.setattr(ratlp, "_eliminate", contradictory)
+    with pytest.raises(RuntimeError, match="no value"):
+        fm_feasible(_rows(((1,), 5, "x<=5")), 1)
+
+
+def test_fm_row_cap_still_applies(monkeypatch):
+    monkeypatch.setattr(ratlp, "FM_ROW_CAP", 3)
+    # x[0] has three upper and two lower bounds: six combined rows.
+    rows = _rows(
+        ((1, 1), 1, 0), ((1, 2), 1, 1), ((1, 3), 1, 2), ((-1, 1), 1, 3), ((-1, 2), 1, 4),
+        ((0, 1), 1, 5), ((0, -1), 1, 6), ((0, -2), 1, 7), ((0, -3), 1, 8),
+    )
+    with pytest.raises(CapExceededError):
+        fm_feasible(rows, 2)
