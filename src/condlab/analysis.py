@@ -13,6 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name, profile_key
@@ -144,42 +145,54 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     members = dom.members()
     n, m = dom.n, dom.m
     f = cached_evaluator(sds)
-    rows: Dict[Tuple[int, ...], Fraction] = {}
+    # Rows are built in integers: each (profile, deviation) pair works over
+    # the common denominator of its two lotteries, and each kept row stores
+    # its right-hand side as (numerator, denominator).
+    rows: Dict[Tuple[int, ...], Tuple[int, int]] = {}
 
     @functools.lru_cache(maxsize=None)
     def dictator_terms(tops: Tuple[int, ...]):
         return tuple(tuple((v, -1) for v in range(n) if tops[v] == x) for x in range(m))
 
-    def residual(profile: Profile) -> AffineLottery:
-        # the scheme's lottery minus w_i on each voter's top, affine in w
+    def residual(profile: Profile, lot: Lottery, den: int) -> AffineLottery:
+        # the scheme's lottery minus w_i on each voter's top, affine in w,
+        # with constants counted in units of 1/den
         tops = tuple(rel.top() for rel in profile.relations)
-        return tuple(zip(f(profile).probs, dictator_terms(tops)))
+        scale = den // lot.denominator
+        consts = lot.numerators if scale == 1 else [a * scale for a in lot.numerators]
+        return tuple(zip(consts, dictator_terms(tops)))
 
-    def add_row(coeffs: Tuple[int, ...], rhs: Fraction):
+    def add_row(coeffs: Tuple[int, ...], rhs: int, den: int):
         # Every coefficient is >= 0, so with w >= 0 an all-zero row is implied.
         if any(coeffs):
             kept = rows.get(coeffs)
-            if kept is None or rhs < kept:
-                rows[coeffs] = rhs
+            if kept is None or rhs * kept[1] < kept[0] * den:
+                rows[coeffs] = (rhs, den)
 
     for profile in members:
-        truth = residual(profile)
+        lot = f(profile)
+        truth = residual(profile, lot, lot.denominator)
         for _, coeffs, rhs in nonnegative_rows(truth, n):
-            add_row(coeffs, rhs)  # rhs is a probability, never negative
+            add_row(coeffs, rhs, lot.denominator)  # rhs is a probability, never negative
         for voter in range(n):
             for deviation in dom.unilateral_deviations(profile, voter):
-                for _, coeffs, rhs in sd_rows(profile[voter], truth, residual(deviation), n):
+                other = f(deviation)
+                den = lcm(lot.denominator, other.denominator)
+                here = truth if den == lot.denominator else residual(profile, lot, den)
+                there = residual(deviation, other, den)
+                for _, coeffs, rhs in sd_rows(profile[voter], here, there, n):
                     if rhs < 0:
                         raise InfeasibleModelError(
                             f"scheme is manipulable at {profile!r} by voter {voter}"
                         )
-                    add_row(coeffs, rhs)
+                    add_row(coeffs, rhs, den)
 
     if not rows:
         # No binding constraints can only happen on degenerate domains.
         return Fraction(1)
     value, _ = simplex_maximize(
-        [Fraction(1)] * n, [(coeffs, rhs) for coeffs, rhs in rows.items()]
+        [Fraction(1)] * n,
+        [(coeffs, Fraction(rhs, den)) for coeffs, (rhs, den) in rows.items()],
     )
     return value
 

@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Tuple
 from .core import Profile, alternative_index, alternative_name, pareto_dominates, swap
 from .domains import Domain, FullDomain
 from .lottery import Lottery, sd_compare
-from .sds import cached_evaluator
+from .sds import SharedEvaluations, cached_evaluator
 
 
 @dataclass(frozen=True)
@@ -323,6 +323,7 @@ def implication_suite(sds, dom: Domain) -> ImplicationReport:
     Any observed deviation from these implications is reported as a
     discrepancy (and would mean a bug in one of the checkers).
     """
+    sds = SharedEvaluations(sds)
     sp = check_strategyproof(sds, dom)
     loc = check_localized(sds, dom)
     np_ = check_non_perverse(sds, dom)

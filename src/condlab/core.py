@@ -124,20 +124,9 @@ def all_relations(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def other_relations(m: int) -> dict:
-    """For each relation on ``m`` alternatives, every other one in lexicographic order."""
-    rels = all_relations(m)
-    return {rel: tuple(other for other in rels if other != rel) for rel in rels}
-
-
-@lru_cache(maxsize=None)
-def _relation_ranks(m: int) -> dict:
+def relation_ids(m: int) -> dict:
+    """Each relation on ``m`` alternatives mapped to its position in :func:`all_relations`."""
     return {rel: i for i, rel in enumerate(all_relations(m))}
-
-
-def relation_lex_index(rel: PreferenceRelation) -> int:
-    """Position of ``rel`` in the lexicographic listing of all orders on m items."""
-    return _relation_ranks(rel.m)[rel]
 
 
 class Profile:
@@ -177,15 +166,10 @@ class Profile:
         rels[voter] = rel
         return Profile(rels)
 
-    def replace_many(self, voters: Sequence[int], rels: Sequence[PreferenceRelation]) -> "Profile":
-        new = list(self.relations)
-        for voter, rel in zip(voters, rels):
-            new[voter] = rel
-        return Profile(new)
-
     def key(self) -> tuple:
         """Canonical sort key: the tuple of per-voter lexicographic ranks."""
-        return tuple(relation_lex_index(rel) for rel in self.relations)
+        ids = relation_ids(self.m)
+        return tuple(ids[rel] for rel in self.relations)
 
     def to_text(self) -> str:
         return "\n".join(rel.to_text() for rel in self.relations)

@@ -28,12 +28,12 @@ from .core import (
     Profile,
     TieBreaker,
     all_profiles,
+    all_relations,
     condorcet_winner,
     full_profile_count,
-    other_relations,
     parse_profiles,
     profile_key,
-    swap,
+    relation_ids,
     tiebroken_winner,
 )
 
@@ -86,6 +86,8 @@ class Domain:
         self.n = n
         self.m = m
         self._members: Optional[tuple] = None
+        # code -> member, or None outside the domain; filled on lookup only
+        self._table: dict = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -147,6 +149,29 @@ class Domain:
         return self._members
 
     # -- neighborhood structure -------------------------------------------
+    #
+    # A profile's code is its position in ``all_profiles``: the voters'
+    # relation ids as digits in base m!, the first voter most significant.
+    # Neighbours are looked up by code in ``_table``, so each candidate
+    # profile is built and tested for membership at most once per domain.
+
+    def _code(self, profile: Profile) -> int:
+        ids = relation_ids(self.m)
+        code = 0
+        for rel in profile.relations:
+            code = code * len(ids) + ids[rel]
+        return code
+
+    def _member_at(self, code: int) -> Optional[Profile]:
+        """The member with ``code``, or None when that profile is outside."""
+        try:
+            return self._table[code]
+        except KeyError:
+            rels = all_relations(self.m)
+            radix = len(rels)
+            profile = Profile([rels[code // radix ** (self.n - 1 - v) % radix] for v in range(self.n)])
+            member = self._table[code] = profile if self._contains(profile) else None
+            return member
 
     def deviations(self, profile: Profile, coalition: Sequence[int]) -> Iterator[Profile]:
         """In-domain profiles where every coalition member reports a different
@@ -154,11 +179,20 @@ class Domain:
         order of the members' new relations."""
         if not self.contains(profile):
             raise OutOfDomainError("deviations are only defined for domain members")
-        others = other_relations(self.m)
-        pools = [others[profile[voter]] for voter in coalition]
-        for claim in itertools.product(*pools):
-            candidate = profile.replace_many(coalition, claim)
-            if self._contains(candidate):
+        if len(set(coalition)) != len(coalition) or not all(0 <= v < self.n for v in coalition):
+            raise ValueError(f"coalition must list distinct voters of 0..{self.n - 1}")
+        code = self._code(profile)
+        ids = relation_ids(self.m)
+        radix = len(ids)
+        steps = []
+        for voter in coalition:
+            own = ids[profile[voter]]
+            place = radix ** (self.n - 1 - voter)
+            steps.append([(r - own) * place for r in range(radix) if r != own])
+        member_at = self._member_at
+        for shift in itertools.product(*steps):
+            candidate = member_at(code + sum(shift))
+            if candidate is not None:
                 yield candidate
 
     def unilateral_deviations(self, profile: Profile, voter: int) -> Iterator[Profile]:
@@ -175,14 +209,19 @@ class Domain:
         """
         if not self.contains(profile):
             raise OutOfDomainError("neighbors are only defined for domain members")
+        code = self._code(profile)
+        ids = relation_ids(self.m)
         for voter in range(self.n):
-            order = profile[voter].order
+            rel = profile[voter]
+            place = len(ids) ** (self.n - 1 - voter)
+            order = rel.order
             for slot in range(self.m - 1):
                 x, y = order[slot], order[slot + 1]
                 if fixed in (x, y):
                     continue
-                candidate = swap(profile, voter, x, y)
-                if self._contains(candidate):
+                shift = (ids[rel.swapped(x, y)] - ids[rel]) * place
+                candidate = self._member_at(code + shift)
+                if candidate is not None:
                     yield voter, x, y, candidate
 
 

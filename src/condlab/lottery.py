@@ -1,9 +1,14 @@
 """Exact lotteries over alternatives and stochastic-dominance comparison.
 
-Probabilities are :class:`fractions.Fraction` values throughout, so every
-comparison made by the checkers is exact. A lottery ``p`` stochastically
-dominates ``q`` under a preference order when ``p`` puts at least as much
-mass on every upper contour set (every prefix of the order) as ``q`` does.
+A lottery is stored as integer numerators over one common denominator (the
+least common multiple of its reduced denominators), so equal lotteries have
+equal integer forms however they were built. Equality, hashing, cumulative
+sums and stochastic-dominance comparison all run on those integers;
+:class:`fractions.Fraction` values appear only at the report boundary
+(``probs``, ``to_json_dict``, witnesses). There are no floats and no
+tolerances anywhere. A lottery ``p`` stochastically dominates ``q`` under a
+preference order when ``p`` puts at least as much mass on every upper
+contour set (every prefix of the order) as ``q`` does.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, alternative_index, alternative_name
@@ -29,52 +36,81 @@ class NegativeProbabilityError(ValueError):
 
 
 class Lottery:
-    """A probability distribution over ``m`` alternatives with rational weights."""
+    """A probability distribution over ``m`` alternatives with rational weights.
 
-    __slots__ = ("probs", "_hash")
+    ``numerators[x] / denominator`` is the probability of alternative ``x``;
+    ``denominator`` is the smallest that works.
+    """
+
+    __slots__ = ("numerators", "denominator", "_probs", "_hash")
 
     def __init__(self, probs: Sequence[Fraction]):
         probs = tuple(Fraction(p) for p in probs)
-        for x, p in enumerate(probs):
-            if p < 0:
-                raise NegativeProbabilityError(x, p)
-        if sum(probs) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
-        self.probs = probs
-        self._hash = hash(probs)
+        den = lcm(*(p.denominator for p in probs))
+        self._set([p.numerator * (den // p.denominator) for p in probs], den)
+        self._probs = probs
+
+    @classmethod
+    def from_integers(cls, numerators: Sequence[int], denominator: int) -> "Lottery":
+        """The lottery ``numerators[x] / denominator``, checked like the constructor."""
+        lot = cls.__new__(cls)
+        lot._set(numerators, denominator)
+        return lot
+
+    def _set(self, numerators: Sequence[int], denominator: int) -> None:
+        if denominator < 1:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        for x, a in enumerate(numerators):
+            if a < 0:
+                raise NegativeProbabilityError(x, Fraction(a, denominator))
+        total = sum(numerators)
+        if total != denominator:
+            raise ValueError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
+        g = gcd(denominator, *numerators)
+        self.numerators = tuple(a // g for a in numerators)
+        self.denominator = denominator // g
+        self._probs = None
+        self._hash = hash(self.numerators)
 
     @classmethod
     def point(cls, x: int, m: int) -> "Lottery":
-        return cls(tuple(Fraction(1) if y == x else Fraction(0) for y in range(m)))
+        return cls.from_integers([int(y == x) for y in range(m)], 1)
 
     @classmethod
     def uniform(cls, m: int) -> "Lottery":
-        return cls(tuple(Fraction(1, m) for _ in range(m)))
+        return cls.from_integers([1] * m, m)
 
     @classmethod
     def uniform_over(cls, xs: Iterable[int], m: int) -> "Lottery":
-        xs = sorted(set(xs))
+        xs = set(xs)
         if not xs:
             raise ValueError("uniform lottery over empty set")
-        w = Fraction(1, len(xs))
-        return cls(tuple(w if y in xs else Fraction(0) for y in range(m)))
+        return cls.from_integers([int(y in xs) for y in range(m)], len(xs))
 
     @classmethod
     def from_map(cls, mapping: Mapping[int, Fraction], m: int) -> "Lottery":
         return cls(tuple(Fraction(mapping.get(x, 0)) for x in range(m)))
 
     @property
+    def probs(self) -> Tuple[Fraction, ...]:
+        """The probabilities as :class:`~fractions.Fraction` values."""
+        if self._probs is None:
+            den = self.denominator
+            self._probs = tuple(Fraction(a, den) for a in self.numerators)
+        return self._probs
+
+    @property
     def m(self) -> int:
-        return len(self.probs)
+        return len(self.numerators)
 
     def __getitem__(self, x: int) -> Fraction:
         return self.probs[x]
 
     def mass(self, xs: Iterable[int]) -> Fraction:
-        return sum((self.probs[x] for x in xs), Fraction(0))
+        return Fraction(sum(self.numerators[x] for x in xs), self.denominator)
 
     def support(self) -> tuple:
-        return tuple(x for x, p in enumerate(self.probs) if p > 0)
+        return tuple(x for x, a in enumerate(self.numerators) if a)
 
     def is_point(self) -> Optional[int]:
         """The single supported alternative, or None."""
@@ -95,7 +131,8 @@ class Lottery:
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Lottery) and self.probs == other.probs
+        # the numerators sum to the denominator, so they fix it
+        return isinstance(other, Lottery) and self.numerators == other.numerators
 
     def __hash__(self) -> int:
         return self._hash
@@ -133,21 +170,21 @@ class SDVerdict:
 
 
 @lru_cache(maxsize=None)
-def _cumulative(pref: PreferenceRelation, lottery: Lottery) -> Tuple[Fraction, ...]:
-    total = Fraction(0)
-    out = []
-    for x in pref.order:
-        total += lottery.probs[x]
-        out.append(total)
-    return tuple(out)
+def _cumulative(pref: PreferenceRelation, lottery: Lottery) -> Tuple[int, ...]:
+    """Numerators of the mass on each prefix of ``pref``, over ``lottery.denominator``."""
+    return tuple(accumulate(lottery.numerators[x] for x in pref.order))
 
 
 def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
     """Stochastic-dominance comparison of ``p`` against ``q`` under ``pref``."""
-    if not (pref.m == p.m == q.m):
+    if not (len(pref.order) == len(p.numerators) == len(q.numerators)):
         raise ValueError("mismatched alternative counts")
     cp = _cumulative(pref, p)
     cq = _cumulative(pref, q)
+    if p.denominator != q.denominator:
+        # cross-multiply so both sides count in the same unit
+        cp = [c * q.denominator for c in cp]
+        cq = [c * p.denominator for c in cq]
     against_p = against_q = None
     for slot, x in enumerate(pref.order):
         if cp[slot] < cq[slot]:
@@ -224,15 +261,17 @@ def affine_combine(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:
     """
     if not parts:
         raise ValueError("nothing to combine")
-    total = sum(Fraction(w) for w, _ in parts)
+    parts = [(Fraction(w), lot) for w, lot in parts]
+    total = sum(w for w, _ in parts)
     if total != 1:
         raise ValueError(f"weights sum to {total}, not 1")
     m = parts[0][1].m
-    acc = [Fraction(0)] * m
+    den = lcm(*(w.denominator * lot.denominator for w, lot in parts))
+    acc = [0] * m
     for w, lot in parts:
         if lot.m != m:
             raise ValueError("mismatched alternative counts")
-        w = Fraction(w)
-        for x in range(m):
-            acc[x] += w * lot.probs[x]
-    return Lottery(acc)
+        scale = w.numerator * (den // (w.denominator * lot.denominator))
+        for x, a in enumerate(lot.numerators):
+            acc[x] += scale * a
+    return Lottery.from_integers(acc, den)

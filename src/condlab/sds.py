@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .core import (
@@ -118,12 +119,16 @@ class RandomDictatorship(SDS):
             "rd:" + ",".join(str(w) for w in weights),
         )
         self.weights = weights
+        self._denominator = lcm(*(w.denominator for w in weights))
+        self._numerators = tuple(
+            w.numerator * (self._denominator // w.denominator) for w in weights
+        )
 
     def _lottery(self, profile: Profile) -> Lottery:
-        acc = [Fraction(0)] * self.m
-        for voter, w in enumerate(self.weights):
-            acc[profile[voter].top()] += w
-        return Lottery(acc)
+        acc = [0] * self.m
+        for voter, a in enumerate(self._numerators):
+            acc[profile[voter].top()] += a
+        return Lottery.from_integers(acc, self._denominator)
 
 
 class CondorcetRule(SDS):

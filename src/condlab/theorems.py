@@ -48,6 +48,7 @@ from .sds import (
     Mixture,
     Plurality,
     RandomDictatorship,
+    SharedEvaluations,
     SignedMixture,
     TableSDS,
     TieBreakingCondorcetRule,
@@ -226,7 +227,7 @@ def criterion_1(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
     failures: List[str] = []
     grid = coefficient_grid(n, step)
     for coeffs in grid:
-        sds = mixture_sds(coeffs, n, m)
+        sds = SharedEvaluations(mixture_sds(coeffs, n, m))
         for verdict in (
             check_strategyproof(sds, dom),
             check_non_imposition(sds, dom),

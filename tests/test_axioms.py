@@ -24,6 +24,7 @@ from condlab.domains import (
 )
 from condlab.lottery import Lottery, sd_compare
 from condlab.sds import (
+    SDS,
     Borda,
     CondorcetRule,
     Dictatorship,
@@ -31,9 +32,10 @@ from condlab.sds import (
     Plurality,
     RandomDictatorship,
     TableSDS,
+    parse_sds,
     signed_mixture_counterexample,
 )
-from condlab.theorems import catalog, perturbed_condorcet_table
+from condlab.theorems import catalog, criterion_1, perturbed_condorcet_table
 
 F = Fraction
 
@@ -223,6 +225,38 @@ def test_implication_suite_consistent_for_catalog():
         assert report.strategyproof.holds == (
             report.localized.holds and report.non_perverse.holds
         ), name
+
+
+def count_mixture_evaluations(monkeypatch):
+    evaluated = []
+    evaluate = SDS.evaluate
+
+    def counting(self, profile):
+        if isinstance(self, Mixture):  # not the components it evaluates
+            evaluated.append(profile)
+        return evaluate(self, profile)
+
+    monkeypatch.setattr(SDS, "evaluate", counting)
+    return evaluated
+
+
+def test_implication_suite_evaluates_each_member_once(monkeypatch):
+    dom = CondorcetDomain(3, 3)
+    mix = parse_sds("mix:1/2*cond+1/2*rd:1/3,1/3,1/3", 3, 3)
+    separate = [check(mix, dom).to_json_dict() for check in (
+        check_strategyproof, check_localized, check_non_perverse
+    )]
+    evaluated = count_mixture_evaluations(monkeypatch)
+    report = implication_suite(mix, dom).to_json_dict()
+    assert len(evaluated) == len(set(evaluated)) == 204
+    assert [report["strategyproof"], report["localized"], report["non_perverse"]] == separate
+
+
+def test_criterion_1_evaluates_each_member_once(monkeypatch):
+    evaluated = count_mixture_evaluations(monkeypatch)
+    assert criterion_1()["ok"]
+    # 20 of the 35 grid points give the majority rule positive weight
+    assert len(evaluated) == 20 * 204
 
 
 # -- plumbing ----------------------------------------------------------------------------

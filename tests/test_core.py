@@ -125,8 +125,6 @@ def test_profile_replace_is_persistent():
     p = prof("a>b>c\nb>a>c")
     q = p.replace(0, rel("c>b>a"))
     assert q[0] == rel("c>b>a") and p[0] == rel("a>b>c")
-    r = p.replace_many((0, 1), (rel("b>c>a"), rel("a>c>b")))
-    assert r == prof("b>c>a\na>c>b")
 
 
 @given(st.lists(permutation3, min_size=1, max_size=4))

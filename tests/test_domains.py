@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -295,22 +296,82 @@ def reference_deviations(dom, profile, coalition):
     ]
 
 
+# Factories, so that each example can also start from a domain whose
+# neighbour table and member list are still empty.
 NEIGHBOURHOOD_DOMAINS = (
-    CondorcetDomain(3, 3),
-    CondorcetDomain(2, 4),
-    TieBreakingCondorcetDomain(rel("b>a>c"), 4, 3),
-    ExtendedDomain(CondorcetDomain(3, 3), [majority_cycle_profile(3, 3)]),
+    lambda: CondorcetDomain(3, 3),
+    lambda: CondorcetDomain(2, 4),
+    lambda: TieBreakingCondorcetDomain(rel("b>a>c"), 4, 3),
+    lambda: ExtendedDomain(CondorcetDomain(3, 3), [majority_cycle_profile(3, 3)]),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_deviations_match_brute_force(data):
-    dom = data.draw(st.sampled_from(NEIGHBOURHOOD_DOMAINS))
-    members = dom.members()
+    make = data.draw(st.sampled_from(NEIGHBOURHOOD_DOMAINS))
+    members = make().members()
     profile = members[data.draw(st.integers(0, len(members) - 1))]
-    voters = data.draw(st.sets(st.integers(0, dom.n - 1), min_size=1))
+    voters = data.draw(st.sets(st.integers(0, len(profile.relations) - 1), min_size=1))
     coalition = tuple(sorted(voters))
-    assert list(dom.deviations(profile, coalition)) == reference_deviations(
-        dom, profile, coalition
-    )
+    expected = reference_deviations(make(), profile, coalition)
+    dom = make()
+    if data.draw(st.booleans()):
+        dom.members()
+    assert list(dom.deviations(profile, coalition)) == expected
+    dom.members()
+    assert list(dom.deviations(profile, coalition)) == expected
+
+
+def test_deviations_reject_malformed_coalitions():
+    dom = CondorcetDomain(3, 3)
+    profile = dom.members()[0]
+    for coalition in ((0, 0), (-1,), (3,)):
+        with pytest.raises(ValueError):
+            list(dom.deviations(profile, coalition))
+
+
+def reference_adjacent_swaps(dom, profile, fixed):
+    """Every in-domain profile where one voter's order is an adjacent
+    transposition of the truthful one, found by comparing with every order."""
+    found = []
+    for voter in range(dom.n):
+        order = profile[voter].order
+        by_slot = []
+        for other in all_relations(dom.m):
+            moved = [s for s in range(dom.m) if other.order[s] != order[s]]
+            if len(moved) != 2 or moved[1] != moved[0] + 1:
+                continue
+            x, y = order[moved[0]], order[moved[1]]
+            neighbour = profile.replace(voter, other)
+            if fixed not in (x, y) and dom.contains(neighbour):
+                by_slot.append((moved[0], (voter, x, y, neighbour)))
+        found.extend(item for _, item in sorted(by_slot, key=lambda pair: pair[0]))
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjacent_swaps_match_brute_force(data):
+    make = data.draw(st.sampled_from(NEIGHBOURHOOD_DOMAINS))
+    dom = make()
+    members = make().members()
+    profile = members[data.draw(st.integers(0, len(members) - 1))]
+    fixed = data.draw(st.sampled_from((None,) + tuple(range(dom.m))))
+    expected = reference_adjacent_swaps(dom, profile, fixed)
+    assert list(dom.adjacent_swaps(profile, fixed)) == expected
+    dom.members()
+    assert list(dom.adjacent_swaps(profile, fixed)) == expected
+
+
+def test_neighbour_lookups_on_a_large_domain_stay_small():
+    # 6**9 profiles: a table with a slot per profile would take 80 MB
+    rotations = [rel("a>b>c"), rel("b>c>a"), rel("c>a>b")]
+    stacked = Profile([r for r in rotations for _ in range(3)])
+    tracemalloc.start()
+    try:
+        assert beyond_unilateral_reach(stacked, CondorcetDomain(9, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

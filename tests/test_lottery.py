@@ -198,3 +198,95 @@ def test_sd_rows_agree_with_sd_compare(case):
     assert all(0 <= rhs for _, _, rhs in rows) == verdict.weakly_prefers
     failing = [cut for cut, _, rhs in rows if rhs < 0]
     assert (failing[0] if failing else None) == verdict.against_p
+
+
+# -- integer kernel against a frozen Fraction reference -------------------------
+
+
+def reference_sd_compare(pref, p, q):
+    """The Fraction comparison the integer kernel replaced: (relation, against_p, against_q)."""
+    cp = cq = F(0)
+    against_p = against_q = None
+    for x in pref.order:
+        cp += p.probs[x]
+        cq += q.probs[x]
+        if cp < cq and against_p is None:
+            against_p = x
+        elif cp > cq and against_q is None:
+            against_q = x
+    if against_p is None:
+        rel = SDRelation.EQUIVALENT if against_q is None else SDRelation.DOMINATES
+    else:
+        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
+    return rel, against_p, against_q
+
+
+@st.composite
+def lotteries(draw, m):
+    """A lottery on ``m`` alternatives over a random denominator in 1..30."""
+    den = draw(st.integers(1, 30))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=m - 1, max_size=m - 1)))
+    return Lottery([F(hi - lo, den) for lo, hi in zip([0] + cuts, cuts + [den])])
+
+
+@st.composite
+def order_and_two_lotteries(draw):
+    m = draw(st.integers(2, 4))
+    pref = PreferenceRelation(tuple(draw(st.permutations(range(m)))))
+    return pref, draw(lotteries(m)), draw(lotteries(m))
+
+
+@given(order_and_two_lotteries())
+def test_integer_sd_compare_matches_fraction_reference(case):
+    pref, p, q = case
+    verdict = sd_compare(pref, p, q)
+    assert (verdict.relation, verdict.against_p, verdict.against_q) == reference_sd_compare(
+        pref, p, q
+    )
+
+
+@given(st.integers(2, 4).flatmap(lotteries), st.integers(1, 6), st.integers(-5, 5), st.integers(1, 5))
+def test_every_construction_gives_one_equal_lottery(lot, scale, num, den):
+    w = F(num, den)
+    built = [
+        Lottery(lot.probs),
+        Lottery.from_integers([a * scale for a in lot.numerators], lot.denominator * scale),
+        Lottery.from_json_dict(lot.to_json_dict(), lot.m),
+        affine_combine([(w, lot), (1 - w, lot)]),
+        affine_combine([(F(2), lot), (F(-1), lot)]),
+    ]
+    for other in built:
+        assert other == lot and hash(other) == hash(lot)
+        assert (other.numerators, other.denominator) == (lot.numerators, lot.denominator)
+        assert other.probs == lot.probs
+
+
+@st.composite
+def two_lotteries_and_weight(draw):
+    m = draw(st.integers(2, 4))
+    return draw(lotteries(m)), draw(lotteries(m)), F(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))
+
+
+@given(two_lotteries_and_weight())
+def test_affine_combine_matches_fraction_arithmetic(case):
+    p, q, w = case
+    expected = [w * a + (1 - w) * b for a, b in zip(p.probs, q.probs)]
+    try:
+        want = Lottery(expected)
+    except NegativeProbabilityError as exc:
+        with pytest.raises(NegativeProbabilityError, match=str(exc)):
+            affine_combine([(w, p), (1 - w, q)])
+        return
+    got = affine_combine([(w, p), (1 - w, q)])
+    assert got == want and hash(got) == hash(want) and got.probs == want.probs
+
+
+def test_integer_form_is_canonical():
+    lot = Lottery.from_integers([2, 4, 0], 6)
+    assert (lot.numerators, lot.denominator) == ((1, 2, 0), 3)
+    assert lot.probs == (F(1, 3), F(2, 3), F(0))
+    assert Lottery([F(1, 2), F(1, 3), F(1, 6)]).numerators == (3, 2, 1)
+    with pytest.raises(NegativeProbabilityError, match="-1/4 on alternative b"):
+        Lottery.from_integers([5, -1, 0], 4)
+    with pytest.raises(ValueError, match="sum to 3/4"):
+        Lottery.from_integers([1, 2, 0], 4)

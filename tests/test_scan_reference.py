@@ -1,0 +1,200 @@
+"""Whole-scan differential test.
+
+The strategyproofness scan and the dictatorial-weight model run on integer
+lotteries and a per-domain neighbour table. Frozen copies of the Fraction
+versions they replaced, with their own deviation walk, are kept here as the
+reference: on random schemes both must give the same verdict JSON (witness,
+``profiles_checked``, ``comparisons``) and the same weight or error text.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from condlab.analysis import InfeasibleModelError, max_dictatorial_weight
+from condlab.axioms import ManipulationWitness, Verdict, check_strategyproof
+from condlab.core import PreferenceRelation, all_relations
+from condlab.domains import CondorcetDomain, ExtendedDomain, TieBreakingCondorcetDomain
+from condlab.domains import majority_cycle_profile
+from condlab.lottery import Lottery, nonnegative_rows, sd_rows
+from condlab.ratlp import simplex_maximize
+from condlab.sds import (
+    CondorcetRule,
+    Mixture,
+    RandomDictatorship,
+    TableSDS,
+    TieBreakingCondorcetRule,
+)
+
+F = Fraction
+
+# -- frozen Fraction reference ---------------------------------------------------
+
+
+def reference_deviations(dom, profile, voter):
+    """Every other relation for ``voter`` in lexicographic order, kept when in ``dom``."""
+    for rel in all_relations(dom.m):
+        if rel != profile[voter]:
+            candidate = profile.replace(voter, rel)
+            if dom.contains(candidate):
+                yield candidate
+
+
+def reference_first_failing_cut(pref, p, q):
+    """The first cut where ``p`` puts less Fraction mass than ``q``, or None."""
+    mass_p = mass_q = F(0)
+    for x in pref.order:
+        mass_p += p.probs[x]
+        mass_q += q.probs[x]
+        if mass_p < mass_q:
+            return x
+    return None
+
+
+def reference_evaluator(sds):
+    cache = {}
+
+    def f(profile):
+        if profile not in cache:
+            cache[profile] = sds.evaluate(profile)
+        return cache[profile]
+
+    return f
+
+
+def reference_check_strategyproof(sds, dom):
+    members = dom.members()
+    f = reference_evaluator(sds)
+    comparisons = 0
+    for index, profile in enumerate(members):
+        truthful = f(profile)
+        for voter in range(dom.n):
+            for deviation in reference_deviations(dom, profile, voter):
+                cut = reference_first_failing_cut(profile[voter], truthful, f(deviation))
+                comparisons += 1
+                if cut is not None:
+                    witness = ManipulationWitness(
+                        profile, voter, deviation, cut, truthful, f(deviation)
+                    )
+                    return Verdict("strategyproof", False, witness, index + 1, comparisons)
+    return Verdict("strategyproof", True, None, len(members), comparisons)
+
+
+def reference_max_dictatorial_weight(sds, dom):
+    members = dom.members()
+    n, m = dom.n, dom.m
+    f = reference_evaluator(sds)
+    rows = {}
+
+    def residual(profile):
+        lot = f(profile)
+        return tuple(
+            (lot.probs[x], tuple((v, -1) for v in range(n) if profile[v].top() == x))
+            for x in range(m)
+        )
+
+    def add_row(coeffs, rhs):
+        if any(coeffs) and (coeffs not in rows or rhs < rows[coeffs]):
+            rows[coeffs] = rhs
+
+    for profile in members:
+        truth = residual(profile)
+        for _, coeffs, rhs in nonnegative_rows(truth, n):
+            add_row(coeffs, rhs)
+        for voter in range(n):
+            for deviation in reference_deviations(dom, profile, voter):
+                for _, coeffs, rhs in sd_rows(profile[voter], truth, residual(deviation), n):
+                    if rhs < 0:
+                        raise InfeasibleModelError(
+                            f"scheme is manipulable at {profile!r} by voter {voter}"
+                        )
+                    add_row(coeffs, rhs)
+    if not rows:
+        return F(1)
+    value, _ = simplex_maximize([F(1)] * n, list(rows.items()))
+    return value
+
+
+# -- random schemes ----------------------------------------------------------------
+
+TIEBREAKER = PreferenceRelation((1, 0, 2))
+CYCLE = majority_cycle_profile(3, 3)
+# Shared instances, so later examples run on warm member lists and tables.
+SMALL = (
+    CondorcetDomain(2, 3),
+    CondorcetDomain(2, 4),
+    CondorcetDomain(3, 3),
+    TieBreakingCondorcetDomain(TIEBREAKER, 4, 3),
+    ExtendedDomain(CondorcetDomain(3, 3), [CYCLE]),
+)
+# Too large for a full Fraction scan in a unit test: tables only, which are
+# manipulable within the first few dozen profiles.
+LARGE = CondorcetDomain(3, 4)
+
+
+@st.composite
+def lotteries(draw, m):
+    den = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=m - 1, max_size=m - 1)))
+    return Lottery([F(hi - lo, den) for lo, hi in zip([0] + cuts, cuts + [den])])
+
+
+def majority_rule(dom, draw):
+    if isinstance(dom, TieBreakingCondorcetDomain):
+        return TieBreakingCondorcetRule(TIEBREAKER, dom.n)
+    if isinstance(dom, ExtendedDomain):
+        rule = CondorcetRule(dom.n, dom.m)
+        table = {p: rule.evaluate(p) for p in dom.base.members()}
+        table[CYCLE] = draw(lotteries(dom.m))
+        return TableSDS(table, valid_domain=dom, name="cond+cycle")
+    return CondorcetRule(dom.n, dom.m)
+
+
+def blend(dom, draw):
+    """A mixture of the domain's majority rule and a random dictatorship."""
+    den = draw(st.integers(1, 6))
+    alpha = F(draw(st.integers(0, den)), den)
+    shares = draw(st.lists(st.integers(1, 5), min_size=dom.n, max_size=dom.n))
+    rd = RandomDictatorship([F(k, sum(shares)) for k in shares], dom.m)
+    return Mixture([(alpha, majority_rule(dom, draw)), (1 - alpha, rd)], valid_domain=dom)
+
+
+@st.composite
+def schemes(draw):
+    kind = draw(st.sampled_from(("table", "blend", "perturbed")))
+    if kind == "table":
+        dom = draw(st.sampled_from(SMALL + (LARGE,)))
+        # random lotteries up front, then voter 0's worst alternative, which
+        # voter 0 can improve on at once
+        table = {p: Lottery.point(p[0].order[-1], dom.m) for p in dom.members()}
+        table.update({p: draw(lotteries(dom.m)) for p in dom.members()[:40]})
+        return TableSDS(table, valid_domain=dom), dom
+    dom = draw(st.sampled_from(SMALL))
+    sds = blend(dom, draw)
+    if kind == "perturbed":
+        table = {p: sds.evaluate(p) for p in dom.members()}
+        members = dom.members()
+        table[members[draw(st.integers(0, len(members) - 1))]] = draw(lotteries(dom.m))
+        sds = TableSDS(table, valid_domain=dom)
+    return sds, dom
+
+
+def gamma_or_error(weight, sds, dom):
+    try:
+        return str(weight(sds, dom))
+    except InfeasibleModelError as exc:
+        return f"infeasible: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(schemes())
+def test_scans_match_fraction_reference(case):
+    sds, dom = case
+    assert (
+        check_strategyproof(sds, dom).to_json_dict()
+        == reference_check_strategyproof(sds, dom).to_json_dict()
+    )
+    assert gamma_or_error(max_dictatorial_weight, sds, dom) == gamma_or_error(
+        reference_max_dictatorial_weight, sds, dom
+    )
