@@ -9,18 +9,16 @@ extra profiles without breaking strategyproofness.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name, profile_key
 from .axioms import Verdict
 from .domains import Domain, ExtendedDomain, OutOfDomainError
 from .lottery import (
-    AffineLottery, Lottery, constant_form, nonnegative_rows, sd_rows,
+    AffineLottery, Lottery, _cumulative, constant_form, nonnegative_rows, sd_rows,
 )
 from .ratlp import fm_feasible, simplex_maximize
 from .sds import TableMissError, cached_evaluator
@@ -134,65 +132,64 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     """Largest total dictatorial weight whose removal leaves a nonnegative,
     strategyproof remainder.
 
-    Maximizes the sum of per-voter weights ``w_i`` such that the scheme minus
-    the weighted dictatorships is pointwise nonnegative and still satisfies
-    every stochastic-dominance inequality between domain members one
-    unilateral deviation apart. Substituting the residual away leaves a tiny
-    program in the ``w_i`` alone; a negative right-hand side before pivoting
-    means the scheme itself was manipulable, which is reported as an
-    infeasible model.
+    Maximizes the sum of per-voter weights ``w_v >= 0`` such that the scheme
+    minus the weighted dictatorships is pointwise nonnegative and still
+    satisfies every stochastic-dominance inequality between domain members
+    one unilateral deviation apart. When voter ``v`` deviates from ``P`` to
+    ``P'``, the other voters' tops cancel and ``v``'s own top lies in every
+    upper contour set ``U`` of ``v``'s order, so the inequality at ``U``
+    reads ``w_v * [top'_v not in U] <= f(P)(U) - f(P')(U)``: every row is
+    one-sparse. The program therefore keeps one bound per voter (the least
+    such right-hand side) and one nonnegativity row per set of voters
+    sharing a top. A negative right-hand side means the scheme itself is
+    manipulable, which is reported as an infeasible model.
     """
     members = dom.members()
-    n, m = dom.n, dom.m
+    n = dom.n
     f = cached_evaluator(sds)
-    # Rows are built in integers: each (profile, deviation) pair works over
-    # the common denominator of its two lotteries, and each kept row stores
-    # its right-hand side as (numerator, denominator).
-    rows: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-
-    @functools.lru_cache(maxsize=None)
-    def dictator_terms(tops: Tuple[int, ...]):
-        return tuple(tuple((v, -1) for v in range(n) if tops[v] == x) for x in range(m))
-
-    def residual(profile: Profile, lot: Lottery, den: int) -> AffineLottery:
-        # the scheme's lottery minus w_i on each voter's top, affine in w,
-        # with constants counted in units of 1/den
-        tops = tuple(rel.top() for rel in profile.relations)
-        scale = den // lot.denominator
-        consts = lot.numerators if scale == 1 else [a * scale for a in lot.numerators]
-        return tuple(zip(consts, dictator_terms(tops)))
-
-    def add_row(coeffs: Tuple[int, ...], rhs: int, den: int):
-        # Every coefficient is >= 0, so with w >= 0 an all-zero row is implied.
-        if any(coeffs):
-            kept = rows.get(coeffs)
-            if kept is None or rhs * kept[1] < kept[0] * den:
-                rows[coeffs] = (rhs, den)
+    # Right-hand sides are kept as (numerator, denominator) integer pairs and
+    # compared by cross-multiplication.
+    bounds: List[Optional[Tuple[int, int]]] = [None] * n
+    shares: Dict[Tuple[int, ...], Tuple[int, int]] = {}
 
     for profile in members:
         lot = f(profile)
-        truth = residual(profile, lot, lot.denominator)
-        for _, coeffs, rhs in nonnegative_rows(truth, n):
-            add_row(coeffs, rhs, lot.denominator)  # rhs is a probability, never negative
+        den = lot.denominator
+        voters_by_top: Dict[int, List[int]] = {}
+        for voter, rel in enumerate(profile.relations):
+            voters_by_top.setdefault(rel.order[0], []).append(voter)
+        for top, voters in voters_by_top.items():
+            key, rhs = tuple(voters), lot.numerators[top]
+            kept = shares.get(key)
+            if kept is None or rhs * kept[1] < kept[0] * den:
+                shares[key] = (rhs, den)
         for voter in range(n):
+            order = profile.relations[voter].order
+            cp = _cumulative(order, lot.numerators)
             for deviation in dom.unilateral_deviations(profile, voter):
                 other = f(deviation)
-                den = lcm(lot.denominator, other.denominator)
-                here = truth if den == lot.denominator else residual(profile, lot, den)
-                there = residual(deviation, other, den)
-                for _, coeffs, rhs in sd_rows(profile[voter], here, there, n):
-                    if rhs < 0:
-                        raise InfeasibleModelError(
-                            f"scheme is manipulable at {profile!r} by voter {voter}"
-                        )
-                    add_row(coeffs, rhs, den)
+                cq = _cumulative(order, other.numerators)
+                qd = other.denominator
+                margins = [a * qd - b * den for a, b in zip(cp, cq)]
+                if min(margins) < 0:
+                    raise InfeasibleModelError(
+                        f"scheme is manipulable at {profile!r} by voter {voter}"
+                    )
+                # the cuts above the deviation's top are those leaving it out
+                reach = order.index(deviation.relations[voter].order[0])
+                if reach:
+                    low, kept = min(margins[:reach]), bounds[voter]
+                    if kept is None or low * kept[1] < kept[0] * den * qd:
+                        bounds[voter] = (low, den * qd)
 
-    if not rows:
-        # No binding constraints can only happen on degenerate domains.
+    if not shares:
+        # Only an empty domain has no rows.
         return Fraction(1)
+    rows = [((v,), kept) for v, kept in enumerate(bounds) if kept is not None]
+    rows += shares.items()
     value, _ = simplex_maximize(
         [Fraction(1)] * n,
-        [(coeffs, Fraction(rhs, den)) for coeffs, (rhs, den) in rows.items()],
+        [(tuple(int(v in key) for v in range(n)), Fraction(*kept)) for key, kept in rows],
     )
     return value
 

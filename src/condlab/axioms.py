@@ -145,10 +145,11 @@ def check_strategyproof(sds, dom: Domain) -> Verdict:
     for index, profile in enumerate(members):
         truthful = f(profile)
         for voter in range(dom.n):
+            pref = profile[voter]
             for deviation in dom.unilateral_deviations(profile, voter):
-                verdict = sd_compare(profile[voter], truthful, f(deviation))
+                verdict = sd_compare(pref, truthful, f(deviation))
                 comparisons += 1
-                if not verdict.weakly_prefers:
+                if verdict.against_p is not None:
                     witness = ManipulationWitness(
                         profile, voter, deviation, verdict.against_p,
                         truthful, f(deviation),

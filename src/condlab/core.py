@@ -125,8 +125,9 @@ def all_relations(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def relation_ids(m: int) -> dict:
-    """Each relation on ``m`` alternatives mapped to its position in :func:`all_relations`."""
-    return {rel: i for i, rel in enumerate(all_relations(m))}
+    """Each relation's ``order`` on ``m`` alternatives mapped to its position in
+    :func:`all_relations`; keyed by the plain tuple so lookups hash in C."""
+    return {rel.order: i for i, rel in enumerate(all_relations(m))}
 
 
 class Profile:
@@ -169,7 +170,7 @@ class Profile:
     def key(self) -> tuple:
         """Canonical sort key: the tuple of per-voter lexicographic ranks."""
         ids = relation_ids(self.m)
-        return tuple(ids[rel] for rel in self.relations)
+        return tuple(ids[rel.order] for rel in self.relations)
 
     def to_text(self) -> str:
         return "\n".join(rel.to_text() for rel in self.relations)
@@ -252,7 +253,9 @@ def _margin_row(profile: Profile, x: int) -> list:
     return row
 
 
-@lru_cache(maxsize=None)
+# Bounded: a scan reads membership from its domain's table and lotteries from
+# its own evaluator, so this cache and the next only spare nearby repeats.
+@lru_cache(maxsize=1 << 14)
 def condorcet_winner(profile: Profile) -> Optional[int]:
     """The alternative beating every other by strict majority, if one exists."""
     for x in range(profile.m):
@@ -269,7 +272,7 @@ def augment(profile: Profile, tiebreaker: TieBreaker) -> Profile:
     return Profile(profile.relations + (tiebreaker,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def tiebroken_winner(profile: Profile, tiebreaker: TieBreaker) -> Optional[int]:
     """Majority winner after appending the tie-breaking order as a voter."""
     return condorcet_winner(augment(profile, tiebreaker))

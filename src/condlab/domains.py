@@ -111,12 +111,16 @@ class Domain:
     def _contains(self, profile: Profile) -> bool:
         raise NotImplementedError
 
-    def contains(self, profile: Profile) -> bool:
-        if profile.n != self.n or profile.m != self.m:
+    def _check_shape(self, profile: Profile) -> None:
+        rels = profile.relations
+        if len(rels) != self.n or len(rels[0].order) != self.m:
             raise ValueError(
                 f"profile shape ({profile.n}, {profile.m}) does not match "
                 f"domain shape ({self.n}, {self.m})"
             )
+
+    def contains(self, profile: Profile) -> bool:
+        self._check_shape(profile)
         return self._contains(profile)
 
     def size_bound(self) -> int:
@@ -155,11 +159,16 @@ class Domain:
     # Neighbours are looked up by code in ``_table``, so each candidate
     # profile is built and tested for membership at most once per domain.
 
-    def _code(self, profile: Profile) -> int:
+    def _member_code(self, profile: Profile, what: str) -> int:
+        """The code of ``profile``, which must be a member; membership is read
+        from ``_table`` and tested only when the code is not there yet."""
+        self._check_shape(profile)
         ids = relation_ids(self.m)
         code = 0
         for rel in profile.relations:
-            code = code * len(ids) + ids[rel]
+            code = code * len(ids) + ids[rel.order]
+        if self._member_at(code) is None:
+            raise OutOfDomainError(f"{what} are only defined for domain members")
         return code
 
     def _member_at(self, code: int) -> Optional[Profile]:
@@ -177,21 +186,20 @@ class Domain:
         """In-domain profiles where every coalition member reports a different
         relation and everyone else reports the same, in lexicographic product
         order of the members' new relations."""
-        if not self.contains(profile):
-            raise OutOfDomainError("deviations are only defined for domain members")
+        code = self._member_code(profile, "deviations")
         if len(set(coalition)) != len(coalition) or not all(0 <= v < self.n for v in coalition):
             raise ValueError(f"coalition must list distinct voters of 0..{self.n - 1}")
-        code = self._code(profile)
         ids = relation_ids(self.m)
         radix = len(ids)
         steps = []
         for voter in coalition:
-            own = ids[profile[voter]]
+            own = ids[profile.relations[voter].order]
             place = radix ** (self.n - 1 - voter)
             steps.append([(r - own) * place for r in range(radix) if r != own])
-        member_at = self._member_at
-        for shift in itertools.product(*steps):
-            candidate = member_at(code + sum(shift))
+        table, member_at = self._table, self._member_at
+        for shift in map(sum, itertools.product(*steps)):
+            key = code + shift
+            candidate = table[key] if key in table else member_at(key)
             if candidate is not None:
                 yield candidate
 
@@ -207,9 +215,7 @@ class Domain:
         Yields ``(voter, x, y, neighbor)`` where ``x`` sat directly above ``y``
         in the voter's order; voters ascend, then slots top-down.
         """
-        if not self.contains(profile):
-            raise OutOfDomainError("neighbors are only defined for domain members")
-        code = self._code(profile)
+        code = self._member_code(profile, "neighbors")
         ids = relation_ids(self.m)
         for voter in range(self.n):
             rel = profile[voter]
@@ -219,7 +225,7 @@ class Domain:
                 x, y = order[slot], order[slot + 1]
                 if fixed in (x, y):
                     continue
-                shift = (ids[rel.swapped(x, y)] - ids[rel]) * place
+                shift = (ids[rel.swapped(x, y).order] - ids[order]) * place
                 candidate = self._member_at(code + shift)
                 if candidate is not None:
                     yield voter, x, y, candidate

@@ -169,39 +169,45 @@ class SDVerdict:
         return self.relation in (SDRelation.DOMINATES, SDRelation.EQUIVALENT)
 
 
-@lru_cache(maxsize=None)
-def _cumulative(pref: PreferenceRelation, lottery: Lottery) -> Tuple[int, ...]:
-    """Numerators of the mass on each prefix of ``pref``, over ``lottery.denominator``."""
-    return tuple(accumulate(lottery.numerators[x] for x in pref.order))
+@lru_cache(maxsize=1 << 14)
+def _cumulative(order: Tuple[int, ...], numerators: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Sums of ``numerators`` over each prefix of ``order`` (a relation's order
+    and a lottery's numerators: plain tuples, so lookups hash in C)."""
+    return tuple(accumulate(numerators[x] for x in order))
+
+
+@lru_cache(maxsize=None)  # keys are pairs of alternatives: at most (m+1)^2 verdicts
+def _verdict(against_p: Optional[int], against_q: Optional[int]) -> SDVerdict:
+    if against_p is None:
+        rel = SDRelation.DOMINATES if against_q is not None else SDRelation.EQUIVALENT
+    else:
+        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
+    return SDVerdict(rel, against_p, against_q)
 
 
 def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
     """Stochastic-dominance comparison of ``p`` against ``q`` under ``pref``."""
-    if not (len(pref.order) == len(p.numerators) == len(q.numerators)):
+    order = pref.order
+    if not (len(order) == len(p.numerators) == len(q.numerators)):
         raise ValueError("mismatched alternative counts")
-    cp = _cumulative(pref, p)
-    cq = _cumulative(pref, q)
+    cp = _cumulative(order, p.numerators)
+    cq = _cumulative(order, q.numerators)
+    if cp == cq:  # the last sums are the denominators, so they agree too
+        return _verdict(None, None)
     if p.denominator != q.denominator:
         # cross-multiply so both sides count in the same unit
         cp = [c * q.denominator for c in cp]
         cq = [c * p.denominator for c in cq]
     against_p = against_q = None
-    for slot, x in enumerate(pref.order):
+    # the whole slate carries mass 1 on both sides, so only proper cuts count
+    for slot in range(len(order) - 1):
         if cp[slot] < cq[slot]:
             if against_p is None:
-                against_p = x
+                against_p = order[slot]
         elif cp[slot] > cq[slot]:
             if against_q is None:
-                against_q = x
-    if against_p is None and against_q is None:
-        rel = SDRelation.EQUIVALENT
-    elif against_p is None:
-        rel = SDRelation.DOMINATES
-    elif against_q is None:
-        rel = SDRelation.DOMINATED
-    else:
-        rel = SDRelation.INCOMPARABLE
-    return SDVerdict(rel, against_p, against_q)
+                against_q = order[slot]
+    return _verdict(against_p, against_q)
 
 
 # An affine lottery gives each alternative a constant plus integer multiples

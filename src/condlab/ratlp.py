@@ -10,8 +10,12 @@ Two engines, both exact:
 
 * :func:`fm_feasible` decides feasibility of ``A x <= b`` (free variables)
   by Fourier-Motzkin elimination, tracking which original constraints were
-  combined into each derived row. Each step eliminates the variable adding
-  the fewest rows (ties: highest index). On infeasibility that provenance
+  combined into each derived row. Each input row is scaled to integer
+  coefficients and every row is kept divided by the gcd of its
+  coefficients, so derived rows combine in integers and rows with the same
+  direction share one key; only right-hand sides are fractions. Each step
+  eliminates the variable adding the fewest rows (ties: highest index).
+  On infeasibility that provenance
   is an audit trail: a nonnegative combination of exactly those constraints
   is contradictory. On feasibility the point depends on the feasible region
   alone: in index order, each variable, projected with the earlier values
@@ -22,6 +26,7 @@ Two engines, both exact:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .domains import CapExceededError
@@ -94,11 +99,19 @@ def simplex_maximize(
     return value, solution
 
 
-def _normalize(coeffs: Tuple[Fraction, ...], rhs: Fraction):
-    for c in coeffs:
-        if c != 0:
-            scale = abs(c)
-            return tuple(v / scale for v in coeffs), rhs / scale
+def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction):
+    """``coeffs . x <= rhs`` scaled by a positive factor to integer coefficients."""
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), Fraction(rhs) * scale
+
+
+def _normalize(coeffs: Tuple[int, ...], rhs: Fraction):
+    """The row divided by the gcd of its coefficients: one primitive integer
+    vector per direction, so same-direction rows share a dedup key."""
+    g = gcd(*coeffs)
+    if g > 1:
+        return tuple(c // g for c in coeffs), rhs / g
     return coeffs, rhs
 
 
@@ -150,13 +163,13 @@ def fm_feasible(
     ``(True, point, None)`` or ``(False, None, conflict_tags)``. A built point
     that fails an input row is an internal fault and raises ``RuntimeError``.
     """
-    given = [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), tags) for coeffs, rhs, tags in rows]
-    for coeffs, rhs, tags in _eliminate(given, range(num_vars)):
+    scaled = [_integer_row(coeffs, rhs) + (tags,) for coeffs, rhs, tags in rows]
+    for coeffs, rhs, tags in _eliminate(scaled, range(num_vars)):
         if rhs < 0:
             return False, None, tags
 
     point = [Fraction(0)] * num_vars
-    current = given
+    current = scaled
     for var in range(num_vars):
         lo = hi = None
         for coeffs, rhs, _ in _eliminate(current, range(var + 1, num_vars)):
@@ -175,10 +188,10 @@ def fm_feasible(
             value = (lo + hi) / 2
         point[var] = value
         current = [
-            (coeffs[:var] + (Fraction(0),) + coeffs[var + 1 :], rhs - coeffs[var] * value, tags)
+            (coeffs[:var] + (0,) + coeffs[var + 1 :], rhs - coeffs[var] * value, tags)
             for coeffs, rhs, tags in current
         ]
-    for coeffs, rhs, _ in given:
+    for coeffs, rhs, _ in rows:
         if sum(c * x for c, x in zip(coeffs, point)) > rhs:
             raise RuntimeError("Fourier-Motzkin point violates an input row")
     return True, point, None

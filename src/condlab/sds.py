@@ -89,7 +89,7 @@ class SharedEvaluations(SDS):
 
     def __init__(self, sds: SDS):
         super().__init__(sds.valid_domain, sds.describe())
-        self.evaluate = cached_evaluator(sds)
+        self.evaluate = self._lottery = cached_evaluator(sds)
 
 
 class Dictatorship(SDS):
@@ -189,9 +189,16 @@ class Mixture(SDS):
         name = f"{self.label}:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
         super().__init__(dom, name)
         self.parts = parts
+        # A part defined wherever the mixture is skips its own membership test;
+        # any other part evaluates in full, so its errors stay its own.
+        full = FullDomain(dom.n, dom.m)
+        self._evaluators = tuple(
+            (w, part._lottery if part.valid_domain in (dom, full) else part.evaluate)
+            for w, part in parts
+        )
 
     def _lottery(self, profile: Profile) -> Lottery:
-        return affine_combine([(w, part.evaluate(profile)) for w, part in self.parts])
+        return affine_combine([(w, lottery(profile)) for w, lottery in self._evaluators])
 
 
 class SignedMixture(Mixture):

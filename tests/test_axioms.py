@@ -53,6 +53,15 @@ def test_condorcet_rule_strategyproof_on_condorcet_domain():
     assert verdict.profiles_checked == 204
 
 
+@pytest.mark.slow
+def test_seven_voter_blend_strategyproof():
+    # the exhaustive frontier at m=3: every member and in-domain deviation
+    sds = parse_sds("mix:1/2*cond+1/2*rd:" + ",".join(["1/7"] * 7), 7, 3)
+    verdict = check_strategyproof(sds, CondorcetDomain(7, 3))
+    assert verdict.holds
+    assert (verdict.profiles_checked, verdict.comparisons) == (258_936, 8_516_760)
+
+
 def test_dictatorship_strategyproof_on_full_domain():
     verdict = check_strategyproof(Dictatorship(1, 3, 3), FullDomain(3, 3))
     assert verdict.holds

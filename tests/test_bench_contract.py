@@ -1,0 +1,61 @@
+"""The layer counts the benchmark's tracer checks, on a small domain.
+
+``perfbench/tracer.py`` wraps ``Domain.unilateral_deviations`` at the class
+and rebinds module-level ``sd_compare`` and ``condorcet_winner`` names, then
+compares the counts it sees with exact values. A scan that walks neighbours
+another way, aliases ``sd_compare`` or drops the functools caches would
+make a traced benchmark run report wrong counts; this test catches that
+without running the benchmark.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from condlab.core import all_relations
+from condlab.domains import CondorcetDomain
+
+ROOT = Path(__file__).resolve().parents[1]
+SCHEME = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
+
+
+def brute_force_triples(dom):
+    """(member, voter, in-domain deviation) triples, counted without the table."""
+    return sum(
+        dom.contains(profile.replace(voter, rel))
+        for profile in dom.members()
+        for voter in range(dom.n)
+        for rel in all_relations(dom.m)
+        if rel != profile[voter]
+    )
+
+
+def traced(tmp_path, *args):
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(out), "--", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout), json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", [("check", "--axiom", "sp"), ("gamma",)])
+def test_traced_counts_match_the_scan(tmp_path, command):
+    dom = CondorcetDomain(3, 3)
+    result, trace = traced(
+        tmp_path, command[0], "--n", "3", "--domain", "condorcet", "--sds", SCHEME, *command[1:]
+    )
+    layers = trace["layers"]
+    compared = layers.get("lottery.sd_compare", {}).get("calls", 0)
+    assert compared == result.get("comparisons", 0)
+    if command[0] == "gamma":
+        assert compared == 0
+    assert layers["domains.deviations"]["yielded"] == brute_force_triples(dom)
+    for cache in ("core.winner", "lottery.cumulative"):
+        assert set(trace["caches"][cache]) == {"hits", "misses", "size"}

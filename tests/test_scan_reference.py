@@ -3,12 +3,14 @@
 The strategyproofness scan and the dictatorial-weight model run on integer
 lotteries and a per-domain neighbour table. Frozen copies of the Fraction
 versions they replaced, with their own deviation walk, are kept here as the
-reference: on random schemes both must give the same verdict JSON (witness,
-``profiles_checked``, ``comparisons``) and the same weight or error text.
+reference: on random and named schemes both must give the same verdict JSON
+(witness, ``profiles_checked``, ``comparisons``) and the same weight, or the
+same error type and text when evaluation or the model fails mid-scan.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +22,16 @@ from condlab.domains import majority_cycle_profile
 from condlab.lottery import Lottery, nonnegative_rows, sd_rows
 from condlab.ratlp import simplex_maximize
 from condlab.sds import (
+    Borda,
     CondorcetRule,
+    Dictatorship,
     Mixture,
+    Plurality,
     RandomDictatorship,
+    SignedMixture,
     TableSDS,
     TieBreakingCondorcetRule,
+    signed_mixture_counterexample,
 )
 
 F = Fraction
@@ -125,6 +132,7 @@ SMALL = (
     CondorcetDomain(2, 3),
     CondorcetDomain(2, 4),
     CondorcetDomain(3, 3),
+    CondorcetDomain(4, 3),
     TieBreakingCondorcetDomain(TIEBREAKER, 4, 3),
     ExtendedDomain(CondorcetDomain(3, 3), [CYCLE]),
 )
@@ -151,18 +159,47 @@ def majority_rule(dom, draw):
     return CondorcetRule(dom.n, dom.m)
 
 
+def random_dictatorship(dom, draw):
+    shares = draw(st.lists(st.integers(1, 5), min_size=dom.n, max_size=dom.n))
+    return RandomDictatorship([F(k, sum(shares)) for k in shares], dom.m)
+
+
 def blend(dom, draw):
     """A mixture of the domain's majority rule and a random dictatorship."""
     den = draw(st.integers(1, 6))
     alpha = F(draw(st.integers(0, den)), den)
-    shares = draw(st.lists(st.integers(1, 5), min_size=dom.n, max_size=dom.n))
-    rd = RandomDictatorship([F(k, sum(shares)) for k in shares], dom.m)
+    rd = random_dictatorship(dom, draw)
     return Mixture([(alpha, majority_rule(dom, draw)), (1 - alpha, rd)], valid_domain=dom)
+
+
+def signed(dom, draw):
+    """An affine combination of the majority rule, a random dictatorship and a
+    dictatorship with some weights negative; it may leave the simplex at any
+    profile, which the scan meets as a NegativeProbabilityError."""
+    den = draw(st.integers(1, 4))
+    a, b = (F(draw(st.integers(-den, 2 * den)), den) for _ in range(2))
+    parts = [
+        (a, majority_rule(dom, draw)),
+        (b, RandomDictatorship([F(1, dom.n)] * dom.n, dom.m)),
+        (1 - a - b, Dictatorship(draw(st.integers(0, dom.n - 1)), dom.n, dom.m)),
+    ]
+    return SignedMixture(parts, valid_domain=dom)
+
+
+def tie_blend(dom, draw):
+    """Plurality or Borda blended with a random dictatorship: the truthful and
+    deviated lotteries have different denominators."""
+    rule = draw(st.sampled_from((Plurality, Borda)))(dom.n, dom.m)
+    alpha = F(draw(st.integers(0, 4)), 4)
+    rd = random_dictatorship(dom, draw)
+    return Mixture([(alpha, rule), (1 - alpha, rd)], valid_domain=dom)
 
 
 @st.composite
 def schemes(draw):
-    kind = draw(st.sampled_from(("table", "blend", "perturbed")))
+    kind = draw(st.sampled_from(
+        ("table", "blend", "perturbed", "signed", "ties", "missing")
+    ))
     if kind == "table":
         dom = draw(st.sampled_from(SMALL + (LARGE,)))
         # random lotteries up front, then voter 0's worst alternative, which
@@ -171,30 +208,70 @@ def schemes(draw):
         table.update({p: draw(lotteries(dom.m)) for p in dom.members()[:40]})
         return TableSDS(table, valid_domain=dom), dom
     dom = draw(st.sampled_from(SMALL))
+    if kind == "signed":
+        return signed(dom, draw), dom
+    if kind == "ties":
+        return tie_blend(dom, draw), dom
     sds = blend(dom, draw)
-    if kind == "perturbed":
+    if kind in ("perturbed", "missing"):
         table = {p: sds.evaluate(p) for p in dom.members()}
         members = dom.members()
-        table[members[draw(st.integers(0, len(members) - 1))]] = draw(lotteries(dom.m))
+        chosen = members[draw(st.integers(0, len(members) - 1))]
+        if kind == "missing":
+            del table[chosen]
+        else:
+            table[chosen] = draw(lotteries(dom.m))
         sds = TableSDS(table, valid_domain=dom)
     return sds, dom
 
 
-def gamma_or_error(weight, sds, dom):
+def outcome(scan, sds, dom):
+    """The scan's verdict JSON or weight, or the type and text of its error."""
     try:
-        return str(weight(sds, dom))
-    except InfeasibleModelError as exc:
-        return f"infeasible: {exc}"
+        result = scan(sds, dom)
+    except (ValueError, LookupError) as exc:
+        return type(exc).__name__, str(exc)
+    return result.to_json_dict() if isinstance(result, Verdict) else str(result)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(schemes())
 def test_scans_match_fraction_reference(case):
     sds, dom = case
-    assert (
-        check_strategyproof(sds, dom).to_json_dict()
-        == reference_check_strategyproof(sds, dom).to_json_dict()
+    assert outcome(check_strategyproof, sds, dom) == outcome(
+        reference_check_strategyproof, sds, dom
     )
-    assert gamma_or_error(max_dictatorial_weight, sds, dom) == gamma_or_error(
+    assert outcome(max_dictatorial_weight, sds, dom) == outcome(
         reference_max_dictatorial_weight, sds, dom
     )
+
+
+def named_cases():
+    cond3, dom3 = CondorcetRule(3, 3), CondorcetDomain(3, 3)
+    cond4, dom4 = CondorcetRule(4, 3), CondorcetDomain(4, 3)
+    rd3 = RandomDictatorship([F(1, 2), F(1, 3), F(1, 6)], 3)
+    rd4 = RandomDictatorship([F(1, 10), F(1, 5), F(3, 10), F(2, 5)], 3)
+    table = {p: cond3.evaluate(p) for p in dom3.members()}
+    del table[dom3.members()[9]]
+    return {
+        "even-n-blend": (Mixture([(F(1, 3), cond4), (F(2, 3), rd4)]), dom4),
+        "even-n-signed": (signed_mixture_counterexample(4), dom4),
+        # negative wherever voter 0's favourite is not the winner: met at the
+        # first deviation of voter 0, in the middle of the first profile's walk
+        "signed-mid-scan": (
+            SignedMixture([(F(3, 2), cond3), (F(-1, 2), Dictatorship(0, 3, 3))]), dom3
+        ),
+        "plurality-blend": (Mixture([(F(1, 2), Plurality(3, 3)), (F(1, 2), rd3)], dom3), dom3),
+        "borda-blend": (Mixture([(F(1, 3), Borda(4, 3)), (F(2, 3), rd4)], dom4), dom4),
+        "table-missing-entry": (TableSDS(table, valid_domain=dom3), dom3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(named_cases()))
+def test_named_cases_match_fraction_reference(name):
+    sds, dom = named_cases()[name]
+    for scan, reference in (
+        (check_strategyproof, reference_check_strategyproof),
+        (max_dictatorial_weight, reference_max_dictatorial_weight),
+    ):
+        assert outcome(scan, sds, dom) == outcome(reference, sds, dom)

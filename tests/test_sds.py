@@ -105,6 +105,19 @@ def test_mixture_narrows_to_common_domain():
         blend.evaluate(majority_cycle_profile(3, 3))
 
 
+def test_mixture_part_keeps_its_own_domain_error():
+    # Declared on the full domain, the mixture reaches the cycle; its
+    # majority-rule part must still refuse it in its own words.
+    blend = Mixture(
+        [(F(1, 2), CondorcetRule(3, 3)), (F(1, 2), Dictatorship(0, 3, 3))],
+        valid_domain=FullDomain(3, 3),
+    )
+    cycle = majority_cycle_profile(3, 3)
+    with pytest.raises(OutOfDomainError) as caught:
+        blend.evaluate(cycle)
+    assert str(caught.value) == f"cond is undefined at:\n{cycle.to_text()}"
+
+
 def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         Mixture([(F(3, 4), Dictatorship(0, 3, 3)), (F(1, 2), Dictatorship(1, 3, 3))])
