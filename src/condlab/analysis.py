@@ -287,34 +287,33 @@ def _point_from_reduced(point: Sequence[Fraction], extras: Sequence[Profile]):
     return assignment
 
 
+def _satisfies(rows, extras: Sequence[Profile], assignment: Mapping[Profile, Lottery]) -> bool:
+    values = _assignment_to_reduced(assignment, extras)
+    return all(sum(c * v for c, v in zip(coeffs, values)) <= rhs for coeffs, rhs, _ in rows)
+
+
 def verify_extension_witness(
     base_sds, base: Domain, extras: Sequence[Profile], assignment: Mapping[Profile, Lottery]
 ) -> bool:
     """Check a candidate lottery assignment against every extension constraint."""
     extras = sorted(set(extras), key=profile_key)
     rows, _ = _extension_rows(base_sds, base, extras)
-    values = _assignment_to_reduced(assignment, extras)
-    for coeffs, rhs, _ in rows:
-        if sum(c * v for c, v in zip(coeffs, values)) > rhs:
-            return False
-    return True
+    return _satisfies(rows, extras, assignment)
 
 
-def _solve_extension(base_sds, base, extras, forced: Mapping[Profile, Lottery]):
-    rows, num_vars = _extension_rows(base_sds, base, extras)
-    if forced:
-        reduced = extras[0].m - 1
-        for extra, lot in forced.items():
-            e = extras.index(extra)
-            for x in range(reduced):
-                unit = [Fraction(0)] * num_vars
-                unit[e * reduced + x] = Fraction(1)
-                tag = f"pinned lottery at {extra.to_text()!r}"
-                rows.append((tuple(unit), lot.probs[x], frozenset([tag])))
-                rows.append(
-                    (tuple(-u for u in unit), -lot.probs[x], frozenset([tag]))
-                )
-    ok, point, conflict = fm_feasible(rows, num_vars)
+def _solve_extension(rows, num_vars: int, extras, forced: Mapping[Profile, Lottery]):
+    """Solve the extension model ``rows`` with the ``forced`` lotteries pinned."""
+    pinned = []
+    reduced = extras[0].m - 1
+    for extra, lot in forced.items():
+        e = extras.index(extra)
+        for x in range(reduced):
+            unit = [Fraction(0)] * num_vars
+            unit[e * reduced + x] = Fraction(1)
+            tag = f"pinned lottery at {extra.to_text()!r}"
+            pinned.append((tuple(unit), lot.probs[x], frozenset([tag])))
+            pinned.append((tuple(-u for u in unit), -lot.probs[x], frozenset([tag])))
+    ok, point, conflict = fm_feasible(rows + pinned, num_vars)
     if not ok:
         return None, conflict
     return _point_from_reduced(point, extras), None
@@ -364,15 +363,16 @@ def extension_feasibility(
         candidates.append({extra: base_sds.evaluate(extra) for extra in extras})
     except (OutOfDomainError, TableMissError):
         pass
+    rows, num_vars = _extension_rows(base_sds, base, extras)
     for candidate in candidates:
-        if verify_extension_witness(base_sds, base, extras, candidate):
+        if _satisfies(rows, extras, candidate):
             if not uncovered or all(
                 any(candidate[e].is_point() == x for e in extras) for x in uncovered
             ):
                 return FeasibilityResult(True, dict(candidate), None)
 
     if not uncovered:
-        assignment, conflict = _solve_extension(base_sds, base, extras, {})
+        assignment, conflict = _solve_extension(rows, num_vars, extras, {})
         if assignment is None:
             return FeasibilityResult(False, None, tuple(sorted(conflict)))
         return FeasibilityResult(True, assignment, None)
@@ -382,7 +382,7 @@ def extension_feasibility(
         forced = {
             extra: Lottery.point(x, base.m) for x, extra in zip(uncovered, chosen)
         }
-        assignment, conflict = _solve_extension(base_sds, base, extras, forced)
+        assignment, conflict = _solve_extension(rows, num_vars, extras, forced)
         if assignment is not None:
             return FeasibilityResult(True, assignment, None)
         last_conflict = conflict

@@ -73,19 +73,6 @@ def _single_profile(path: str):
     return profiles[0]
 
 
-def _strip_volatile(payload):
-    """Drop wall-clock fields so reports are byte-identical across runs."""
-    if isinstance(payload, dict):
-        return {
-            k: _strip_volatile(v)
-            for k, v in payload.items()
-            if not k.endswith("_seconds")
-        }
-    if isinstance(payload, list):
-        return [_strip_volatile(v) for v in payload]
-    return payload
-
-
 def _render_text(payload, indent: int = 0) -> List[str]:
     pad = "  " * indent
     lines: List[str] = []
@@ -115,7 +102,6 @@ def _render_text(payload, indent: int = 0) -> List[str]:
 
 
 def _emit(payload, fmt: str) -> None:
-    payload = _strip_volatile(payload)
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:

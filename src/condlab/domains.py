@@ -5,7 +5,8 @@ here are the full domain, the domain of profiles with a majority winner
 (optionally pinned to one alternative), its tie-breaking relaxation for even
 electorates, explicit finite sets, and a base domain extended by extra
 profiles. Enumeration is always in canonical order: profiles sorted by the
-tuple of per-voter lexicographic ranks.
+tuple of per-voter lexicographic ranks. One member table per domain, shared
+by enumeration, ``contains`` and the neighbour walks, records membership.
 
 Two graph views matter for the theory. Weak connectedness links profiles
 that differ in a single adjacent swap. Full connectedness additionally asks
@@ -21,12 +22,15 @@ import os
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .core import (
     PreferenceRelation,
     Profile,
     TieBreaker,
+    alternative_index,
+    alternative_name,
     all_profiles,
     all_relations,
     condorcet_winner,
@@ -86,7 +90,7 @@ class Domain:
         self.n = n
         self.m = m
         self._members: Optional[tuple] = None
-        # code -> member, or None outside the domain; filled on lookup only
+        # code -> member, or None outside the domain: the only membership record
         self._table: dict = {}
 
     # -- identity ---------------------------------------------------------
@@ -106,7 +110,13 @@ class Domain:
     def __repr__(self) -> str:
         return f"<Domain {self.describe()} n={self.n} m={self.m}>"
 
-    # -- membership and enumeration ---------------------------------------
+    # -- the member table ---------------------------------------------------
+    #
+    # A profile's code is its position in ``all_profiles``: the voters'
+    # relation ids as digits in base m!, the first voter most significant.
+    # Enumeration, ``contains`` and the neighbour walks all go through
+    # ``_member_at``, so each profile is decided and built at most once per
+    # domain, and every walk yields the objects that ``members()`` returns.
 
     def _contains(self, profile: Profile) -> bool:
         raise NotImplementedError
@@ -119,68 +129,57 @@ class Domain:
                 f"domain shape ({self.n}, {self.m})"
             )
 
-    def contains(self, profile: Profile) -> bool:
+    def _code(self, profile: Profile) -> int:
         self._check_shape(profile)
-        return self._contains(profile)
+        ids = relation_ids(self.m)
+        code = 0
+        for rel in profile.relations:
+            code = code * len(ids) + ids[rel.order]
+        return code
+
+    def _member_at(self, code: int, profile: Optional[Profile] = None) -> Optional[Profile]:
+        """The member with ``code``, or None outside the domain. On a miss,
+        ``profile`` (built from the code when not given) is decided and recorded."""
+        if code in self._table:
+            return self._table[code]
+        if profile is None:
+            rels = all_relations(self.m)
+            radix = len(rels)
+            profile = Profile([rels[code // radix ** (self.n - 1 - v) % radix] for v in range(self.n)])
+        member = self._table[code] = profile if self._contains(profile) else None
+        return member
+
+    def contains(self, profile: Profile) -> bool:
+        return self._member_at(self._code(profile), profile) is not None
+
+    def _member_code(self, profile: Profile, what: str) -> int:
+        code = self._code(profile)
+        if self._member_at(code, profile) is None:
+            raise OutOfDomainError(f"{what} are only defined for domain members")
+        return code
+
+    def _candidates(self) -> Iterator[Tuple[int, Profile]]:
+        """``(code, profile)`` in code order, covering every member."""
+        return enumerate(all_profiles(self.n, self.m))
 
     def size_bound(self) -> int:
         """Upper bound on the work needed to enumerate this domain."""
         return full_profile_count(self.n, self.m)
 
-    def _iter_members(self) -> Iterator[Profile]:
-        for profile in all_profiles(self.n, self.m):
-            if self._contains(profile):
-                yield profile
-
-    def _check_cap(self, cap: Optional[int]) -> None:
+    def members(self, cap: Optional[int] = None) -> tuple:
+        """Every member in canonical order; the cap is checked on every call."""
         cap = enumeration_cap() if cap is None else cap
         if self.size_bound() > cap:
             raise CapExceededError(
                 f"enumerating {self.describe()} needs {self.size_bound()} profiles, "
                 f"cap is {cap}"
             )
-
-    def enumerate(self, cap: Optional[int] = None) -> Iterator[Profile]:
-        """Stream every member exactly once, in canonical order."""
-        self._check_cap(cap)
-        return self._iter_members()
-
-    def members(self, cap: Optional[int] = None) -> tuple:
-        """Every member in canonical order; the cap is checked on every call."""
-        self._check_cap(cap)
         if self._members is None:
-            self._members = tuple(self._iter_members())
+            found = itertools.starmap(self._member_at, self._candidates())
+            self._members = tuple(p for p in found if p is not None)
         return self._members
 
     # -- neighborhood structure -------------------------------------------
-    #
-    # A profile's code is its position in ``all_profiles``: the voters'
-    # relation ids as digits in base m!, the first voter most significant.
-    # Neighbours are looked up by code in ``_table``, so each candidate
-    # profile is built and tested for membership at most once per domain.
-
-    def _member_code(self, profile: Profile, what: str) -> int:
-        """The code of ``profile``, which must be a member; membership is read
-        from ``_table`` and tested only when the code is not there yet."""
-        self._check_shape(profile)
-        ids = relation_ids(self.m)
-        code = 0
-        for rel in profile.relations:
-            code = code * len(ids) + ids[rel.order]
-        if self._member_at(code) is None:
-            raise OutOfDomainError(f"{what} are only defined for domain members")
-        return code
-
-    def _member_at(self, code: int) -> Optional[Profile]:
-        """The member with ``code``, or None when that profile is outside."""
-        try:
-            return self._table[code]
-        except KeyError:
-            rels = all_relations(self.m)
-            radix = len(rels)
-            profile = Profile([rels[code // radix ** (self.n - 1 - v) % radix] for v in range(self.n)])
-            member = self._table[code] = profile if self._contains(profile) else None
-            return member
 
     def deviations(self, profile: Profile, coalition: Sequence[int]) -> Iterator[Profile]:
         """In-domain profiles where every coalition member reports a different
@@ -237,8 +236,9 @@ class FullDomain(Domain):
     def _contains(self, profile: Profile) -> bool:
         return True
 
-    def _iter_members(self) -> Iterator[Profile]:
-        return all_profiles(self.n, self.m)
+    def contains(self, profile: Profile) -> bool:
+        self._check_shape(profile)
+        return True
 
 
 class CondorcetDomain(Domain):
@@ -265,8 +265,6 @@ class CondorcetForDomain(Domain):
         return (self.kind, self.winner, self.n, self.m)
 
     def describe(self) -> str:
-        from .core import alternative_name
-
         return f"condorcet-for:{alternative_name(self.winner)}"
 
     def _contains(self, profile: Profile) -> bool:
@@ -320,8 +318,8 @@ class ExplicitDomain(Domain):
     def _contains(self, profile: Profile) -> bool:
         return profile in self._explicit_set
 
-    def _iter_members(self) -> Iterator[Profile]:
-        return iter(self.profiles)
+    def _candidates(self) -> Iterator[Tuple[int, Profile]]:
+        return ((self._code(p), p) for p in self.profiles)
 
 
 class ExtendedDomain(Domain):
@@ -351,10 +349,13 @@ class ExtendedDomain(Domain):
         return self.base.size_bound() + len(self.extras)
 
     def _contains(self, profile: Profile) -> bool:
-        return profile in self._extra_set or self.base._contains(profile)
+        return profile in self._extra_set or self.base.contains(profile)
 
-    def _iter_members(self) -> Iterator[Profile]:
-        return heapq.merge(self.base._iter_members(), iter(self.extras), key=profile_key)
+    def _candidates(self) -> Iterator[Tuple[int, Profile]]:
+        extras = {self._code(p): p for p in self.extras}
+        # a generic base lists the extras too: keep each code once
+        rest = (pair for pair in self.base._candidates() if pair[0] not in extras)
+        return heapq.merge(rest, extras.items(), key=itemgetter(0))
 
 
 # -- connectivity -----------------------------------------------------------
@@ -476,8 +477,6 @@ def parse_domain(text: str, n: int, m: int) -> Domain:
     Grammar: ``full | condorcet | condorcet-for:<alt> | tb-condorcet:<order>``,
     optionally followed by ``+file:<path>`` naming a file of extra profiles.
     """
-    from .core import alternative_index
-
     text = text.strip()
     base_text, extras_path = text, None
     if "+file:" in text:

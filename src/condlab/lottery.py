@@ -126,9 +126,16 @@ class Lottery:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str], m: int) -> "Lottery":
-        return cls.from_map(
-            {alternative_index(k): Fraction(v) for k, v in data.items()}, m
-        )
+        """Inverse of :meth:`to_json_dict`; each key names a distinct alternative of the slate."""
+        probs: dict = {}
+        for key, value in data.items():
+            x = alternative_index(key)
+            if x >= m:
+                raise ValueError(f"alternative {key!r} is outside the slate of {m}")
+            if x in probs:
+                raise ValueError(f"alternative {key!r} is named twice")
+            probs[x] = Fraction(value)
+        return cls.from_map(probs, m)
 
     def __eq__(self, other) -> bool:
         # the numerators sum to the denominator, so they fix it

@@ -10,7 +10,6 @@ command line exposes them.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -223,7 +222,6 @@ def criterion_1(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
     is strategyproof, non-imposing and ex-post efficient on the majority
     domain."""
     dom = CondorcetDomain(n, m)
-    started = time.monotonic()
     failures: List[str] = []
     grid = coefficient_grid(n, step)
     for coeffs in grid:
@@ -235,11 +233,9 @@ def criterion_1(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
         ):
             if not verdict.holds:
                 failures.append(f"{coeffs.to_json_dict()} fails {verdict.axiom}")
-    elapsed = time.monotonic() - started
     details = {
         "mixtures": len(grid),
         "domain_size": len(dom.members()),
-        "elapsed_seconds": round(elapsed, 2),
         "failures": failures,
     }
     return _result(1, "grid mixtures satisfy the axioms", not failures, details)
@@ -321,7 +317,6 @@ def criterion_4(
     recovers the exact coefficients at every anchor."""
     per_tb: Dict[str, Dict] = {}
     ok = True
-    started = time.monotonic()
     for tb_text in tiebreakers:
         tb = PreferenceRelation.from_text(tb_text)
         dom = TieBreakingCondorcetDomain(tb, n, m)
@@ -341,11 +336,7 @@ def criterion_4(
         per_tb[tb_text] = {"mixtures": len(grid), "failures": failures}
         if failures:
             ok = False
-    details = {
-        "tiebreakers": per_tb,
-        "elapsed_seconds": round(time.monotonic() - started, 2),
-    }
-    return _result(4, "tie-breaking grid mixtures probe exactly", ok, details)
+    return _result(4, "tie-breaking grid mixtures probe exactly", ok, {"tiebreakers": per_tb})
 
 
 def criterion_5(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict:
@@ -354,7 +345,6 @@ def criterion_5(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
     feasibility of a grid mixture is decided by its majority weight."""
     dom = CondorcetDomain(n, m)
     cycle = majority_cycle_profile(n, m)
-    started = time.monotonic()
 
     cond = CondorcetRule(n, m)
     cond_res = extension_feasibility(cond, dom, [cycle])
@@ -376,7 +366,6 @@ def criterion_5(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
             mismatches.append(
                 f"{coeffs.to_json_dict()}: feasible={res.feasible}, expected={expected}"
             )
-    elapsed = time.monotonic() - started
     ok = (not cond_res.feasible) and rd_witness_uniform and not mismatches
     details = {
         "cycle_profile": cycle.to_text(),
@@ -384,7 +373,6 @@ def criterion_5(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
         "rd_feasible": rd_res.feasible,
         "rd_witness_uniform": rd_witness_uniform,
         "grid_mismatches": mismatches,
-        "elapsed_seconds": round(elapsed, 2),
     }
     return _result(5, "extension to a cyclic profile", ok, details)
 
@@ -417,7 +405,6 @@ def criterion_7(
     """Group strategyproofness separates the pure schemes from proper
     mixtures, and the canonical witness is claimed to be the whole-electorate
     pattern."""
-    started = time.monotonic()
     pure_failures: List[str] = []
     mixture_passes: List[str] = []
     pattern_mismatches: List[Dict] = []
@@ -457,7 +444,6 @@ def criterion_7(
             )
             if not pattern_is_group_violation(sds, voter, n):
                 pattern_control_failures.append(f"n={n} {coeffs.to_json_dict()}")
-    elapsed = time.monotonic() - started
     ok = (
         not pure_failures
         and not mixture_passes
@@ -471,7 +457,6 @@ def criterion_7(
         "pattern_mismatches": pattern_mismatches[:3],
         "pattern_mismatch_count": len(pattern_mismatches),
         "pattern_is_violation_everywhere": not pattern_control_failures,
-        "elapsed_seconds": round(elapsed, 2),
     }
     if pattern_mismatches and not pattern_control_failures:
         details["analysis"] = (
@@ -536,7 +521,6 @@ def criterion_8(n: int = 3, m: int = 3, seed: int = 0, samples: int = 10) -> Dic
 def criterion_9(seed: int = 0, samples: int = 500) -> Dict:
     """Connectivity of the majority domains and validity of the constructed
     swap paths."""
-    started = time.monotonic()
     checks: Dict[str, bool] = {}
     checks["condorcet_n3_connected"] = is_connected(CondorcetDomain(3, 3))
     checks["condorcet_n5_connected"] = is_connected(CondorcetDomain(5, 3))
@@ -576,7 +560,6 @@ def criterion_9(seed: int = 0, samples: int = 500) -> Dict:
         "checks": checks,
         "n3_pairs": len(members3) ** 2,
         "n5_samples": samples,
-        "elapsed_seconds": round(time.monotonic() - started, 2),
     }
     return _result(9, "connectivity and constructed paths", ok, details)
 
@@ -611,7 +594,6 @@ def criterion_11(n: int = 3, m: int = 3) -> Dict:
     one for random dictatorships, and matches the mixing weight for
     majority-dictatorship blends."""
     dom = CondorcetDomain(n, m)
-    started = time.monotonic()
     cases: List[Tuple[str, object, Fraction]] = [
         ("cond", CondorcetRule(n, m), Fraction(0)),
         ("rd-uniform", RandomDictatorship([Fraction(1, n)] * n, m), Fraction(1)),
@@ -633,31 +615,16 @@ def criterion_11(n: int = 3, m: int = 3) -> Dict:
         cases.append((f"blend:{lam}", blend, lam))
     wrong: List[str] = []
     values: Dict[str, str] = {}
-    slowest = 0.0
     for name, sds, expected in cases:
-        t0 = time.monotonic()
         value = max_dictatorial_weight(sds, dom)
-        slowest = max(slowest, time.monotonic() - t0)
         values[name] = str(value)
         if value != expected:
             wrong.append(f"{name}: got {value}, expected {expected}")
-    details = {
-        "values": values,
-        "mismatches": wrong,
-        "slowest_lp_seconds": round(slowest, 3),
-        "elapsed_seconds": round(time.monotonic() - started, 2),
-    }
+    details = {"values": values, "mismatches": wrong}
     return _result(11, "maximum dictatorial weight", not wrong, details)
 
 
 # -- batteries ----------------------------------------------------------------
-
-BATTERIES = {
-    1: (criterion_1, criterion_2, criterion_3, criterion_5),
-    2: (criterion_4,),
-    3: (criterion_7, criterion_8),
-}
-
 
 def run_battery(
     which: int,
@@ -674,7 +641,7 @@ def run_battery(
     variant on even electorates, battery 3 the group-strategyproofness
     separation.
     """
-    if which not in BATTERIES:
+    if which not in (1, 2, 3):
         raise ValueError(f"unknown battery {which}, expected 1, 2 or 3")
     results: List[Dict] = []
     if which == 1:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from condlab import analysis
 from condlab.analysis import (
     InfeasibleModelError,
     MixtureCoefficients,
@@ -289,6 +290,22 @@ def test_imposing_scheme_needs_the_flag_to_fail():
         constant, base, [cycle], require_non_imposition=True
     )
     assert not flagged.feasible
+
+
+def test_extension_rows_built_once_per_call(monkeypatch):
+    # two cyclic extras: under the flag, each of b and c is pinned to one of them
+    extras = parse_profiles("a>b>c\nb>c>a\nc>a>b\n\na>c>b\nc>b>a\nb>a>c\n")
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _extension_rows(*args)
+
+    monkeypatch.setattr(analysis, "_extension_rows", counted)
+    result = extension_feasibility(
+        CondorcetRule(3, 3), CondorcetForDomain(0, 3, 3), extras, require_non_imposition=True
+    )
+    assert result.feasible and len(built) == 1
 
 
 def test_feasibility_json_shape():

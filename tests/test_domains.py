@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condlab.axioms import check_strategyproof
 from condlab.core import (
     PreferenceRelation,
     Profile,
@@ -31,6 +32,7 @@ from condlab.domains import (
     majority_cycle_profile,
     parse_domain,
 )
+from condlab.sds import parse_sds
 
 
 def rel(text):
@@ -250,7 +252,7 @@ def test_extended_domain_membership_and_disjointness():
 def test_enumeration_cap_enforced():
     dom = FullDomain(3, 3)
     with pytest.raises(CapExceededError):
-        list(dom.enumerate(cap=100))
+        dom.members(cap=100)
 
 
 def test_members_cap_checked_on_every_call():
@@ -358,10 +360,51 @@ def test_adjacent_swaps_match_brute_force(data):
     members = make().members()
     profile = members[data.draw(st.integers(0, len(members) - 1))]
     fixed = data.draw(st.sampled_from((None,) + tuple(range(dom.m))))
-    expected = reference_adjacent_swaps(dom, profile, fixed)
+    expected = reference_adjacent_swaps(make(), profile, fixed)
     assert list(dom.adjacent_swaps(profile, fixed)) == expected
     dom.members()
     assert list(dom.adjacent_swaps(profile, fixed)) == expected
+
+
+# -- the member table ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    NEIGHBOURHOOD_DOMAINS[:1]
+    + NEIGHBOURHOOD_DOMAINS[2:]
+    + (lambda: ExplicitDomain(CondorcetDomain(3, 3).members()[:40]),),
+    ids=["condorcet", "tb-condorcet", "extended", "explicit"],
+)
+@pytest.mark.parametrize("members_first", [True, False])
+def test_neighbour_lookups_yield_member_objects(make, members_first):
+    dom = make()
+    if members_first:
+        dom.members()
+    yielded = []
+    for profile in make().members():
+        for voter in range(dom.n):
+            yielded.extend(dom.unilateral_deviations(profile, voter))
+        yielded.extend(neighbour for *_, neighbour in dom.adjacent_swaps(profile))
+    by_code = {profile_key(p): p for p in dom.members()}
+    assert yielded
+    assert all(p is by_code[profile_key(p)] for p in yielded)
+
+
+def test_membership_decided_once_per_profile():
+    dom = CondorcetDomain(3, 3)
+    decide, decided = dom._contains, []
+
+    def counted(profile):
+        decided.append(profile)
+        return decide(profile)
+
+    dom._contains = counted
+    assert len(dom.members()) == 204
+    assert sum(map(dom.contains, all_profiles(3, 3))) == 204
+    scheme = parse_sds("mix:1/2*cond+1/2*rd:1/3,1/3,1/3", 3, 3)
+    assert check_strategyproof(scheme, dom).comparisons == 2880
+    assert len(decided) == 216
 
 
 def test_neighbour_lookups_on_a_large_domain_stay_small():

@@ -60,6 +60,19 @@ def test_json_round_trip_drops_zeros():
     assert Lottery.from_json_dict(data, 3) == lot
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"a": "1", "d": "0"}, "d"),
+        ({"a": "1/2", "d": "1/2"}, "d"),
+        ({"a": "1/2", "x0": "1/2"}, "x0"),
+    ],
+)
+def test_json_keys_name_distinct_alternatives_of_the_slate(data, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        Lottery.from_json_dict(data, 3)
+
+
 def test_incomparable_pair_with_both_cuts():
     # mass half on top and half on bottom against a point on the middle
     p = Lottery([F(1, 2), F(0), F(1, 2)])

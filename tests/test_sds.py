@@ -252,6 +252,8 @@ def test_parse_table_file_round_trip(tmp_path):
         parse_table_file(member.to_text() + "\n", 3, 3)
     with pytest.raises(ValueError):
         parse_table_file('{"a": "1"}\n', 3, 3)
+    with pytest.raises(ValueError, match="'d'"):
+        parse_table_file(member.to_text() + '\n{"a": "1", "d": "0"}\n', 3, 3)
     path = tmp_path / "table.txt"
     path.write_text(text)
     table = parse_sds(f"table:{path}", 3, 3)
