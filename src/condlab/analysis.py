@@ -21,7 +21,7 @@ from .lottery import (
     AffineLottery, Lottery, _cumulative, constant_form, nonnegative_rows, sd_rows,
 )
 from .ratlp import fm_feasible, simplex_maximize
-from .sds import TableMissError, cached_evaluator
+from .sds import TableMissError
 
 
 class InfeasibleModelError(ValueError):
@@ -114,8 +114,8 @@ def verify_mixture(
     members = dom.members()
     comparisons = 0
     for index, profile in enumerate(members):
-        actual = sds.evaluate(profile)
-        ref = reference.evaluate(profile)
+        actual = sds.at(profile)
+        ref = reference.at(profile)
         for x in range(dom.m):
             expected = coeffs.condorcet_weight * ref[x]
             for voter, w in enumerate(coeffs.voter_weights):
@@ -146,7 +146,7 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     """
     members = dom.members()
     n = dom.n
-    f = cached_evaluator(sds)
+    f = sds.at
     # Right-hand sides are kept as (numerator, denominator) integer pairs and
     # compared by cross-multiplication.
     bounds: List[Optional[Tuple[int, int]]] = [None] * n
@@ -228,7 +228,7 @@ def _extension_rows(base_sds, base: Domain, extras: Sequence[Profile]):
     n, m = base.n, base.m
     reduced = m - 1
     extended = ExtendedDomain(base, extras)
-    f = cached_evaluator(base_sds)
+    f = base_sds.at
     num_vars = reduced * len(extras)
     forms: Dict[Profile, AffineLottery] = {}
     for e, extra in enumerate(extras):
@@ -342,11 +342,7 @@ def extension_feasibility(
 
     uncovered: List[int] = []
     if require_non_imposition:
-        covered = set()
-        for profile in base.members():
-            winner = base_sds.evaluate(profile).is_point()
-            if winner is not None:
-                covered.add(winner)
+        covered = {base_sds.at(profile).is_point() for profile in base.members()}
         uncovered = [x for x in range(base.m) if x not in covered]
         if len(uncovered) > len(extras):
             return FeasibilityResult(

@@ -32,7 +32,6 @@ from typing import Mapping, Optional, Tuple
 from .core import Profile, alternative_index, alternative_name, pareto_dominates, swap
 from .domains import Domain, FullDomain
 from .lottery import Lottery, sd_compare
-from .sds import SharedEvaluations, cached_evaluator
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ class Verdict:
 def check_strategyproof(sds, dom: Domain) -> Verdict:
     """Exhaustive stochastic-dominance strategyproofness check."""
     members = dom.members()
-    f = cached_evaluator(sds)
+    f = sds.at
     comparisons = 0
     for index, profile in enumerate(members):
         truthful = f(profile)
@@ -173,7 +172,7 @@ def check_group_strategyproof(
     members = dom.members()
     n = dom.n
     bound = n if max_coalition is None else min(max_coalition, n)
-    f = cached_evaluator(sds)
+    f = sds.at
     comparisons = 0
     for index, profile in enumerate(members):
         truthful = f(profile)
@@ -203,7 +202,7 @@ def check_group_strategyproof(
 def check_non_imposition(sds, dom: Domain) -> Verdict:
     """Every alternative must receive probability exactly 1 at some profile."""
     members = dom.members()
-    f = cached_evaluator(sds)
+    f = sds.at
     hit = [False] * dom.m
     comparisons = 0
     for profile in members:
@@ -223,7 +222,7 @@ def check_non_imposition(sds, dom: Domain) -> Verdict:
 def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
     """Pareto-dominated alternatives must receive probability 0."""
     members = dom.members()
-    f = cached_evaluator(sds)
+    f = sds.at
     comparisons = 0
     for index, profile in enumerate(members):
         lot = f(profile)
@@ -243,7 +242,7 @@ def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
 def check_localized(sds, dom: Domain) -> Verdict:
     """Adjacent swaps of x and y must leave all other probabilities unchanged."""
     members = dom.members()
-    f = cached_evaluator(sds)
+    f = sds.at
     comparisons = 0
     for index, profile in enumerate(members):
         before = f(profile)
@@ -264,7 +263,7 @@ def check_localized(sds, dom: Domain) -> Verdict:
 def check_non_perverse(sds, dom: Domain) -> Verdict:
     """Reinforcing y by one adjacent position never lowers y's probability."""
     members = dom.members()
-    f = cached_evaluator(sds)
+    f = sds.at
     comparisons = 0
     for index, profile in enumerate(members):
         before = f(profile)
@@ -324,7 +323,6 @@ def implication_suite(sds, dom: Domain) -> ImplicationReport:
     Any observed deviation from these implications is reported as a
     discrepancy (and would mean a bug in one of the checkers).
     """
-    sds = SharedEvaluations(sds)
     sp = check_strategyproof(sds, dom)
     loc = check_localized(sds, dom)
     np_ = check_non_perverse(sds, dom)
@@ -344,59 +342,49 @@ def implication_suite(sds, dom: Domain) -> ImplicationReport:
 # -- witness replay -----------------------------------------------------------
 
 
+def _field(witness: Mapping, key: str):
+    try:
+        return witness[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"witness has no {key!r} field") from None
+
+
+def _voter(value, n: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n:
+        raise ValueError(f"witness voter {value!r} is not one of 0..{n - 1}")
+    return value
+
+
 def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
     """Re-execute a reported witness and confirm it still violates the axiom.
 
     Takes the JSON form of a failing verdict; returns True when the violation
-    reproduces against the given scheme and domain.
+    reproduces against the given scheme and domain. A missing field, a voter
+    outside ``0..n-1`` or an empty or repeating coalition is a ValueError.
     """
     axiom = verdict_json.get("axiom")
     witness = verdict_json.get("witness")
     if witness is None:
         raise ValueError("verdict carries no witness to replay")
-    if axiom == "strategyproof":
-        profile = Profile.from_text(witness["profile"])
-        deviation = Profile.from_text(witness["deviation"])
-        voter = int(witness["voter"])
-        if not (dom.contains(profile) and dom.contains(deviation)):
-            return False
-        verdict = sd_compare(profile[voter], sds.evaluate(profile), sds.evaluate(deviation))
-        return not verdict.weakly_prefers
-    if axiom == "group-strategyproof":
-        profile = Profile.from_text(witness["profile"])
-        deviation = Profile.from_text(witness["deviation"])
-        coalition = [int(v) for v in witness["coalition"]]
-        if not (dom.contains(profile) and dom.contains(deviation)):
-            return False
-        truthful = sds.evaluate(profile)
-        outcome = sds.evaluate(deviation)
-        for voter in range(dom.n):
-            if voter not in coalition and profile[voter] != deviation[voter]:
-                return False
-        return all(
-            not sd_compare(profile[voter], truthful, outcome).weakly_prefers
-            for voter in coalition
-        )
+    if axiom not in _CHECKERS:
+        raise ValueError(f"unknown axiom {axiom!r}")
     if axiom == "non-imposition":
-        missing = alternative_index(witness["alternative"])
-        point = Lottery.point(missing, dom.m)
-        return all(sds.evaluate(profile) != point for profile in dom.members())
+        point = Lottery.point(alternative_index(_field(witness, "alternative")), dom.m)
+        return all(sds.at(profile) != point for profile in dom.members())
+    profile = Profile.from_text(_field(witness, "profile"))
     if axiom == "ex-post-efficient":
-        profile = Profile.from_text(witness["profile"])
-        dominator = alternative_index(witness["dominator"])
-        dominated = alternative_index(witness["dominated"])
-        if not dom.contains(profile):
-            return False
+        dominator = alternative_index(_field(witness, "dominator"))
+        dominated = alternative_index(_field(witness, "dominated"))
         return (
-            pareto_dominates(profile, dominator, dominated)
+            dom.contains(profile)
+            and pareto_dominates(profile, dominator, dominated)
             and sds.evaluate(profile)[dominated] > 0
         )
     if axiom in ("localized", "non-perverse"):
-        profile = Profile.from_text(witness["profile"])
-        voter = int(witness["voter"])
-        lowered = alternative_index(witness["lowered"])
-        raised = alternative_index(witness["raised"])
-        watched = alternative_index(witness["watched"])
+        voter = _voter(_field(witness, "voter"), dom.n)
+        lowered, raised, watched = (
+            alternative_index(_field(witness, key)) for key in ("lowered", "raised", "watched")
+        )
         if not dom.contains(profile):
             return False
         neighbor = swap(profile, voter, lowered, raised)
@@ -407,4 +395,21 @@ def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
         if axiom == "localized":
             return watched not in (lowered, raised) and before[watched] != after[watched]
         return watched == raised and after[watched] < before[watched]
-    raise ValueError(f"unknown axiom {axiom!r}")
+    # strategyproofness is group strategyproofness for a coalition of one
+    deviation = Profile.from_text(_field(witness, "deviation"))
+    if axiom == "strategyproof":
+        coalition = [_voter(_field(witness, "voter"), dom.n)]
+    else:
+        coalition = [_voter(v, dom.n) for v in _field(witness, "coalition")]
+        if not coalition or len(set(coalition)) != len(coalition):
+            raise ValueError(f"witness coalition {coalition} is empty or repeats a voter")
+    if not (dom.contains(profile) and dom.contains(deviation)):
+        return False
+    if any(profile[v] != deviation[v] for v in range(dom.n) if v not in coalition):
+        return False
+    truthful = sds.evaluate(profile)
+    outcome = sds.evaluate(deviation)
+    return all(
+        not sd_compare(profile[voter], truthful, outcome).weakly_prefers
+        for voter in coalition
+    )

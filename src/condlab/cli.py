@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .adpath import (
@@ -30,14 +29,14 @@ from .analysis import (
     verify_mixture,
 )
 from .axioms import checker_for, replay_witness
-from .core import alternative_index, parse_profiles
+from .core import alternative_index, parse_profiles, parse_rational
 from .domains import (
     CapExceededError,
     TieBreakingCondorcetDomain,
     capped_enumeration,
     parse_domain,
 )
-from .sds import CondorcetRule, SharedEvaluations, TieBreakingCondorcetRule, parse_sds
+from .sds import CondorcetRule, TieBreakingCondorcetRule, parse_sds
 from .theorems import DEFAULT_TIEBREAKERS, run_battery
 
 EXIT_OK = 0
@@ -71,6 +70,14 @@ def _single_profile(path: str):
     if len(profiles) != 1:
         raise ValueError(f"{path} holds {len(profiles)} profiles, expected exactly 1")
     return profiles[0]
+
+
+def _domain_and_scheme(domain_text: str, args):
+    """The parsed domain and ``--sds`` scheme; a domain equal to the scheme's
+    validity domain is that object, so both share one member table."""
+    dom = parse_domain(domain_text, args.n, args.m)
+    sds = parse_sds(args.sds, args.n, args.m)
+    return (sds.valid_domain if sds.valid_domain == dom else dom), sds
 
 
 def _render_text(payload, indent: int = 0) -> List[str]:
@@ -126,8 +133,7 @@ def _cmd_enumerate(args) -> Tuple[int, Dict]:
 
 
 def _cmd_check(args) -> Tuple[int, Dict]:
-    dom = parse_domain(args.domain, args.n, args.m)
-    sds = parse_sds(args.sds, args.n, args.m)
+    dom, sds = _domain_and_scheme(args.domain, args)
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as handle:
             verdict_json = json.load(handle)
@@ -141,7 +147,6 @@ def _cmd_check(args) -> Tuple[int, Dict]:
         names = list(AXIOM_ALIASES.values())
     else:
         names = [AXIOM_ALIASES[args.axiom]]
-    sds = SharedEvaluations(sds)
     verdicts: Dict[str, Dict] = {}
     all_hold = True
     for name in names:
@@ -157,8 +162,7 @@ def _cmd_check(args) -> Tuple[int, Dict]:
 
 
 def _cmd_decompose(args) -> Tuple[int, Dict]:
-    dom = parse_domain(args.domain, args.n, args.m)
-    sds = parse_sds(args.sds, args.n, args.m)
+    dom, sds = _domain_and_scheme(args.domain, args)
     anchor = _parse_alternative(args.anchor) if args.anchor is not None else 0
     coeffs = probe_coefficients(sds, anchor)
     if isinstance(dom, TieBreakingCondorcetDomain):
@@ -176,8 +180,7 @@ def _cmd_decompose(args) -> Tuple[int, Dict]:
 
 
 def _cmd_gamma(args) -> Tuple[int, Dict]:
-    dom = parse_domain(args.domain, args.n, args.m)
-    sds = parse_sds(args.sds, args.n, args.m)
+    dom, sds = _domain_and_scheme(args.domain, args)
     try:
         value = max_dictatorial_weight(sds, dom)
     except InfeasibleModelError as exc:
@@ -205,8 +208,7 @@ def _cmd_adpath(args) -> Tuple[int, Dict]:
 
 
 def _cmd_extend(args) -> Tuple[int, Dict]:
-    base = parse_domain(args.base, args.n, args.m)
-    sds = parse_sds(args.sds, args.n, args.m)
+    base, sds = _domain_and_scheme(args.base, args)
     extras = _load_profiles(args.extras)
     result = extension_feasibility(
         sds, base, extras, require_non_imposition=args.require_non_imposition
@@ -221,7 +223,7 @@ def _cmd_theorems(args) -> Tuple[int, Dict]:
         n=args.n,
         m=args.m,
         tiebreakers=tiebreakers,
-        step=Fraction(args.grid_step),
+        step=parse_rational(args.grid_step),
         seed=args.seed,
     )
     all_ok = all(r["ok"] for r in results)

@@ -11,6 +11,7 @@ rationals elsewhere in the package.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Optional, Sequence
@@ -41,6 +42,14 @@ def alternative_index(name: str) -> int:
     if token.startswith("x") and token[1:].isdigit():
         return int(token[1:])
     raise ProfileParseError(f"unknown alternative {name!r}")
+
+
+def parse_rational(text) -> Fraction:
+    """``Fraction(text)``, with a zero denominator a ValueError naming the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 class PreferenceRelation:
@@ -253,8 +262,8 @@ def _margin_row(profile: Profile, x: int) -> list:
     return row
 
 
-# Bounded: a scan reads membership from its domain's table and lotteries from
-# its own evaluator, so this cache and the next only spare nearby repeats.
+# Bounded: scans read membership from the domain's table and lotteries from the
+# scheme's evaluation cache, so this cache and the next only spare nearby repeats.
 @lru_cache(maxsize=1 << 14)
 def condorcet_winner(profile: Profile) -> Optional[int]:
     """The alternative beating every other by strict majority, if one exists."""

@@ -379,8 +379,6 @@ def is_weakly_connected(dom: Domain, cap: Optional[int] = None) -> bool:
     """True when the adjacent-swap graph on the domain has one component."""
     cap = DEFAULT_GRAPH_CAP if cap is None else cap
     members = dom.members(cap)
-    if len(members) > cap:
-        raise CapExceededError(f"{len(members)} profiles exceed graph cap {cap}")
     if len(members) <= 1:
         return True
     return len(_bfs_cover(dom, members[0])) == len(members)

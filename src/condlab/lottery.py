@@ -21,7 +21,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .core import PreferenceRelation, alternative_index, alternative_name
+from .core import PreferenceRelation, alternative_index, alternative_name, parse_rational
 
 
 class NegativeProbabilityError(ValueError):
@@ -134,7 +134,7 @@ class Lottery:
                 raise ValueError(f"alternative {key!r} is outside the slate of {m}")
             if x in probs:
                 raise ValueError(f"alternative {key!r} is named twice")
-            probs[x] = Fraction(value)
+            probs[x] = parse_rational(value)
         return cls.from_map(probs, m)
 
     def __eq__(self, other) -> bool:

@@ -4,6 +4,11 @@ Every scheme carries the domain it is defined on and refuses to evaluate
 outside it. Mixtures combine schemes with convex weights; signed mixtures
 allow negative weights and are only well defined when every profile still
 receives a proper lottery, which the evaluation checks exactly.
+
+``SDS.evaluate`` is the single checked evaluation. ``SDS.at`` memoises it in
+the object's one evaluation cache, which every scan reads, so scans over one
+scheme object evaluate each profile at most once. The cache lives as long as
+the object and keeps no failed evaluation.
 """
 
 from __future__ import annotations
@@ -11,13 +16,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .core import (
     PreferenceRelation,
     Profile,
     TieBreaker,
     condorcet_winner,
+    parse_rational,
     tiebroken_winner,
 )
 from .domains import (
@@ -41,6 +47,7 @@ class SDS:
     def __init__(self, valid_domain: Domain, name: str):
         self.valid_domain = valid_domain
         self.name = name
+        self._evaluations: dict = {}
 
     @property
     def n(self) -> int:
@@ -57,6 +64,13 @@ class SDS:
             )
         return self._lottery(profile)
 
+    def at(self, profile: Profile) -> Lottery:
+        """``evaluate(profile)``, computed at most once per profile."""
+        lot = self._evaluations.get(profile)
+        if lot is None:
+            lot = self._evaluations[profile] = self.evaluate(profile)
+        return lot
+
     def _lottery(self, profile: Profile) -> Lottery:
         raise NotImplementedError
 
@@ -65,31 +79,6 @@ class SDS:
 
     def __repr__(self) -> str:
         return f"<SDS {self.describe()}>"
-
-
-def cached_evaluator(sds: SDS) -> Callable[[Profile], Lottery]:
-    """``sds.evaluate`` memoised per profile; the cache lives as long as the
-    returned function, so each scan gets its own and frees it when done,
-    unless ``sds`` is a :class:`SharedEvaluations` whose cache it reuses."""
-    if isinstance(sds, SharedEvaluations):
-        return sds.evaluate
-    cache: dict = {}
-
-    def evaluate(profile: Profile) -> Lottery:
-        lot = cache.get(profile)
-        if lot is None:
-            lot = cache[profile] = sds.evaluate(profile)
-        return lot
-
-    return evaluate
-
-
-class SharedEvaluations(SDS):
-    """``sds`` memoised in one cache, shared by every scan over this object."""
-
-    def __init__(self, sds: SDS):
-        super().__init__(sds.valid_domain, sds.describe())
-        self.evaluate = self._lottery = cached_evaluator(sds)
 
 
 class Dictatorship(SDS):
@@ -316,7 +305,7 @@ def _parse_weighted_parts(body: str, n: int, m: int) -> list:
         if "*" not in chunk:
             raise ValueError(f"expected <weight>*<scheme>, got {chunk!r}")
         weight_text, spec = chunk.split("*", 1)
-        parts.append((Fraction(weight_text.strip()), parse_sds(spec.strip(), n, m)))
+        parts.append((parse_rational(weight_text.strip()), parse_sds(spec.strip(), n, m)))
     return parts
 
 
@@ -335,7 +324,7 @@ def parse_sds(text: str, n: int, m: int) -> SDS:
     if text.startswith("dict:"):
         return Dictatorship(int(text.split(":", 1)[1]), n, m)
     if text.startswith("rd:"):
-        weights = [Fraction(w.strip()) for w in text.split(":", 1)[1].split(",")]
+        weights = [parse_rational(w.strip()) for w in text.split(":", 1)[1].split(",")]
         if len(weights) != n:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
         return RandomDictatorship(weights, m)

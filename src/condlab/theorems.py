@@ -47,7 +47,6 @@ from .sds import (
     Mixture,
     Plurality,
     RandomDictatorship,
-    SharedEvaluations,
     SignedMixture,
     TableSDS,
     TieBreakingCondorcetRule,
@@ -225,7 +224,7 @@ def criterion_1(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
     failures: List[str] = []
     grid = coefficient_grid(n, step)
     for coeffs in grid:
-        sds = SharedEvaluations(mixture_sds(coeffs, n, m))
+        sds = mixture_sds(coeffs, n, m)
         for verdict in (
             check_strategyproof(sds, dom),
             check_non_imposition(sds, dom),
@@ -282,7 +281,7 @@ def criterion_3(n: int = 4, m: int = 3) -> Dict:
     negatives: List[str] = []
     for profile in dom.members():
         try:
-            sds.evaluate(profile)
+            sds.at(profile)
         except NegativeProbabilityError:
             negatives.append(profile.to_text())
     sp = check_strategyproof(sds, dom)

@@ -29,7 +29,6 @@ from condlab.lottery import Lottery
 from condlab.sds import (
     CondorcetRule,
     Dictatorship,
-    cached_evaluator,
     Mixture,
     RandomDictatorship,
     TableSDS,
@@ -325,7 +324,7 @@ def reference_extension_rows(base_sds, base, extras):
     reduced = m - 1
     index = {extra: e for e, extra in enumerate(extras)}
     extended = ExtendedDomain(base, extras)
-    f = cached_evaluator(base_sds)
+    f = base_sds.evaluate
     num_vars = reduced * len(extras)
     rows = []
 

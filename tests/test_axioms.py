@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from condlab.analysis import max_dictatorial_weight
 from condlab.axioms import (
     Verdict,
     check_ex_post_efficient,
@@ -251,14 +252,33 @@ def count_mixture_evaluations(monkeypatch):
 
 def test_implication_suite_evaluates_each_member_once(monkeypatch):
     dom = CondorcetDomain(3, 3)
-    mix = parse_sds("mix:1/2*cond+1/2*rd:1/3,1/3,1/3", 3, 3)
-    separate = [check(mix, dom).to_json_dict() for check in (
+    spec = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
+    fresh = parse_sds(spec, 3, 3)  # so the suite below starts from a cold cache
+    separate = [check(fresh, dom).to_json_dict() for check in (
         check_strategyproof, check_localized, check_non_perverse
     )]
+    mix = parse_sds(spec, 3, 3)
     evaluated = count_mixture_evaluations(monkeypatch)
     report = implication_suite(mix, dom).to_json_dict()
     assert len(evaluated) == len(set(evaluated)) == 204
     assert [report["strategyproof"], report["localized"], report["non_perverse"]] == separate
+
+
+def test_scans_over_one_scheme_share_its_evaluations(monkeypatch):
+    computed = []
+    lottery = Mixture._lottery
+
+    def counting(self, profile):
+        computed.append(profile)
+        return lottery(self, profile)
+
+    monkeypatch.setattr(Mixture, "_lottery", counting)
+    dom = CondorcetDomain(3, 3)
+    mix = parse_sds("mix:1/2*cond+1/2*rd:1/3,1/3,1/3", 3, 3)
+    assert check_strategyproof(mix, dom).holds
+    assert check_non_imposition(mix, dom).holds
+    assert max_dictatorial_weight(mix, dom) == F(1, 2)
+    assert len(computed) == len(set(computed)) == 204
 
 
 def test_criterion_1_evaluates_each_member_once(monkeypatch):

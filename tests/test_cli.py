@@ -110,6 +110,90 @@ def test_check_all_evaluates_each_member_once(capsys, monkeypatch):
     assert len(evaluated) == len(set(evaluated)) == 204
 
 
+def test_check_decides_membership_once_per_profile(capsys, monkeypatch):
+    decided = []
+    contains = CondorcetDomain._contains
+
+    def counting(self, profile):
+        decided.append(profile)
+        return contains(self, profile)
+
+    monkeypatch.setattr(CondorcetDomain, "_contains", counting)
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--axiom", "sp"]
+    code, _ = run(capsys, argv)
+    # the scanned domain is the scheme's validity domain: one table
+    assert code == 0 and len(decided) == 216
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "axiom, field, value",
+    [
+        ("sp", "voter", 7),
+        ("sp", "voter", -1),
+        ("sp", "voter", MISSING),
+        ("sp", "deviation", MISSING),
+        ("gsp", "coalition", [9]),
+        ("gsp", "coalition", []),
+        ("gsp", "coalition", [0, 0]),
+        ("localized", "voter", 5),
+    ],
+    ids=[
+        "sp-voter-7", "sp-voter-minus-1", "sp-no-voter", "sp-no-deviation",
+        "gsp-coalition-9", "gsp-empty-coalition", "gsp-repeated-voter",
+        "localized-voter-5",
+    ],
+)
+def test_replay_rejects_malformed_witness(capsys, tmp_path, axiom, field, value):
+    argv = ["check", "--n", "3", "--domain", "full", "--sds", "plurality"]
+    code, data = run_json(capsys, argv + ["--axiom", axiom])
+    assert code == 1
+    if value is MISSING:
+        del data["witness"][field]
+    else:
+        data["witness"][field] = value
+    witness_file = tmp_path / "verdict.json"
+    witness_file.write_text(json.dumps(data))
+    code, data = run_json(capsys, argv + ["--replay", str(witness_file)])
+    assert code == 2 and "witness" in data["error"]
+
+
+def test_replay_rejects_sp_witness_moving_another_voter(capsys, tmp_path):
+    argv = ["check", "--n", "3", "--domain", "full", "--sds", "plurality"]
+    code, data = run_json(capsys, argv + ["--axiom", "sp"])
+    assert code == 1 and data["witness"]["voter"] == 0
+    # voter 2 changes too, so this is no unilateral deviation by voter 0
+    data["witness"]["deviation"] = "b>a>c\nb>a>c\nb>c>a"
+    witness_file = tmp_path / "verdict.json"
+    witness_file.write_text(json.dumps(data))
+    code, data = run_json(capsys, argv + ["--replay", str(witness_file)])
+    assert code == 1 and data["replayed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--n", "3", "--domain", "condorcet", "--sds", "rd:1/0,1/3,1/3"],
+        ["check", "--n", "3", "--domain", "condorcet", "--sds", "mix:1/0*cond+1/2*dict:0"],
+        ["theorems", "--which", "1", "--grid-step", "1/0"],
+    ],
+    ids=["rd-weight", "mix-weight", "grid-step"],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 2 and "'1/0'" in data["error"]
+
+
+def test_zero_denominator_in_table_is_a_usage_error(capsys, tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_text('a>b>c\nb>a>c\na>c>b\n{"a": "1/0"}\n')
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", f"table:{table}"]
+    code, data = run_json(capsys, argv)
+    assert code == 2 and "'1/0'" in data["error"]
+
+
 def test_check_gsp_finds_group_violation(capsys):
     code, data = run_json(
         capsys,

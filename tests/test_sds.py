@@ -165,6 +165,26 @@ def test_signed_mixture_flags_negative_mass():
         bad.evaluate(victim)
 
 
+def test_failed_evaluations_are_not_cached():
+    bad = SignedMixture(
+        [(F(3, 2), Dictatorship(0, 3, 3)), (F(-1, 2), CondorcetRule(3, 3))]
+    )
+    victim = prof("a>b>c\nb>a>c\nb>c>a")
+    for _ in range(2):
+        with pytest.raises(NegativeProbabilityError):
+            bad.at(victim)
+
+
+def test_at_outside_the_domain_raises_as_evaluate_does():
+    rule = CondorcetRule(3, 3)
+    cycle = majority_cycle_profile(3, 3)
+    with pytest.raises(OutOfDomainError) as expected:
+        rule.evaluate(cycle)
+    with pytest.raises(OutOfDomainError) as got:
+        rule.at(cycle)
+    assert str(got.value) == str(expected.value)
+
+
 # -- tables ----------------------------------------------------------------------
 
 
