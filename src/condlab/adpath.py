@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (
-    PreferenceRelation,
-    Profile,
-    alternative_name,
-    condorcet_winner,
-    swap,
-    tiebroken_winner,
-)
+from .core import PreferenceRelation, Profile, alternative_name, swap
 from .axioms import Verdict
 from .domains import (
     CondorcetDomain,
@@ -111,12 +104,6 @@ class AdPath:
         return cls(tuple(Profile.from_text(text) for text in data["steps"]))
 
 
-def _winner(dom: Domain, profile: Profile) -> int:
-    if isinstance(dom, TieBreakingCondorcetDomain):
-        return tiebroken_winner(profile, dom.tiebreaker)
-    return condorcet_winner(profile)
-
-
 def _check_buildable(dom: Domain) -> None:
     if isinstance(dom, TieBreakingCondorcetDomain):
         if dom.n % 2 != 0:
@@ -182,8 +169,8 @@ def build_adpath(dom: Domain, start: Profile, goal: Profile) -> AdPath:
     if start == goal:
         return AdPath((start,))
     n, m = start.n, start.m
-    c = _winner(dom, start)
-    c2 = _winner(dom, goal)
+    c = dom.majority_winner(start)
+    c2 = dom.majority_winner(goal)
     walk = _Walk(start)
     for voter in range(n):
         walk.move_to_rank(voter, c, 1)
@@ -255,8 +242,8 @@ def build_adpath_fixing(dom: Domain, start: Profile, goal: Profile, fixed: int) 
     if start == goal:
         return AdPath((start,))
     n = start.n
-    c = _winner(dom, start)
-    c2 = _winner(dom, goal)
+    c = dom.majority_winner(start)
+    c2 = dom.majority_winner(goal)
     walk = _Walk(start)
     if c == c2 == fixed:
         for voter in range(n):

@@ -354,26 +354,18 @@ def extension_feasibility(
                 ),
             )
 
-    candidates: List[Mapping[Profile, Lottery]] = []
+    candidate: Optional[Mapping[Profile, Lottery]] = None
     try:
-        candidates.append({extra: base_sds.evaluate(extra) for extra in extras})
+        candidate = {extra: base_sds.evaluate(extra) for extra in extras}
     except (OutOfDomainError, TableMissError):
         pass
     rows, num_vars = _extension_rows(base_sds, base, extras)
-    for candidate in candidates:
-        if _satisfies(rows, extras, candidate):
-            if not uncovered or all(
-                any(candidate[e].is_point() == x for e in extras) for x in uncovered
-            ):
-                return FeasibilityResult(True, dict(candidate), None)
+    if candidate is not None and _satisfies(rows, extras, candidate):
+        if all(any(candidate[e].is_point() == x for e in extras) for x in uncovered):
+            return FeasibilityResult(True, candidate, None)
 
-    if not uncovered:
-        assignment, conflict = _solve_extension(rows, num_vars, extras, {})
-        if assignment is None:
-            return FeasibilityResult(False, None, tuple(sorted(conflict)))
-        return FeasibilityResult(True, assignment, None)
-
-    last_conflict: Optional[frozenset] = None
+    # There is at least one pinning: with nothing uncovered, the one empty
+    # pinning is the unpinned solve, and a failure keeps the last conflict.
     for chosen in itertools.permutations(extras, len(uncovered)):
         forced = {
             extra: Lottery.point(x, base.m) for x, extra in zip(uncovered, chosen)
@@ -381,7 +373,4 @@ def extension_feasibility(
         assignment, conflict = _solve_extension(rows, num_vars, extras, forced)
         if assignment is not None:
             return FeasibilityResult(True, assignment, None)
-        last_conflict = conflict
-    return FeasibilityResult(
-        False, None, tuple(sorted(last_conflict)) if last_conflict else None
-    )
+    return FeasibilityResult(False, None, tuple(sorted(conflict)))

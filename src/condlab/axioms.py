@@ -342,11 +342,13 @@ def implication_suite(sds, dom: Domain) -> ImplicationReport:
 # -- witness replay -----------------------------------------------------------
 
 
-def _field(witness: Mapping, key: str):
-    try:
-        return witness[key]
-    except (KeyError, TypeError):
-        raise ValueError(f"witness has no {key!r} field") from None
+def _field(witness: Mapping, key: str, kind: type):
+    if key not in witness:
+        raise ValueError(f"witness has no {key!r} field")
+    value = witness[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"witness {key} {value!r} is not a {kind.__name__}")
+    return value
 
 
 def _voter(value, n: int) -> int:
@@ -355,35 +357,48 @@ def _voter(value, n: int) -> int:
     return value
 
 
+def _alternative(witness: Mapping, key: str, m: int) -> int:
+    name = _field(witness, key, str)
+    if alternative_index(name) >= m:
+        raise ValueError(f"witness {key} {name!r} is outside the slate of {m}")
+    return alternative_index(name)
+
+
 def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
     """Re-execute a reported witness and confirm it still violates the axiom.
 
     Takes the JSON form of a failing verdict; returns True when the violation
-    reproduces against the given scheme and domain. A missing field, a voter
-    outside ``0..n-1`` or an empty or repeating coalition is a ValueError.
+    reproduces against the given scheme and domain. A verdict or witness that
+    is no JSON object, a missing or ill-typed field, an alternative outside
+    the slate, a voter outside ``0..n-1`` or an empty or repeating coalition
+    is a ValueError.
     """
+    if not isinstance(verdict_json, Mapping):
+        raise ValueError("a replayed verdict must be a JSON object")
     axiom = verdict_json.get("axiom")
     witness = verdict_json.get("witness")
     if witness is None:
         raise ValueError("verdict carries no witness to replay")
+    if not isinstance(witness, Mapping):
+        raise ValueError("the verdict's witness must be a JSON object")
     if axiom not in _CHECKERS:
         raise ValueError(f"unknown axiom {axiom!r}")
     if axiom == "non-imposition":
-        point = Lottery.point(alternative_index(_field(witness, "alternative")), dom.m)
+        point = Lottery.point(_alternative(witness, "alternative", dom.m), dom.m)
         return all(sds.at(profile) != point for profile in dom.members())
-    profile = Profile.from_text(_field(witness, "profile"))
+    profile = Profile.from_text(_field(witness, "profile", str))
     if axiom == "ex-post-efficient":
-        dominator = alternative_index(_field(witness, "dominator"))
-        dominated = alternative_index(_field(witness, "dominated"))
+        dominator = _alternative(witness, "dominator", dom.m)
+        dominated = _alternative(witness, "dominated", dom.m)
         return (
             dom.contains(profile)
             and pareto_dominates(profile, dominator, dominated)
             and sds.evaluate(profile)[dominated] > 0
         )
     if axiom in ("localized", "non-perverse"):
-        voter = _voter(_field(witness, "voter"), dom.n)
+        voter = _voter(_field(witness, "voter", int), dom.n)
         lowered, raised, watched = (
-            alternative_index(_field(witness, key)) for key in ("lowered", "raised", "watched")
+            _alternative(witness, key, dom.m) for key in ("lowered", "raised", "watched")
         )
         if not dom.contains(profile):
             return False
@@ -396,11 +411,11 @@ def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
             return watched not in (lowered, raised) and before[watched] != after[watched]
         return watched == raised and after[watched] < before[watched]
     # strategyproofness is group strategyproofness for a coalition of one
-    deviation = Profile.from_text(_field(witness, "deviation"))
+    deviation = Profile.from_text(_field(witness, "deviation", str))
     if axiom == "strategyproof":
-        coalition = [_voter(_field(witness, "voter"), dom.n)]
+        coalition = [_voter(_field(witness, "voter", int), dom.n)]
     else:
-        coalition = [_voter(v, dom.n) for v in _field(witness, "coalition")]
+        coalition = [_voter(v, dom.n) for v in _field(witness, "coalition", list)]
         if not coalition or len(set(coalition)) != len(coalition):
             raise ValueError(f"witness coalition {coalition} is empty or repeats a voter")
     if not (dom.contains(profile) and dom.contains(deviation)):

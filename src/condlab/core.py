@@ -11,12 +11,49 @@ rationals elsewhere in the package.
 from __future__ import annotations
 
 import itertools
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+DEFAULT_ENUM_CAP = 10**6
+
+
+class CapExceededError(RuntimeError):
+    """An enumeration or graph computation would exceed its configured cap."""
+
+
+_cap_override: ContextVar[Optional[int]] = ContextVar("enumeration_cap", default=None)
+
+
+def enumeration_cap() -> int:
+    """Active enumeration cap: a :func:`capped_enumeration` override, then the
+    CONDLAB_MAX_PROFILES env var, then the default."""
+    override = _cap_override.get()
+    if override is not None:
+        return override
+    raw = os.environ.get("CONDLAB_MAX_PROFILES")
+    if raw:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"CONDLAB_MAX_PROFILES must be an integer, got {raw!r}") from None
+    return DEFAULT_ENUM_CAP
+
+
+@contextmanager
+def capped_enumeration(cap: Optional[int]) -> Iterator[None]:
+    """Make ``cap`` the enumeration cap inside the block; ``None`` changes nothing."""
+    token = _cap_override.set(cap)
+    try:
+        yield
+    finally:
+        _cap_override.reset(token)
 
 
 class InvalidSwapError(ValueError):
@@ -128,7 +165,15 @@ TieBreaker = PreferenceRelation
 
 @lru_cache(maxsize=None)
 def all_relations(m: int) -> tuple:
-    """Every preference relation on ``m`` alternatives, lexicographically ordered."""
+    """Every preference relation on ``m`` alternatives, lexicographically ordered.
+
+    The table is built once per ``m``, and only when its ``m!`` entries fit
+    the enumeration cap."""
+    cap = enumeration_cap()
+    if factorial(m) > cap:
+        raise CapExceededError(
+            f"enumerating relations on {m} alternatives needs {factorial(m)} relations, cap is {cap}"
+        )
     return tuple(PreferenceRelation(p) for p in itertools.permutations(range(m)))
 
 

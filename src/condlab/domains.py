@@ -7,6 +7,8 @@ electorates, explicit finite sets, and a base domain extended by extra
 profiles. Enumeration is always in canonical order: profiles sorted by the
 tuple of per-voter lexicographic ranks. One member table per domain, shared
 by enumeration, ``contains`` and the neighbour walks, records membership.
+Every enumeration here (members, connectivity, the reach search) is bounded
+by the one cap of :func:`enumeration_cap`; no function takes its own.
 
 Two graph views matter for the theory. Weak connectedness links profiles
 that differ in a single adjacent swap. Full connectedness additionally asks
@@ -18,13 +20,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
+# The cap lives in core, which also caps the relation tables; it is re-exported here.
+from .core import CapExceededError, capped_enumeration  # noqa: F401
 from .core import (
     PreferenceRelation,
     Profile,
@@ -34,6 +35,7 @@ from .core import (
     all_profiles,
     all_relations,
     condorcet_winner,
+    enumeration_cap,
     full_profile_count,
     parse_profiles,
     profile_key,
@@ -41,44 +43,9 @@ from .core import (
     tiebroken_winner,
 )
 
-DEFAULT_ENUM_CAP = 10**6
-DEFAULT_GRAPH_CAP = 10**5
-
-
-class CapExceededError(RuntimeError):
-    """An enumeration or graph computation would exceed its configured cap."""
-
 
 class OutOfDomainError(ValueError):
     """A profile outside the relevant domain was passed where a member is required."""
-
-
-_cap_override: ContextVar[Optional[int]] = ContextVar("enumeration_cap", default=None)
-
-
-def enumeration_cap() -> int:
-    """Active enumeration cap: a :func:`capped_enumeration` override, then the
-    CONDLAB_MAX_PROFILES env var, then the default."""
-    override = _cap_override.get()
-    if override is not None:
-        return override
-    raw = os.environ.get("CONDLAB_MAX_PROFILES")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"CONDLAB_MAX_PROFILES must be an integer, got {raw!r}") from None
-    return DEFAULT_ENUM_CAP
-
-
-@contextmanager
-def capped_enumeration(cap: Optional[int]) -> Iterator[None]:
-    """Make ``cap`` the enumeration cap inside the block; ``None`` changes nothing."""
-    token = _cap_override.set(cap)
-    try:
-        yield
-    finally:
-        _cap_override.reset(token)
 
 
 class Domain:
@@ -166,9 +133,10 @@ class Domain:
         """Upper bound on the work needed to enumerate this domain."""
         return full_profile_count(self.n, self.m)
 
-    def members(self, cap: Optional[int] = None) -> tuple:
-        """Every member in canonical order; the cap is checked on every call."""
-        cap = enumeration_cap() if cap is None else cap
+    def members(self) -> tuple:
+        """Every member in canonical order. The enumeration cap is checked on
+        every call, so a table built under a larger cap is still refused."""
+        cap = enumeration_cap()
         if self.size_bound() > cap:
             raise CapExceededError(
                 f"enumerating {self.describe()} needs {self.size_bound()} profiles, "
@@ -246,8 +214,12 @@ class CondorcetDomain(Domain):
 
     kind = "condorcet"
 
+    def majority_winner(self, profile: Profile) -> Optional[int]:
+        """The majority winner of ``profile``, or None; decided without the member table."""
+        return condorcet_winner(profile)
+
     def _contains(self, profile: Profile) -> bool:
-        return condorcet_winner(profile) is not None
+        return self.majority_winner(profile) is not None
 
 
 class CondorcetForDomain(Domain):
@@ -271,7 +243,7 @@ class CondorcetForDomain(Domain):
         return condorcet_winner(profile) == self.winner
 
 
-class TieBreakingCondorcetDomain(Domain):
+class TieBreakingCondorcetDomain(CondorcetDomain):
     """Profiles with a majority winner once the tie-breaking order votes too."""
 
     kind = "tb-condorcet"
@@ -288,8 +260,8 @@ class TieBreakingCondorcetDomain(Domain):
     def describe(self) -> str:
         return f"tb-condorcet:{self.tiebreaker.to_text()}"
 
-    def _contains(self, profile: Profile) -> bool:
-        return tiebroken_winner(profile, self.tiebreaker) is not None
+    def majority_winner(self, profile: Profile) -> Optional[int]:
+        return tiebroken_winner(profile, self.tiebreaker)
 
 
 class ExplicitDomain(Domain):
@@ -361,9 +333,7 @@ class ExtendedDomain(Domain):
 # -- connectivity -----------------------------------------------------------
 
 
-def _bfs_cover(
-    dom: Domain, start: Profile, fixed: Optional[int] = None
-) -> set:
+def _bfs_cover(dom: Domain, start: Profile, fixed: Optional[int] = None) -> set:
     seen = {start}
     frontier = deque([start])
     while frontier:
@@ -375,10 +345,9 @@ def _bfs_cover(
     return seen
 
 
-def is_weakly_connected(dom: Domain, cap: Optional[int] = None) -> bool:
+def is_weakly_connected(dom: Domain) -> bool:
     """True when the adjacent-swap graph on the domain has one component."""
-    cap = DEFAULT_GRAPH_CAP if cap is None else cap
-    members = dom.members(cap)
+    members = dom.members()
     if len(members) <= 1:
         return True
     return len(_bfs_cover(dom, members[0])) == len(members)
@@ -388,7 +357,7 @@ def _contour_signature(profile: Profile, x: int) -> tuple:
     return tuple(rel.upper_contour(x) for rel in profile.relations)
 
 
-def is_connected(dom: Domain, cap: Optional[int] = None) -> bool:
+def is_connected(dom: Domain) -> bool:
     """Weak connectedness plus x-avoiding reachability within contour classes.
 
     For every alternative ``x``, profiles sharing all voters' upper contour
@@ -396,10 +365,9 @@ def is_connected(dom: Domain, cap: Optional[int] = None) -> bool:
     ``x``. Swaps avoiding ``x`` preserve the contour signature, so it is
     enough to examine each signature class separately.
     """
-    cap = DEFAULT_GRAPH_CAP if cap is None else cap
-    if not is_weakly_connected(dom, cap):
+    if not is_weakly_connected(dom):
         return False
-    members = dom.members(cap)
+    members = dom.members()
     for x in range(dom.m):
         classes: dict = {}
         for profile in members:
@@ -443,25 +411,19 @@ def majority_cycle_profile(n: int, m: int = 3) -> Profile:
 
 def beyond_unilateral_reach(profile: Profile, base: Domain) -> bool:
     """True when neither ``profile`` nor any single-voter change of it is in ``base``."""
-    if base.contains(profile):
-        return False
-    reach = ExtendedDomain(base, [profile])
-    return all(
-        next(reach.unilateral_deviations(profile, voter), None) is None
+    return not any(
+        base.contains(profile.replace(voter, rel))
         for voter in range(profile.n)
+        for rel in all_relations(profile.m)
     )
 
 
-def find_profiles_beyond_unilateral_reach(
-    base: Domain, cap: Optional[int] = None
-) -> list:
-    """Exhaustively search for profiles at unilateral distance >= 2 from ``base``."""
-    cap = enumeration_cap() if cap is None else cap
-    if full_profile_count(base.n, base.m) > cap:
-        raise CapExceededError("search space exceeds enumeration cap")
+def find_profiles_beyond_unilateral_reach(base: Domain) -> list:
+    """Exhaustively search the full domain, in canonical order, for profiles at
+    unilateral distance >= 2 from ``base``."""
     return [
         profile
-        for profile in all_profiles(base.n, base.m)
+        for profile in FullDomain(base.n, base.m).members()
         if beyond_unilateral_reach(profile, base)
     ]
 

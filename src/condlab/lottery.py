@@ -126,9 +126,12 @@ class Lottery:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str], m: int) -> "Lottery":
-        """Inverse of :meth:`to_json_dict`; each key names a distinct alternative of the slate."""
+        """Inverse of :meth:`to_json_dict`; each key names a distinct alternative of
+        the slate, and each value is a rational written as a string."""
         probs: dict = {}
         for key, value in data.items():
+            if not isinstance(value, str):
+                raise ValueError(f"probability of {key!r} must be a string, got {value!r}")
             x = alternative_index(key)
             if x >= m:
                 raise ValueError(f"alternative {key!r} is outside the slate of {m}")

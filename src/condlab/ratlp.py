@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .domains import CapExceededError
+from .core import CapExceededError
 
 FM_ROW_CAP = 200_000
 

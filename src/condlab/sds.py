@@ -18,14 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .core import (
-    PreferenceRelation,
-    Profile,
-    TieBreaker,
-    condorcet_winner,
-    parse_rational,
-    tiebroken_winner,
-)
+from .core import PreferenceRelation, Profile, TieBreaker, parse_rational
 from .domains import (
     CondorcetDomain,
     Domain,
@@ -127,21 +120,19 @@ class CondorcetRule(SDS):
         super().__init__(CondorcetDomain(n, m), "cond")
 
     def _lottery(self, profile: Profile) -> Lottery:
-        return Lottery.point(condorcet_winner(profile), self.m)
+        return Lottery.point(self.valid_domain.majority_winner(profile), self.m)
 
 
-class TieBreakingCondorcetRule(SDS):
+class TieBreakingCondorcetRule(CondorcetRule):
     """Majority winner after the tie-breaking order votes as one extra voter."""
 
     def __init__(self, tiebreaker: TieBreaker, n: int):
-        super().__init__(
+        SDS.__init__(
+            self,
             TieBreakingCondorcetDomain(tiebreaker, n),
             f"tb-cond:{tiebreaker.to_text()}",
         )
         self.tiebreaker = tiebreaker
-
-    def _lottery(self, profile: Profile) -> Lottery:
-        return Lottery.point(tiebroken_winner(profile, self.tiebreaker), self.m)
 
 
 def _common_domain(parts: Sequence[Tuple[Fraction, SDS]]) -> Domain:

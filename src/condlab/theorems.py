@@ -492,11 +492,10 @@ def criterion_8(n: int = 3, m: int = 3, seed: int = 0, samples: int = 10) -> Dic
         if candidate not in lotteries:
             lotteries.append(candidate)
 
+    table = {profile: rule.at(profile) for profile in base.members()}
     surviving: List[Dict] = []
     for lottery in lotteries:
-        mapping = {profile: rule.evaluate(profile) for profile in base.members()}
-        mapping[cycle] = lottery
-        extended = TableSDS(mapping, valid_domain=dom, name="cond-extended")
+        extended = TableSDS({**table, cycle: lottery}, valid_domain=dom, name="cond-extended")
         verdict = check_group_strategyproof(extended, dom, max_coalition=n)
         if verdict.holds:
             surviving.append(lottery.to_json_dict())

@@ -139,11 +139,16 @@ MISSING = object()
         ("gsp", "coalition", []),
         ("gsp", "coalition", [0, 0]),
         ("localized", "voter", 5),
+        ("localized", "lowered", "z"),
+        ("sp", "profile", 5),
+        ("sp", "deviation", ["x"]),
+        ("gsp", "coalition", 5),
     ],
     ids=[
         "sp-voter-7", "sp-voter-minus-1", "sp-no-voter", "sp-no-deviation",
         "gsp-coalition-9", "gsp-empty-coalition", "gsp-repeated-voter",
-        "localized-voter-5",
+        "localized-voter-5", "localized-lowered-z", "sp-profile-5", "sp-deviation-list",
+        "gsp-coalition-5",
     ],
 )
 def test_replay_rejects_malformed_witness(capsys, tmp_path, axiom, field, value):
@@ -192,6 +197,37 @@ def test_zero_denominator_in_table_is_a_usage_error(capsys, tmp_path):
     argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", f"table:{table}"]
     code, data = run_json(capsys, argv)
     assert code == 2 and "'1/0'" in data["error"]
+
+
+@pytest.mark.parametrize(
+    "entry", ['{"a": null, "b": "1"}', '{"a": 0.1, "b": 0.9}', '{"a": true}'], ids=["null", "float", "bool"]
+)
+def test_table_probabilities_must_be_strings(capsys, tmp_path, entry):
+    table = tmp_path / "table.txt"
+    table.write_text(f"a>b>c\nb>a>c\na>c>b\n{entry}\n")
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", f"table:{table}"]
+    code, data = run_json(capsys, argv)
+    assert code == 2 and "'a'" in data["error"] and "string" in data["error"]
+
+
+@pytest.mark.parametrize(
+    "verdict, blamed",
+    [
+        ({"axiom": "ex-post-efficient", "witness": {
+            "profile": "a>b>c\nb>a>c\nc>a>b", "dominator": "a", "dominated": "q",
+        }}, "dominated"),
+        ({"axiom": "non-imposition", "witness": {"alternative": 5}}, "alternative"),
+        ({"axiom": "non-imposition", "witness": {"alternative": "z"}}, "alternative"),
+        ([1, 2], "object"),
+    ],
+    ids=["expost-dominated-q", "non-imposition-5", "non-imposition-z", "verdict-list"],
+)
+def test_replay_rejects_ill_typed_witness(capsys, tmp_path, verdict, blamed):
+    witness_file = tmp_path / "verdict.json"
+    witness_file.write_text(json.dumps(verdict))
+    argv = ["check", "--n", "3", "--domain", "full", "--sds", "plurality", "--replay", str(witness_file)]
+    code, data = run_json(capsys, argv)
+    assert code == 2 and blamed in data["error"]
 
 
 def test_check_gsp_finds_group_violation(capsys):

@@ -18,6 +18,7 @@ from condlab.core import (
 )
 from condlab.domains import (
     CapExceededError,
+    capped_enumeration,
     CondorcetDomain,
     CondorcetForDomain,
     ExplicitDomain,
@@ -222,8 +223,33 @@ def test_beyond_unilateral_reach_demonstration_n9():
 
 
 def test_find_beyond_reach_respects_cap():
-    with pytest.raises(CapExceededError):
-        find_profiles_beyond_unilateral_reach(CondorcetDomain(9, 3), cap=1000)
+    with capped_enumeration(1000), pytest.raises(CapExceededError):
+        find_profiles_beyond_unilateral_reach(CondorcetDomain(9, 3))
+
+
+def _reference_beyond_reach(base):
+    """The reach search through one extended domain per tested profile."""
+    found = []
+    for profile in all_profiles(base.n, base.m):
+        if base.contains(profile):
+            continue
+        reach = ExtendedDomain(base, [profile])
+        if all(next(reach.unilateral_deviations(profile, v), None) is None for v in range(base.n)):
+            found.append(profile)
+    return found
+
+
+@pytest.mark.parametrize("n, m, most", [(2, 3, 3), (3, 3, 8), (2, 4, 8)])
+def test_find_beyond_reach_matches_extended_domain_reference(n, m, most):
+    rng = random.Random(100 * n + m)
+    full = list(all_profiles(n, m))
+    non_empty = 0
+    for _ in range(6):
+        base = ExplicitDomain(rng.sample(full, rng.randint(1, most)))
+        expected = _reference_beyond_reach(base)
+        assert find_profiles_beyond_unilateral_reach(base) == expected
+        non_empty += bool(expected)
+    assert non_empty >= 4
 
 
 # -- explicit and extended domains ------------------------------------------------
@@ -251,17 +277,25 @@ def test_extended_domain_membership_and_disjointness():
 
 def test_enumeration_cap_enforced():
     dom = FullDomain(3, 3)
-    with pytest.raises(CapExceededError):
-        dom.members(cap=100)
+    with capped_enumeration(100), pytest.raises(CapExceededError):
+        dom.members()
 
 
 def test_members_cap_checked_on_every_call():
     dom = CondorcetDomain(3, 3)
     assert len(dom.members()) == 204
-    with pytest.raises(CapExceededError):
-        dom.members(cap=10)
-    with pytest.raises(CapExceededError):
-        is_weakly_connected(dom, cap=10)
+    with capped_enumeration(10):
+        with pytest.raises(CapExceededError):
+            dom.members()
+        with pytest.raises(CapExceededError):
+            is_weakly_connected(dom)
+
+
+def test_relation_table_refused_over_the_cap():
+    # the table is cached per m, so this needs an m no other test builds: 7! > 100
+    profile = Profile([PreferenceRelation(range(7))] * 3)
+    with capped_enumeration(100), pytest.raises(CapExceededError):
+        CondorcetDomain(3, 7).contains(profile)
 
 
 # -- parsing ----------------------------------------------------------------------

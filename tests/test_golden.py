@@ -15,6 +15,9 @@ from condlab.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CYCLE3 = str(GOLDEN / "cycle3.txt")
 SIX_EXTRAS = str(GOLDEN / "six-extras.txt")
+NEAR_WINNER_A = str(GOLDEN / "near-winner-a.txt")
+TWO_CYCLES = str(GOLDEN / "two-cycles.txt")
+TB = "tb-condorcet:a>b>c"
 MIX = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
 
 CASES = {
@@ -46,6 +49,26 @@ CASES = {
     "extend-mix-cycle-non-imposing": (
         1,
         ["extend", "--n", "3", "--base", "condorcet", "--sds", MIX, "--extras", CYCLE3, "--require-non-imposition"],
+    ),
+    # the conflict names a pinned lottery: the pinning loop ran and failed
+    "extend-cond-for-near-winner-non-imposing": (
+        1,
+        ["extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond", "--extras", NEAR_WINNER_A,
+         "--require-non-imposition"],
+    ),
+    "extend-cond-for-two-cycles-non-imposing": (
+        0,
+        ["extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond", "--extras", TWO_CYCLES,
+         "--require-non-imposition"],
+    ),
+    "decompose-tb-mix": (
+        0, ["decompose", "--n", "4", "--domain", TB, "--sds", "mix:1/2*tb-cond:a>b>c+1/4*dict:0+1/4*dict:3"],
+    ),
+    # six profiles that hand the tie-broken winner from a to b
+    "adpath-tb-fixing": (
+        0,
+        ["adpath", "--n", "4", "--domain", TB, "--fix", "c", "--from", str(GOLDEN / "tb-start.txt"),
+         "--to", str(GOLDEN / "tb-goal.txt")],
     ),
 }
 
