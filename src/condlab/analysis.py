@@ -96,13 +96,10 @@ def probe_profile(n: int, m: int, anchor: int, voter: int) -> Profile:
 
 def probe_coefficients(sds, anchor: int) -> MixtureCoefficients:
     """Read mixture coefficients off the probe profiles, one per voter."""
-    n, m = sds.n, sds.m
-    others = [x for x in range(m) if x != anchor]
-    rival = others[1]
     weights = []
-    for voter in range(n):
-        lot = sds.evaluate(probe_profile(n, m, anchor, voter))
-        weights.append(lot[rival])
+    for voter in range(sds.n):
+        probe = probe_profile(sds.n, sds.m, anchor, voter)
+        weights.append(sds.evaluate(probe)[probe[voter].top()])
     return MixtureCoefficients(1 - sum(weights, Fraction(0)), tuple(weights))
 
 
@@ -210,9 +207,7 @@ class FeasibilityResult:
             if self.witness is None
             else {
                 profile.to_text(): lot.to_json_dict()
-                for profile, lot in sorted(
-                    self.witness.items(), key=lambda kv: profile_key(kv[0])
-                )
+                for profile, lot in sorted(self.witness.items(), key=lambda kv: kv[0].code)
             },
             "conflict": None if self.conflict is None else list(self.conflict),
         }

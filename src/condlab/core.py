@@ -90,9 +90,12 @@ def parse_rational(text) -> Fraction:
 
 
 class PreferenceRelation:
-    """A strict total order over ``{0, ..., m-1}``, most preferred first."""
+    """A strict total order over ``{0, ..., m-1}``, most preferred first.
 
-    __slots__ = ("order", "_pos", "_hash")
+    ``index`` is the relation's position in :func:`all_relations`: its Lehmer
+    code, each slot's digit counting the smaller alternatives not yet placed."""
+
+    __slots__ = ("order", "index", "_pos", "_hash")
 
     def __init__(self, order: Sequence[int]):
         order = tuple(order)
@@ -100,9 +103,13 @@ class PreferenceRelation:
         if sorted(order) != list(range(m)):
             raise ValueError(f"not a permutation of 0..{m - 1}: {order!r}")
         pos = [0] * m
+        index = seen = 0
         for slot, x in enumerate(order):
             pos[x] = slot
+            index = index * (m - slot) + x - (seen & ((1 << x) - 1)).bit_count()
+            seen |= 1 << x
         self.order = order
+        self.index = index
         self._pos = tuple(pos)
         self._hash = hash(order)
 
@@ -177,28 +184,35 @@ def all_relations(m: int) -> tuple:
     return tuple(PreferenceRelation(p) for p in itertools.permutations(range(m)))
 
 
-@lru_cache(maxsize=None)
-def relation_ids(m: int) -> dict:
-    """Each relation's ``order`` on ``m`` alternatives mapped to its position in
-    :func:`all_relations`; keyed by the plain tuple so lookups hash in C."""
-    return {rel.order: i for i, rel in enumerate(all_relations(m))}
-
-
 class Profile:
-    """An ordered tuple of voter preference relations over one slate."""
+    """An ordered tuple of voter preference relations over one slate.
 
-    __slots__ = ("relations", "_hash")
+    ``code`` is the profile's position in :func:`all_profiles`: the voters'
+    relation indices as digits in base m!, the first voter most significant."""
+
+    __slots__ = ("relations", "code", "_hash")
 
     def __init__(self, relations: Sequence[PreferenceRelation]):
         relations = tuple(relations)
         if not relations:
             raise ValueError("a profile needs at least one voter")
         m = relations[0].m
+        radix = factorial(m)
+        code = 0
         for rel in relations:
             if rel.m != m:
                 raise ValueError("voters rank different numbers of alternatives")
+            code = code * radix + rel.index
         self.relations = relations
+        self.code = code
         self._hash = hash(relations)
+
+    @classmethod
+    def from_code(cls, code: int, n: int, m: int) -> "Profile":
+        """The profile of ``n`` voters over ``m`` alternatives with ``code``."""
+        rels = all_relations(m)
+        radix = len(rels)
+        return cls([rels[code // radix ** (n - 1 - v) % radix] for v in range(n)])
 
     @property
     def n(self) -> int:
@@ -220,11 +234,6 @@ class Profile:
         rels = list(self.relations)
         rels[voter] = rel
         return Profile(rels)
-
-    def key(self) -> tuple:
-        """Canonical sort key: the tuple of per-voter lexicographic ranks."""
-        ids = relation_ids(self.m)
-        return tuple(ids[rel.order] for rel in self.relations)
 
     def to_text(self) -> str:
         return "\n".join(rel.to_text() for rel in self.relations)
@@ -251,8 +260,8 @@ class Profile:
         return "Profile(" + "; ".join(rel.to_text() for rel in self.relations) + ")"
 
 
-def profile_key(profile: Profile) -> tuple:
-    return profile.key()
+def profile_key(profile: Profile) -> int:
+    return profile.code
 
 
 def parse_profiles(text: str) -> list:

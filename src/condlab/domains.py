@@ -4,9 +4,9 @@ A domain is a set of profiles for fixed ``n`` and ``m``. The kinds defined
 here are the full domain, the domain of profiles with a majority winner
 (optionally pinned to one alternative), its tie-breaking relaxation for even
 electorates, explicit finite sets, and a base domain extended by extra
-profiles. Enumeration is always in canonical order: profiles sorted by the
-tuple of per-voter lexicographic ranks. One member table per domain, shared
-by enumeration, ``contains`` and the neighbour walks, records membership.
+profiles. Enumeration is always in canonical order, by ``Profile.code``.
+One member table per domain, shared by enumeration, ``contains`` and the
+neighbour walks, records membership.
 Every enumeration here (members, connectivity, the reach search) is bounded
 by the one cap of :func:`enumeration_cap`; no function takes its own.
 
@@ -21,10 +21,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-# The cap lives in core, which also caps the relation tables; it is re-exported here.
+# The cap lives in core, which also caps the relation table; it is re-exported here.
 from .core import CapExceededError, capped_enumeration  # noqa: F401
 from .core import (
     PreferenceRelation,
@@ -39,7 +40,6 @@ from .core import (
     full_profile_count,
     parse_profiles,
     profile_key,
-    relation_ids,
     tiebroken_winner,
 )
 
@@ -79,8 +79,7 @@ class Domain:
 
     # -- the member table ---------------------------------------------------
     #
-    # A profile's code is its position in ``all_profiles``: the voters'
-    # relation ids as digits in base m!, the first voter most significant.
+    # Members are keyed by ``Profile.code``, their position in ``all_profiles``.
     # Enumeration, ``contains`` and the neighbour walks all go through
     # ``_member_at``, so each profile is decided and built at most once per
     # domain, and every walk yields the objects that ``members()`` returns.
@@ -98,11 +97,7 @@ class Domain:
 
     def _code(self, profile: Profile) -> int:
         self._check_shape(profile)
-        ids = relation_ids(self.m)
-        code = 0
-        for rel in profile.relations:
-            code = code * len(ids) + ids[rel.order]
-        return code
+        return profile.code
 
     def _member_at(self, code: int, profile: Optional[Profile] = None) -> Optional[Profile]:
         """The member with ``code``, or None outside the domain. On a miss,
@@ -110,9 +105,7 @@ class Domain:
         if code in self._table:
             return self._table[code]
         if profile is None:
-            rels = all_relations(self.m)
-            radix = len(rels)
-            profile = Profile([rels[code // radix ** (self.n - 1 - v) % radix] for v in range(self.n)])
+            profile = Profile.from_code(code, self.n, self.m)
         member = self._table[code] = profile if self._contains(profile) else None
         return member
 
@@ -156,11 +149,10 @@ class Domain:
         code = self._member_code(profile, "deviations")
         if len(set(coalition)) != len(coalition) or not all(0 <= v < self.n for v in coalition):
             raise ValueError(f"coalition must list distinct voters of 0..{self.n - 1}")
-        ids = relation_ids(self.m)
-        radix = len(ids)
+        radix = factorial(self.m)
         steps = []
         for voter in coalition:
-            own = ids[profile.relations[voter].order]
+            own = profile.relations[voter].index
             place = radix ** (self.n - 1 - voter)
             steps.append([(r - own) * place for r in range(radix) if r != own])
         table, member_at = self._table, self._member_at
@@ -183,16 +175,16 @@ class Domain:
         in the voter's order; voters ascend, then slots top-down.
         """
         code = self._member_code(profile, "neighbors")
-        ids = relation_ids(self.m)
+        radix = factorial(self.m)
         for voter in range(self.n):
             rel = profile[voter]
-            place = len(ids) ** (self.n - 1 - voter)
+            place = radix ** (self.n - 1 - voter)
             order = rel.order
             for slot in range(self.m - 1):
                 x, y = order[slot], order[slot + 1]
                 if fixed in (x, y):
                     continue
-                shift = (ids[rel.swapped(x, y).order] - ids[order]) * place
+                shift = (rel.swapped(x, y).index - rel.index) * place
                 candidate = self._member_at(code + shift)
                 if candidate is not None:
                     yield voter, x, y, candidate

@@ -389,11 +389,11 @@ def criterion_6(n: int = 3, m: int = 3) -> Dict:
     }
     if not found:
         details["analysis"] = (
-            "exhaustive search over all 216 three-voter profiles finds none: "
-            "every profile without a majority winner acquires one after a "
-            "single voter swap, so no profile is two or more unilateral "
-            "steps away from the domain at this size (the phenomenon needs "
-            "a larger electorate, for example nine voters)"
+            f"exhaustive search over all {details['searched']} profiles of {n} voters "
+            f"on {m} alternatives finds none: every profile without a majority winner "
+            "acquires one when a single voter changes their ranking, so no profile is "
+            "two or more unilateral steps away from the domain at this size (the "
+            "phenomenon needs a larger electorate, for example nine voters)"
         )
     return _result(6, "profile beyond unilateral reach", ok, details)
 

@@ -62,6 +62,12 @@ def test_criterion_06_profile_beyond_unilateral_reach():
     assert result["ok"], result["details"]
 
 
+def test_criterion_06_analysis_follows_the_search():
+    details = criterion_6(2, 3)["details"]
+    assert details["searched"] == 36 and details["found"] == 0
+    assert "all 36 profiles of 2 voters" in details["analysis"]
+
+
 def test_criterion_07_group_violation_matches_stated_pattern():
     result = report(criterion_7())
     assert result["ok"], result["details"]

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from condlab.cli import main
+from condlab.core import all_relations
 from condlab.domains import CondorcetDomain
 from condlab.sds import SDS, Mixture
 
@@ -76,6 +77,17 @@ def test_check_negative_then_replay(capsys, tmp_path):
     ]
     code, data = run_json(capsys, foreign)
     assert code == 1 and data["replayed"] is False
+
+
+def test_replay_under_a_cap_below_m_factorial(capsys, tmp_path):
+    # a replay decides membership from the profiles' codes, not the 3! relation table
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", "borda", "--axiom", "sp"]
+    code, data = run_json(capsys, argv)
+    assert code == 1
+    witness_file = tmp_path / "verdict.json"
+    witness_file.write_text(json.dumps(data))
+    code, data = run_json(capsys, argv + ["--replay", str(witness_file), "--max-profiles", "5"])
+    assert code == 0 and data == {"axiom": "strategyproof", "replayed": True}
 
 
 def test_check_all_axioms(capsys):
@@ -267,6 +279,24 @@ def test_decompose_anchor_by_name(capsys):
     assert data["coefficients"]["gamma_C"] == "1"
 
 
+def test_decompose_refuses_two_alternatives(capsys):
+    code, data = run_json(
+        capsys, ["decompose", "--n", "3", "--m", "2", "--domain", "condorcet", "--sds", "cond"]
+    )
+    assert code == 2 and data == {"error": "probes need at least three alternatives"}
+
+
+def test_cap_exceeded_decompose_builds_no_relation_table(capsys, monkeypatch):
+    # m=9: no other test builds its 362,880 relations, so a build shows as a miss
+    monkeypatch.delenv("CONDLAB_MAX_PROFILES", raising=False)
+    misses = all_relations.cache_info().misses
+    code, data = run_json(
+        capsys, ["decompose", "--n", "3", "--m", "9", "--domain", "condorcet", "--sds", "cond"]
+    )
+    assert code == 2 and data["kind"] == "cap-exceeded"
+    assert all_relations.cache_info().misses == misses
+
+
 def test_gamma_values(capsys):
     code, data = run_json(
         capsys, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", "cond"]
@@ -350,6 +380,11 @@ def test_theorems_battery_one(capsys):
     code, data = run_json(capsys, ["theorems", "--which", "1"])
     assert code == 0 and data["all_ok"] is True
     assert [r["criterion"] for r in data["results"]] == [1, 2, 3, 5]
+
+
+def test_theorems_refuses_two_alternatives(capsys):
+    code, data = run_json(capsys, ["theorems", "--which", "1", "--m", "2"])
+    assert code == 2 and data == {"error": "probes need at least three alternatives"}
 
 
 def test_theorems_rejects_wrong_parity(capsys):

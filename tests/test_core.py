@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -154,6 +155,38 @@ def test_all_profiles_count_and_canonical_order():
     keys = [profile_key(p) for p in profiles]
     assert keys == sorted(keys)
     assert len(set(profiles)) == 36
+
+
+def test_relation_index_is_position_in_all_relations():
+    for m in range(1, 7):
+        assert [r.index for r in all_relations(m)] == list(range(factorial(m)))
+
+
+def test_profile_code_is_position_in_all_profiles():
+    for n, m in [(1, 3), (2, 3), (3, 3), (4, 3), (2, 4)]:
+        for position, p in enumerate(all_profiles(n, m)):
+            assert p.code == position
+            assert Profile.from_code(position, n, m) == p
+
+
+def test_derived_profiles_get_the_canonical_code():
+    canonical = list(all_profiles(3, 3))
+    position = {p: i for i, p in enumerate(canonical)}
+    for p in canonical:
+        assert Profile.from_text(p.to_text()).code == position[p]
+        for voter in range(3):
+            for r in all_relations(3):
+                q = p.replace(voter, r)
+                assert q.code == position[q]
+            top, second = p[voter].order[:2]
+            q = swap(p, voter, top, second)
+            assert q.code == position[q]
+    for p in all_profiles(2, 3):
+        for tiebreaker in all_relations(3):
+            q = augment(p, tiebreaker)
+            assert q.code == position[q]
+    parsed = parse_profiles("\n\n".join(p.to_text() for p in canonical[::7]))
+    assert [p.code for p in parsed] == list(range(0, 216, 7))
 
 
 def test_full_profile_count_frozen_values():

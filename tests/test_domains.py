@@ -294,8 +294,15 @@ def test_members_cap_checked_on_every_call():
 def test_relation_table_refused_over_the_cap():
     # the table is cached per m, so this needs an m no other test builds: 7! > 100
     profile = Profile([PreferenceRelation(range(7))] * 3)
-    with capped_enumeration(100), pytest.raises(CapExceededError):
-        CondorcetDomain(3, 7).contains(profile)
+    misses = all_relations.cache_info().misses
+    with capped_enumeration(100):
+        # single-profile work never needs the table
+        assert CondorcetDomain(3, 7).contains(profile)
+        assert all_relations.cache_info().misses == misses
+        with pytest.raises(CapExceededError):
+            all_relations(7)
+        with pytest.raises(CapExceededError):
+            CondorcetDomain(3, 7).members()
 
 
 # -- parsing ----------------------------------------------------------------------

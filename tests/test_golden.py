@@ -64,6 +64,10 @@ CASES = {
     "decompose-tb-mix": (
         0, ["decompose", "--n", "4", "--domain", TB, "--sds", "mix:1/2*tb-cond:a>b>c+1/4*dict:0+1/4*dict:3"],
     ),
+    # the base members and the extras merged by code
+    "enumerate-cond-for-two-cycles": (
+        0, ["enumerate", "--n", "3", "--domain", f"condorcet-for:a+file:{TWO_CYCLES}"],
+    ),
     # six profiles that hand the tie-broken winner from a to b
     "adpath-tb-fixing": (
         0,
