@@ -309,38 +309,23 @@ def validate_adpath(dom: Domain, path: AdPath, fixed: Optional[int] = None) -> V
     adjacent swap, and the fixed alternative (if any) never swapped."""
     checked = 0
     comparisons = 0
+
+    def flaw(step: int, reason: str, profile: Profile) -> Verdict:
+        witness = PathFlawWitness(step, reason, profile)
+        return Verdict("adjacency-path", False, witness, checked, comparisons)
+
     for index, step in enumerate(path.steps):
         checked += 1
         if not dom.contains(step):
-            return Verdict(
-                "adjacency-path",
-                False,
-                PathFlawWitness(index, "profile outside the domain", step),
-                checked,
-                comparisons,
-            )
+            return flaw(index, "profile outside the domain", step)
     for index, (before, after) in enumerate(zip(path.steps, path.steps[1:])):
         comparisons += 1
         try:
             voter, upper, lower = _transition(before, after)
         except ValueError as err:
-            return Verdict(
-                "adjacency-path",
-                False,
-                PathFlawWitness(index + 1, str(err), after),
-                checked,
-                comparisons,
-            )
+            return flaw(index + 1, str(err), after)
         if fixed is not None and fixed in (upper, lower):
-            return Verdict(
-                "adjacency-path",
-                False,
-                PathFlawWitness(
-                    index + 1,
-                    f"swap touches the fixed alternative {alternative_name(fixed)}",
-                    after,
-                ),
-                checked,
-                comparisons,
+            return flaw(
+                index + 1, f"swap touches the fixed alternative {alternative_name(fixed)}", after
             )
     return Verdict("adjacency-path", True, None, checked, comparisons)

@@ -15,13 +15,13 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name, profile_key
-from .axioms import Verdict
+from .axioms import Verdict, check_strategyproof
 from .domains import Domain, ExtendedDomain, OutOfDomainError
 from .lottery import (
     AffineLottery, Lottery, _cumulative, constant_form, nonnegative_rows, sd_rows,
 )
 from .ratlp import fm_feasible, simplex_maximize
-from .sds import TableMissError
+from .sds import TableMissError, TableSDS
 
 
 class InfeasibleModelError(ValueError):
@@ -260,17 +260,6 @@ def _extension_rows(base_sds, base: Domain, extras: Sequence[Profile]):
     return rows, num_vars
 
 
-def _assignment_to_reduced(
-    assignment: Mapping[Profile, Lottery], extras: Sequence[Profile]
-) -> List[Fraction]:
-    reduced = extras[0].m - 1
-    values = []
-    for extra in extras:
-        lot = assignment[extra]
-        values.extend(lot.probs[:reduced])
-    return values
-
-
 def _point_from_reduced(point: Sequence[Fraction], extras: Sequence[Profile]):
     m = extras[0].m
     reduced = m - 1
@@ -282,18 +271,20 @@ def _point_from_reduced(point: Sequence[Fraction], extras: Sequence[Profile]):
     return assignment
 
 
-def _satisfies(rows, extras: Sequence[Profile], assignment: Mapping[Profile, Lottery]) -> bool:
-    values = _assignment_to_reduced(assignment, extras)
-    return all(sum(c * v for c, v in zip(coeffs, values)) <= rhs for coeffs, rhs, _ in rows)
-
-
 def verify_extension_witness(
     base_sds, base: Domain, extras: Sequence[Profile], assignment: Mapping[Profile, Lottery]
 ) -> bool:
-    """Check a candidate lottery assignment against every extension constraint."""
-    extras = sorted(set(extras), key=profile_key)
-    rows, _ = _extension_rows(base_sds, base, extras)
-    return _satisfies(rows, extras, assignment)
+    """Whether the base scheme, extended by ``assignment`` at the extras, is
+    strategyproof on the extended domain.
+
+    The check is :func:`check_strategyproof` on the table of the base
+    scheme's lotteries at the base members and the assigned ones at the
+    extras, so it shares no code with the solver whose witnesses it checks.
+    """
+    extended = ExtendedDomain(base, extras)
+    table = {profile: base_sds.at(profile) for profile in base.members()}
+    table.update((extra, assignment[extra]) for extra in extended.extras)
+    return check_strategyproof(TableSDS(table, extended, "extended"), extended).holds
 
 
 def _solve_extension(rows, num_vars: int, extras, forced: Mapping[Profile, Lottery]):
@@ -323,17 +314,27 @@ def extension_feasibility(
     """Can lotteries be chosen at the extra profiles so that the base scheme,
     so extended, is strategyproof on the extended domain?
 
-    The constraints are all stochastic-dominance inequalities between each
+    The base scheme must be strategyproof on the base domain, which
+    :func:`check_strategyproof` decides first: a manipulable base is
+    infeasible, and the one conflict names its manipulation. Otherwise the
+    constraints are all stochastic-dominance inequalities between each
     extra profile and its unilateral neighbors inside the extended domain,
     in both deviation directions, plus the same inequalities among extras.
     When the base scheme happens to be defined at the extras, its own
-    lotteries are tried first, so an unconstrained restriction shows up with
-    its natural witness.
+    lotteries are tried first, through :func:`verify_extension_witness`, so
+    an unconstrained restriction shows up with its natural witness.
     """
     extras = sorted(set(extras), key=profile_key)
     if not extras:
         raise ValueError("no extra profiles to extend to")
     ExtendedDomain(base, extras)  # validates shapes and disjointness
+    found = check_strategyproof(base_sds, base).witness
+    if found is not None:
+        tag = (
+            f"base scheme is manipulable: voter {found.voter} gains by leaving "
+            f"{found.profile.to_text()!r} (cut at {alternative_name(found.cut)})"
+        )
+        return FeasibilityResult(False, None, (tag,))
 
     uncovered: List[int] = []
     if require_non_imposition:
@@ -354,10 +355,11 @@ def extension_feasibility(
         candidate = {extra: base_sds.evaluate(extra) for extra in extras}
     except (OutOfDomainError, TableMissError):
         pass
-    rows, num_vars = _extension_rows(base_sds, base, extras)
-    if candidate is not None and _satisfies(rows, extras, candidate):
+    if candidate is not None and verify_extension_witness(base_sds, base, extras, candidate):
         if all(any(candidate[e].is_point() == x for e in extras) for x in uncovered):
             return FeasibilityResult(True, candidate, None)
+
+    rows, num_vars = _extension_rows(base_sds, base, extras)
 
     # There is at least one pinning: with nothing uncovered, the one empty
     # pinning is the unpinned solve, and a failure keeps the last conflict.

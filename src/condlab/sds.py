@@ -3,7 +3,9 @@
 Every scheme carries the domain it is defined on and refuses to evaluate
 outside it. Mixtures combine schemes with convex weights; signed mixtures
 allow negative weights and are only well defined when every profile still
-receives a proper lottery, which the evaluation checks exactly.
+receives a proper lottery, which the evaluation checks exactly. A mixture
+evaluates each part through that part's ``SDS.evaluate``, so a part's
+membership test and errors stay its own.
 
 ``SDS.evaluate`` is the single checked evaluation. ``SDS.at`` memoises it in
 the object's one evaluation cache, which every scan reads, so scans over one
@@ -169,16 +171,9 @@ class Mixture(SDS):
         name = f"{self.label}:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
         super().__init__(dom, name)
         self.parts = parts
-        # A part defined wherever the mixture is skips its own membership test;
-        # any other part evaluates in full, so its errors stay its own.
-        full = FullDomain(dom.n, dom.m)
-        self._evaluators = tuple(
-            (w, part._lottery if part.valid_domain in (dom, full) else part.evaluate)
-            for w, part in parts
-        )
 
     def _lottery(self, profile: Profile) -> Lottery:
-        return affine_combine([(w, lottery(profile)) for w, lottery in self._evaluators])
+        return affine_combine([(w, part.evaluate(profile)) for w, part in self.parts])
 
 
 class SignedMixture(Mixture):
@@ -279,6 +274,8 @@ def parse_table_file(text: str, n: int, m: int) -> dict:
             if len(lines) != n:
                 raise ValueError(f"table block has {len(lines)} voters, expected {n}")
             profile = Profile(lines)
+            if profile in mapping:
+                raise ValueError(f"table names this profile twice:\n{profile.to_text()}")
             mapping[profile] = Lottery.from_json_dict(json.loads(stripped), m)
             lines = []
         elif stripped:

@@ -9,8 +9,10 @@ command line exposes them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import (
@@ -26,8 +28,9 @@ from .axioms import (
     check_non_imposition,
     check_strategyproof,
     implication_suite,
+    replay_witness,
 )
-from .core import PreferenceRelation, Profile
+from .core import CapExceededError, PreferenceRelation, Profile, enumeration_cap
 from .domains import (
     CondorcetDomain,
     ExtendedDomain,
@@ -39,7 +42,7 @@ from .domains import (
     majority_cycle_profile,
 )
 from .adpath import build_adpath, validate_adpath
-from .lottery import Lottery, NegativeProbabilityError, sd_compare
+from .lottery import Lottery, NegativeProbabilityError
 from .sds import (
     Borda,
     CondorcetRule,
@@ -61,24 +64,23 @@ DEFAULT_TIEBREAKERS = ("a>b>c", "c>b>a")
 
 def coefficient_grid(n: int, step: Fraction = Fraction(1, 4)) -> List[MixtureCoefficients]:
     """All mixture coefficient vectors (majority weight plus one weight per
-    voter) whose entries are multiples of ``step`` and sum to one."""
+    voter) whose entries are multiples of ``step`` and sum to one, in
+    lexicographic order. The enumeration cap bounds their number before any
+    is built."""
     if step <= 0 or (Fraction(1) / step).denominator != 1:
         raise ValueError("step must evenly divide 1")
     levels = int(Fraction(1) / step)
+    count, cap = comb(levels + n, n), enumeration_cap()
+    if count > cap:
+        raise CapExceededError(
+            f"a coefficient grid for {n} voters at step {step} has {count} points, cap is {cap}"
+        )
     out: List[MixtureCoefficients] = []
-
-    def fill(prefix: List[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(grid_point(prefix + [remaining]))
-            return
-        for units in range(remaining + 1):
-            fill(prefix + [units], remaining - units, slots - 1)
-
-    def grid_point(units: List[int]) -> MixtureCoefficients:
-        weights = [step * u for u in units]
-        return MixtureCoefficients(weights[0], tuple(weights[1:]))
-
-    fill([], levels, n + 1)
+    # stars and bars: n bars among levels + n slots split the levels into n + 1 parts
+    for bars in itertools.combinations(range(levels + n), n):
+        edges = (-1,) + bars + (levels + n,)
+        weights = [step * (hi - lo - 1) for lo, hi in zip(edges, edges[1:])]
+        out.append(MixtureCoefficients(weights[0], tuple(weights[1:])))
     return out
 
 
@@ -196,17 +198,14 @@ def matches_proof_pattern(witness: Dict) -> bool:
 
 
 def pattern_is_group_violation(sds, voter: int, n: int) -> bool:
-    """Directly verify that the whole-electorate pattern built around
-    ``voter`` is a genuine group manipulation of ``sds``: no member weakly
+    """Replay the whole-electorate pattern built around ``voter`` as a group
+    manipulation of ``sds`` on the majority-winner domain: no member weakly
     prefers the honest outcome to the jointly misreported one, so nobody
     blocks the deviation."""
     truth, lie = proof_pattern_profile(voter, n)
-    honest = sds.evaluate(truth)
-    shifted = sds.evaluate(lie)
-    return not any(
-        sd_compare(truth.relations[i], honest, shifted).weakly_prefers
-        for i in range(n)
-    )
+    witness = {"profile": truth.to_text(), "coalition": list(range(n)), "deviation": lie.to_text()}
+    verdict = {"axiom": "group-strategyproof", "witness": witness}
+    return replay_witness(sds, CondorcetDomain(n, 3), verdict)
 
 
 # -- criteria -----------------------------------------------------------------

@@ -406,3 +406,40 @@ def test_extension_rows_match_reference(m, make_sds):
     extras = [majority_cycle_profile(3, m)]
     got = _extension_rows(make_sds(m), base, extras)
     assert got == reference_extension_rows(make_sds(m), base, extras)
+
+
+# -- a manipulable base and the independent witness check ----------------------------------
+
+PERTURBED_EXTRA = "a>b>c\na>b>c\nb>c>a\nb>c>a\nc>a>b"
+
+
+def test_manipulable_base_is_refused_with_its_manipulation():
+    extra = prof(PERTURBED_EXTRA)
+    result = extension_feasibility(perturbed_condorcet_table(5, 3), CondorcetDomain(5, 3), [extra])
+    assert not result.feasible and result.witness is None
+    assert result.conflict == (
+        "base scheme is manipulable: voter 0 gains by leaving "
+        "'a>b>c\\na>b>c\\na>b>c\\na>b>c\\nb>a>c' (cut at a)",
+    )
+
+
+def test_witness_check_sees_a_manipulable_base():
+    # the point lottery the extension was once accepted with: no constraint
+    # touching the extra fails, but the base itself is manipulable
+    extra = prof(PERTURBED_EXTRA)
+    table = perturbed_condorcet_table(5, 3)
+    assert not verify_extension_witness(
+        table, CondorcetDomain(5, 3), [extra], {extra: Lottery.point(0, 3)}
+    )
+
+
+def test_witness_check_builds_no_extension_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the witness check must not share the solver's rows")
+
+    monkeypatch.setattr(analysis, "_extension_rows", refuse)
+    base = CondorcetDomain(3, 3)
+    cycle = majority_cycle_profile(3, 3)
+    rd = RandomDictatorship([F(1, 3)] * 3, 3)
+    assert verify_extension_witness(rd, base, [cycle], {cycle: Lottery.uniform(3)})
+    assert not verify_extension_witness(rd, base, [cycle], {cycle: Lottery.point(0, 3)})

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -211,6 +212,14 @@ def test_zero_denominator_in_table_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and "'1/0'" in data["error"]
 
 
+def test_table_naming_a_profile_twice_is_a_usage_error(capsys, tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_text('a>b>c\nb>c>a\nc>a>b\n{"a": "1"}\na>b>c\nb>c>a\nc>a>b\n{"b": "1"}\n')
+    argv = ["check", "--n", "3", "--domain", "full", "--sds", f"table:{table}"]
+    code, data = run_json(capsys, argv)
+    assert code == 2 and "a>b>c\nb>c>a\nc>a>b" in data["error"]
+
+
 @pytest.mark.parametrize(
     "entry", ['{"a": null, "b": "1"}', '{"a": 0.1, "b": 0.9}', '{"a": true}'], ids=["null", "float", "bool"]
 )
@@ -376,10 +385,30 @@ def test_extend_command(capsys, tmp_path):
     assert code == 1 and data["feasible"] is False
 
 
+def test_extend_refuses_a_manipulable_base(capsys, tmp_path):
+    extras = tmp_path / "extras.prof"
+    extras.write_text("a>b>c\nb>c>a\nc>a>b\n")
+    argv = ["extend", "--n", "3", "--base", "condorcet", "--sds", "borda", "--extras", str(extras)]
+    code, data = run_json(capsys, argv)
+    assert code == 1 and data["feasible"] is False and data["witness"] is None
+    assert data["conflict"] == [
+        "base scheme is manipulable: voter 2 gains by leaving 'a>b>c\\na>b>c\\nb>a>c' (cut at b)"
+    ]
+
+
 def test_theorems_battery_one(capsys):
     code, data = run_json(capsys, ["theorems", "--which", "1"])
     assert code == 0 and data["all_ok"] is True
     assert [r["criterion"] for r in data["results"]] == [1, 2, 3, 5]
+
+
+def test_theorems_fine_grid_is_refused_before_it_is_built(capsys, monkeypatch):
+    monkeypatch.delenv("CONDLAB_MAX_PROFILES", raising=False)
+    started = time.perf_counter()
+    code, data = run_json(capsys, ["theorems", "--which", "1", "--grid-step", "1/1000"])
+    assert time.perf_counter() - started < 1
+    assert code == 2 and data["kind"] == "cap-exceeded"
+    assert "167668501" in data["error"]
 
 
 def test_theorems_refuses_two_alternatives(capsys):

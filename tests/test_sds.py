@@ -21,6 +21,7 @@ from condlab.sds import (
     RandomDictatorship,
     SignedMixture,
     TableMissError,
+    SDS,
     TableSDS,
     TieBreakingCondorcetRule,
     parse_sds,
@@ -279,3 +280,26 @@ def test_parse_table_file_round_trip(tmp_path):
     table = parse_sds(f"table:{path}", 3, 3)
     assert isinstance(table, TableSDS)
     assert table.evaluate(member) == Lottery([F(1, 2), F(1, 2), F(0)])
+
+
+def test_parse_table_file_refuses_a_profile_named_twice():
+    member = prof("a>b>c\nb>c>a\nc>a>b")
+    text = member.to_text() + '\n{"a": "1"}\n' + member.to_text() + '\n{"b": "1"}\n'
+    with pytest.raises(ValueError) as caught:
+        parse_table_file(text, 3, 3)
+    assert member.to_text() in str(caught.value)
+
+
+def test_mixture_evaluates_every_part_through_evaluate(monkeypatch):
+    seen = []
+    evaluate = SDS.evaluate
+
+    def traced(self, profile):
+        seen.append(self.describe())
+        return evaluate(self, profile)
+
+    monkeypatch.setattr(SDS, "evaluate", traced)
+    # the first part shares the mixture's domain, the second is defined everywhere
+    blend = Mixture([(F(1, 2), CondorcetRule(3, 3)), (F(1, 2), Dictatorship(0, 3, 3))])
+    blend.evaluate(prof("a>b>c\na>b>c\nb>a>c"))
+    assert seen == [blend.describe(), "cond", "dict:0"]

@@ -1,0 +1,53 @@
+from fractions import Fraction
+
+import pytest
+
+from condlab.analysis import MixtureCoefficients
+from condlab.core import CapExceededError, capped_enumeration
+from condlab.sds import Dictatorship, RandomDictatorship
+from condlab.theorems import coefficient_grid, pattern_is_group_violation
+
+F = Fraction
+
+
+def recursive_grid(n, step):
+    """The grid as a recursion over the entries, first entry slowest."""
+    levels = int(1 / step)
+    out = []
+
+    def fill(prefix, remaining, slots):
+        if slots == 1:
+            weights = [step * u for u in prefix + [remaining]]
+            out.append(MixtureCoefficients(weights[0], tuple(weights[1:])))
+            return
+        for units in range(remaining + 1):
+            fill(prefix + [units], remaining - units, slots - 1)
+
+    fill([], levels, n + 1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [F(1), F(1, 2), F(1, 3), F(1, 4)], ids=str)
+def test_grid_matches_the_recursion(n, step):
+    assert coefficient_grid(n, step) == recursive_grid(n, step)
+
+
+def test_grid_is_bounded_by_the_enumeration_cap():
+    with capped_enumeration(35):
+        assert len(coefficient_grid(3, F(1, 4))) == 35
+    with capped_enumeration(34), pytest.raises(CapExceededError, match="35 points, cap is 34"):
+        coefficient_grid(3, F(1, 4))
+
+
+def test_grid_rejects_steps_that_do_not_divide_one():
+    for step in (F(0), F(-1, 4), F(2, 5)):
+        with pytest.raises(ValueError):
+            coefficient_grid(3, step)
+
+
+def test_proof_pattern_replays_as_a_group_manipulation():
+    blend = RandomDictatorship([F(1, 2), F(1, 4), F(1, 4)], 3)
+    assert pattern_is_group_violation(blend, 0, 3)
+    # the lone voter's dictatorship keeps its favorite when truthful
+    assert not pattern_is_group_violation(Dictatorship(0, 3, 3), 0, 3)
