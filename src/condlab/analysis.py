@@ -314,27 +314,35 @@ def extension_feasibility(
     """Can lotteries be chosen at the extra profiles so that the base scheme,
     so extended, is strategyproof on the extended domain?
 
-    The base scheme must be strategyproof on the base domain, which
-    :func:`check_strategyproof` decides first: a manipulable base is
-    infeasible, and the one conflict names its manipulation. Otherwise the
-    constraints are all stochastic-dominance inequalities between each
-    extra profile and its unilateral neighbors inside the extended domain,
-    in both deviation directions, plus the same inequalities among extras.
     When the base scheme happens to be defined at the extras, its own
     lotteries are tried first, through :func:`verify_extension_witness`, so
-    an unconstrained restriction shows up with its natural witness.
+    an unconstrained restriction shows up with its natural witness. Unless
+    that passes, :func:`check_strategyproof` decides the base: a manipulable
+    base is infeasible, and the one conflict names its manipulation. Either
+    way the base is enumerated once. Otherwise the constraints are all
+    stochastic-dominance inequalities between each extra profile and its
+    unilateral neighbors inside the extended domain, in both deviation
+    directions, plus the same inequalities among extras.
     """
     extras = sorted(set(extras), key=profile_key)
     if not extras:
         raise ValueError("no extra profiles to extend to")
     ExtendedDomain(base, extras)  # validates shapes and disjointness
-    found = check_strategyproof(base_sds, base).witness
-    if found is not None:
-        tag = (
-            f"base scheme is manipulable: voter {found.voter} gains by leaving "
-            f"{found.profile.to_text()!r} (cut at {alternative_name(found.cut)})"
-        )
-        return FeasibilityResult(False, None, (tag,))
+    candidate: Optional[Mapping[Profile, Lottery]] = None
+    try:
+        candidate = {extra: base_sds.evaluate(extra) for extra in extras}
+    except (OutOfDomainError, TableMissError):
+        pass
+    # the extended check covers every base-to-base deviation: a pass proves the base
+    natural = candidate is not None and verify_extension_witness(base_sds, base, extras, candidate)
+    if not natural:
+        found = check_strategyproof(base_sds, base).witness
+        if found is not None:
+            tag = (
+                f"base scheme is manipulable: voter {found.voter} gains by leaving "
+                f"{found.profile.to_text()!r} (cut at {alternative_name(found.cut)})"
+            )
+            return FeasibilityResult(False, None, (tag,))
 
     uncovered: List[int] = []
     if require_non_imposition:
@@ -350,14 +358,8 @@ def extension_feasibility(
                 ),
             )
 
-    candidate: Optional[Mapping[Profile, Lottery]] = None
-    try:
-        candidate = {extra: base_sds.evaluate(extra) for extra in extras}
-    except (OutOfDomainError, TableMissError):
-        pass
-    if candidate is not None and verify_extension_witness(base_sds, base, extras, candidate):
-        if all(any(candidate[e].is_point() == x for e in extras) for x in uncovered):
-            return FeasibilityResult(True, candidate, None)
+    if natural and all(any(candidate[e].is_point() == x for e in extras) for x in uncovered):
+        return FeasibilityResult(True, candidate, None)
 
     rows, num_vars = _extension_rows(base_sds, base, extras)
 

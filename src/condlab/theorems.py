@@ -199,13 +199,13 @@ def matches_proof_pattern(witness: Dict) -> bool:
 
 def pattern_is_group_violation(sds, voter: int, n: int) -> bool:
     """Replay the whole-electorate pattern built around ``voter`` as a group
-    manipulation of ``sds`` on the majority-winner domain: no member weakly
+    manipulation of ``sds`` on the scheme's own domain: no member weakly
     prefers the honest outcome to the jointly misreported one, so nobody
     blocks the deviation."""
     truth, lie = proof_pattern_profile(voter, n)
     witness = {"profile": truth.to_text(), "coalition": list(range(n)), "deviation": lie.to_text()}
     verdict = {"axiom": "group-strategyproof", "witness": witness}
-    return replay_witness(sds, CondorcetDomain(n, 3), verdict)
+    return replay_witness(sds, sds.valid_domain, verdict)
 
 
 # -- criteria -----------------------------------------------------------------

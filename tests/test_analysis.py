@@ -443,3 +443,20 @@ def test_witness_check_builds_no_extension_rows(monkeypatch):
     rd = RandomDictatorship([F(1, 3)] * 3, 3)
     assert verify_extension_witness(rd, base, [cycle], {cycle: Lottery.uniform(3)})
     assert not verify_extension_witness(rd, base, [cycle], {cycle: Lottery.point(0, 3)})
+
+
+def test_natural_witness_scans_the_base_once(monkeypatch):
+    # the extended check of the scheme's own lotteries covers every
+    # base-to-base deviation, so it stands in for the base check
+    domains = []
+
+    def counting(sds, dom):
+        domains.append(dom.describe())
+        return check_strategyproof(sds, dom)
+
+    monkeypatch.setattr(analysis, "check_strategyproof", counting)
+    cycle = majority_cycle_profile(3, 3)
+    rd = RandomDictatorship([F(1, 3)] * 3, 3)
+    res = extension_feasibility(rd, CondorcetDomain(3, 3), [cycle])
+    assert res.feasible and res.witness == {cycle: Lottery.uniform(3)}
+    assert domains == [ExtendedDomain(CondorcetDomain(3, 3), [cycle]).describe()]

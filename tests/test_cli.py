@@ -404,9 +404,10 @@ def test_theorems_battery_one(capsys):
 
 def test_theorems_fine_grid_is_refused_before_it_is_built(capsys, monkeypatch):
     monkeypatch.delenv("CONDLAB_MAX_PROFILES", raising=False)
+    # building the grid would take minutes; the bound is loose for slow hosts
     started = time.perf_counter()
     code, data = run_json(capsys, ["theorems", "--which", "1", "--grid-step", "1/1000"])
-    assert time.perf_counter() - started < 1
+    assert time.perf_counter() - started < 30
     assert code == 2 and data["kind"] == "cap-exceeded"
     assert "167668501" in data["error"]
 
