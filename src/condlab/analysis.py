@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name, profile_key
-from .axioms import Verdict, check_strategyproof
+from .axioms import ManipulationWitness, Verdict, check_strategyproof
 from .domains import Domain, ExtendedDomain, OutOfDomainError
 from .lottery import (
     AffineLottery, Lottery, _cumulative, constant_form, nonnegative_rows, sd_rows,
@@ -25,7 +26,14 @@ from .sds import TableMissError, TableSDS
 
 
 class InfeasibleModelError(ValueError):
-    """The decomposition model has no solution: the scheme is not strategyproof."""
+    """The decomposition model has no solution: the scheme is not strategyproof.
+
+    ``witness``, when known, is the manipulation that makes it so, as
+    :func:`~condlab.axioms.check_strategyproof` would report it."""
+
+    def __init__(self, message: str, witness: Optional[ManipulationWitness] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,34 @@ def verify_mixture(
     return Verdict("mixture-representation", True, None, len(members), comparisons)
 
 
+# Bounded like the comparison cache in ``lottery``: the key is a value, and a
+# strategyproof scheme on a majority domain repeats few of them.
+@lru_cache(maxsize=1 << 14)
+def _deviation_bound(
+    order: Tuple[int, ...], new_top: int, truthful: Tuple[int, ...], deviated: Tuple[int, ...]
+) -> Tuple[Optional[int], Optional[Tuple[int, int]]]:
+    """What one deviation says about its voter's dictatorial weight.
+
+    The voter ranks by ``order`` and moves the top to ``new_top``; the
+    lotteries are integer forms. Returns ``(cut, None)`` when the deviation
+    pays off, ``cut`` being the first cut top-down where the truthful lottery
+    loses; ``(None, None)`` when no cut leaves ``new_top`` out; otherwise
+    ``(None, (num, den))``, the least margin over the cuts above ``new_top``.
+    """
+    cp = _cumulative(order, truthful)
+    cq = _cumulative(order, deviated)
+    den, qd = cp[-1], cq[-1]
+    margins = [a * qd - b * den for a, b in zip(cp, cq)]
+    for slot, margin in enumerate(margins):
+        if margin < 0:
+            return order[slot], None
+    # the cuts above the deviation's top are those leaving it out
+    reach = order.index(new_top)
+    if not reach:
+        return None, None
+    return None, (min(margins[:reach]), den * qd)
+
+
 def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     """Largest total dictatorial weight whose removal leaves a nonnegative,
     strategyproof remainder.
@@ -138,8 +174,13 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     reads ``w_v * [top'_v not in U] <= f(P)(U) - f(P')(U)``: every row is
     one-sparse. The program therefore keeps one bound per voter (the least
     such right-hand side) and one nonnegativity row per set of voters
-    sharing a top. A negative right-hand side means the scheme itself is
-    manipulable, which is reported as an infeasible model.
+    sharing a top. Each deviation's bound is decided once per distinct
+    value of the voter's order, the new top and the two lotteries.
+
+    A negative right-hand side means the scheme itself is manipulable; the
+    scan stops at the first such deviation and raises
+    :class:`InfeasibleModelError` carrying the manipulation that
+    :func:`~condlab.axioms.check_strategyproof` reports on ``dom``.
     """
     members = dom.members()
     n = dom.n
@@ -162,22 +203,20 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
                 shares[key] = (rhs, den)
         for voter in range(n):
             order = profile.relations[voter].order
-            cp = _cumulative(order, lot.numerators)
             for deviation in dom.unilateral_deviations(profile, voter):
                 other = f(deviation)
-                cq = _cumulative(order, other.numerators)
-                qd = other.denominator
-                margins = [a * qd - b * den for a, b in zip(cp, cq)]
-                if min(margins) < 0:
+                cut, bound = _deviation_bound(
+                    order, deviation.relations[voter].order[0], lot.numerators, other.numerators
+                )
+                if cut is not None:
                     raise InfeasibleModelError(
-                        f"scheme is manipulable at {profile!r} by voter {voter}"
+                        f"scheme is manipulable at {profile!r} by voter {voter}",
+                        ManipulationWitness(profile, voter, deviation, cut, lot, other),
                     )
-                # the cuts above the deviation's top are those leaving it out
-                reach = order.index(deviation.relations[voter].order[0])
-                if reach:
-                    low, kept = min(margins[:reach]), bounds[voter]
-                    if kept is None or low * kept[1] < kept[0] * den * qd:
-                        bounds[voter] = (low, den * qd)
+                if bound is not None:
+                    kept = bounds[voter]
+                    if kept is None or bound[0] * kept[1] < kept[0] * bound[1]:
+                        bounds[voter] = bound
 
     if not shares:
         # Only an empty domain has no rows.

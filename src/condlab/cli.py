@@ -184,7 +184,13 @@ def _cmd_gamma(args) -> Tuple[int, Dict]:
     try:
         value = max_dictatorial_weight(sds, dom)
     except InfeasibleModelError as exc:
-        return EXIT_NEGATIVE, {"error": str(exc), "strategyproof": False}
+        # the axiom and witness fields make the report a `check --replay` input
+        return EXIT_NEGATIVE, {
+            "axiom": "strategyproof",
+            "error": str(exc),
+            "strategyproof": False,
+            "witness": exc.witness.to_json_dict(),
+        }
     return EXIT_OK, {"max_dictatorial_weight": str(value)}
 
 

@@ -17,7 +17,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -305,15 +305,14 @@ def majority_margin(profile: Profile, x: int, y: int) -> int:
     return margin
 
 
-def _margin_row(profile: Profile, x: int) -> list:
-    row = [0] * profile.m
-    for rel in profile.relations:
-        px = rel._pos[x]
-        for y, py in enumerate(rel._pos):
-            if y == x:
-                continue
-            row[y] += 1 if px < py else -1
-    return row
+@lru_cache(maxsize=1 << 12)  # one entry per relation order: all of them up to m = 6
+def _pairwise(order: Tuple[int, ...]) -> Tuple[int, ...]:
+    """1 at ``x * m + y`` when ``order`` ranks ``x`` above ``y``, else 0."""
+    m = len(order)
+    pos = [0] * m
+    for slot, x in enumerate(order):
+        pos[x] = slot
+    return tuple(int(px < py) for px in pos for py in pos)
 
 
 # Bounded: scans read membership from the domain's table and lotteries from the
@@ -321,9 +320,14 @@ def _margin_row(profile: Profile, x: int) -> list:
 @lru_cache(maxsize=1 << 14)
 def condorcet_winner(profile: Profile) -> Optional[int]:
     """The alternative beating every other by strict majority, if one exists."""
-    for x in range(profile.m):
-        row = _margin_row(profile, x)
-        if all(row[y] > 0 for y in range(profile.m) if y != x):
+    rels = profile.relations
+    m = len(rels[0].order)
+    # tally[x * m + y] counts the voters ranking x above y; the diagonal is 0
+    tally = list(map(sum, zip(*[_pairwise(rel.order) for rel in rels])))
+    half = len(rels) // 2
+    for x in range(m):
+        # x beats y by strict majority when more than half the voters say so
+        if sum(t > half for t in tally[x * m:(x + 1) * m]) == m - 1:
             return x
     return None
 

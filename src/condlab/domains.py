@@ -156,7 +156,9 @@ class Domain:
             place = radix ** (self.n - 1 - voter)
             steps.append([(r - own) * place for r in range(radix) if r != own])
         table, member_at = self._table, self._member_at
-        for shift in map(sum, itertools.product(*steps)):
+        # one voter's shifts are its own steps: no 1-tuples to build and sum
+        shifts = steps[0] if len(steps) == 1 else map(sum, itertools.product(*steps))
+        for shift in shifts:
             key = code + shift
             candidate = table[key] if key in table else member_at(key)
             if candidate is not None:

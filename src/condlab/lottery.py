@@ -9,6 +9,11 @@ sums and stochastic-dominance comparison all run on those integers;
 tolerances anywhere. A lottery ``p`` stochastically dominates ``q`` under a
 preference order when ``p`` puts at least as much mass on every upper
 contour set (every prefix of the order) as ``q`` does.
+
+:func:`sd_compare` decides each distinct comparison once: its verdict comes
+from a bounded cache keyed by the order and the two integer forms, which
+are plain tuples, so a lookup hashes in C and two equal lotteries share an
+entry however they were built.
 """
 
 from __future__ import annotations
@@ -196,18 +201,29 @@ def _verdict(against_p: Optional[int], against_q: Optional[int]) -> SDVerdict:
 
 
 def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
-    """Stochastic-dominance comparison of ``p`` against ``q`` under ``pref``."""
-    order = pref.order
-    if not (len(order) == len(p.numerators) == len(q.numerators)):
+    """Stochastic-dominance comparison of ``p`` against ``q`` under ``pref``,
+    decided once per distinct value of the order and the two integer forms."""
+    return _sd_verdict(pref.order, p.numerators, q.numerators)
+
+
+# Bounded: a scan over a strategyproof scheme meets few distinct values (the
+# n=5 benchmark domain 4,170 of 169,560), and an all-distinct scan only
+# evicts. An exception is never cached, so a bad call raises every time.
+@lru_cache(maxsize=1 << 14)
+def _sd_verdict(
+    order: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...]
+) -> SDVerdict:
+    if not (len(order) == len(p) == len(q)):
         raise ValueError("mismatched alternative counts")
-    cp = _cumulative(order, p.numerators)
-    cq = _cumulative(order, q.numerators)
+    cp = _cumulative(order, p)
+    cq = _cumulative(order, q)
     if cp == cq:  # the last sums are the denominators, so they agree too
         return _verdict(None, None)
-    if p.denominator != q.denominator:
+    p_den, q_den = cp[-1], cq[-1]
+    if p_den != q_den:
         # cross-multiply so both sides count in the same unit
-        cp = [c * q.denominator for c in cp]
-        cq = [c * p.denominator for c in cq]
+        cp = [c * q_den for c in cp]
+        cq = [c * p_den for c in cq]
     against_p = against_q = None
     # the whole slate carries mass 1 on both sides, so only proper cuts count
     for slot in range(len(order) - 1):

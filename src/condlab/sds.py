@@ -5,7 +5,9 @@ outside it. Mixtures combine schemes with convex weights; signed mixtures
 allow negative weights and are only well defined when every profile still
 receives a proper lottery, which the evaluation checks exactly. A mixture
 evaluates each part through that part's ``SDS.evaluate``, so a part's
-membership test and errors stay its own.
+membership test and errors stay its own; only the combination of the parts'
+lotteries is memoised, by value, in a bounded cache that keeps no failed
+combination.
 
 ``SDS.evaluate`` is the single checked evaluation. ``SDS.at`` memoises it in
 the object's one evaluation cache, which every scan reads, so scans over one
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -171,9 +174,27 @@ class Mixture(SDS):
         name = f"{self.label}:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
         super().__init__(dom, name)
         self.parts = parts
+        self._weights = tuple((w.numerator, w.denominator) for w, _ in parts)
 
     def _lottery(self, profile: Profile) -> Lottery:
-        return affine_combine([(w, part.evaluate(profile)) for w, part in self.parts])
+        return _combine(
+            self._weights, tuple(part.evaluate(profile).numerators for _, part in self.parts)
+        )
+
+
+# Bounded, and keyed by value: the weights as integer pairs and each part's
+# lottery as its integer form. A combination that raises (a signed mixture
+# leaving the simplex) is never cached, so it raises at every profile it meets.
+@lru_cache(maxsize=1 << 14)
+def _combine(
+    weights: Tuple[Tuple[int, int], ...], parts: Tuple[Tuple[int, ...], ...]
+) -> Lottery:
+    return affine_combine(
+        [
+            (Fraction(*w), Lottery.from_integers(nums, sum(nums)))
+            for w, nums in zip(weights, parts)
+        ]
+    )
 
 
 class SignedMixture(Mixture):

@@ -25,14 +25,18 @@ from condlab.domains import (
     TieBreakingCondorcetDomain,
     majority_cycle_profile,
 )
-from condlab.lottery import Lottery
+from condlab import core, lottery, sds
+from condlab.lottery import Lottery, NegativeProbabilityError
 from condlab.sds import (
+    Borda,
     CondorcetRule,
     Dictatorship,
     Mixture,
+    Plurality,
     RandomDictatorship,
     TableSDS,
     TieBreakingCondorcetRule,
+    parse_sds,
     signed_mixture_counterexample,
 )
 from condlab.theorems import perturbed_condorcet_table
@@ -460,3 +464,53 @@ def test_natural_witness_scans_the_base_once(monkeypatch):
     res = extension_feasibility(rd, CondorcetDomain(3, 3), [cycle])
     assert res.feasible and res.witness == {cycle: Lottery.uniform(3)}
     assert domains == [ExtendedDomain(CondorcetDomain(3, 3), [cycle]).describe()]
+
+
+# -- value-keyed memos -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make_sds, domain",
+    [
+        (lambda: Borda(3, 3), CondorcetDomain(3, 3)),
+        (lambda: Plurality(3, 3), FullDomain(3, 3)),
+        (lambda: perturbed_condorcet_table(3, 3), CondorcetDomain(3, 3)),
+        (lambda: Borda(3, 4), CondorcetDomain(3, 4)),
+    ],
+)
+def test_infeasible_model_carries_the_strategyproofness_witness(make_sds, domain):
+    with pytest.raises(InfeasibleModelError) as caught:
+        max_dictatorial_weight(make_sds(), domain)
+    verdict = check_strategyproof(make_sds(), domain)
+    assert not verdict.holds
+    assert caught.value.witness == verdict.witness
+    assert str(caught.value) == (
+        f"scheme is manipulable at {verdict.witness.profile!r} by voter {verdict.witness.voter}"
+    )
+
+
+def test_signed_mixture_raises_again_on_a_second_evaluate():
+    signed = parse_sds("signed:3/2*dict:0+-1/2*dict:1", 2, 3)
+    split = prof("a>b>c\nb>a>c")
+    for _ in range(2):
+        with pytest.raises(NegativeProbabilityError):
+            signed.evaluate(split)
+        with pytest.raises(NegativeProbabilityError):
+            signed.at(split)
+    # a second scheme with the same weights meets the same combination
+    with pytest.raises(NegativeProbabilityError):
+        parse_sds("signed:3/2*dict:0+-1/2*dict:1", 2, 3).evaluate(split)
+    assert signed.evaluate(prof("a>b>c\na>c>b")) == Lottery.point(0, 3)
+
+
+def test_every_value_cache_is_bounded():
+    for cached in (
+        lottery._sd_verdict,
+        analysis._deviation_bound,
+        sds._combine,
+        core._pairwise,
+        core.condorcet_winner,
+        lottery._cumulative,
+    ):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 14

@@ -326,6 +326,19 @@ def test_gamma_rejects_manipulable_scheme(capsys):
     assert data["strategyproof"] is False and data["error"]
 
 
+def test_gamma_witness_replays_as_the_sp_check_witness(capsys, tmp_path):
+    scheme = ["--n", "3", "--domain", "condorcet", "--sds", "borda"]
+    code, gamma = run_json(capsys, ["gamma", *scheme])
+    assert code == 1
+    assert gamma["error"] == "scheme is manipulable at Profile(a>b>c; a>b>c; b>a>c) by voter 2"
+    _, check = run_json(capsys, ["check", *scheme, "--axiom", "sp"])
+    assert gamma["witness"] == check["witness"]
+    report = tmp_path / "gamma.json"
+    report.write_text(json.dumps(gamma), encoding="utf-8")
+    code, data = run_json(capsys, ["check", *scheme, "--replay", str(report)])
+    assert code == 0 and data == {"axiom": "strategyproof", "replayed": True}
+
+
 def test_adpath_command(capsys, tmp_path):
     src = tmp_path / "from.prof"
     dst = tmp_path / "to.prof"

@@ -240,6 +240,27 @@ def test_condorcet_winner_beats_everyone():
             )
 
 
+def frozen_condorcet_winner(profile):
+    """The winner routine as it read before pairwise tallies: one margin row
+    per candidate, rebuilt from every voter's positions."""
+    for x in range(profile.m):
+        row = [0] * profile.m
+        for rel in profile.relations:
+            px = rel.rank(x)
+            for y in range(profile.m):
+                if y != x:
+                    row[y] += 1 if px < rel.rank(y) else -1
+        if all(row[y] > 0 for y in range(profile.m) if y != x):
+            return x
+    return None
+
+
+@pytest.mark.parametrize("n, m", [(n, 3) for n in range(1, 6)] + [(2, 4), (3, 4)])
+def test_condorcet_winner_matches_frozen_routine_exhaustively(n, m):
+    for p in all_profiles(n, m):
+        assert condorcet_winner(p) == frozen_condorcet_winner(p), p
+
+
 # -- tie-breaking -------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,8 @@ from condlab.lottery import (
     Lottery,
     NegativeProbabilityError,
     SDRelation,
+    SDVerdict,
+    _sd_verdict,
     affine_combine,
     constant_form,
     mix,
@@ -303,3 +306,62 @@ def test_integer_form_is_canonical():
         Lottery.from_integers([5, -1, 0], 4)
     with pytest.raises(ValueError, match="sum to 3/4"):
         Lottery.from_integers([1, 2, 0], 4)
+
+
+# -- the comparison memo ----------------------------------------------------------
+
+
+def frozen_sd_compare(pref, p, q):
+    """``sd_compare`` as it read before comparisons were memoised by value."""
+    order = pref.order
+    if not (len(order) == len(p.numerators) == len(q.numerators)):
+        raise ValueError("mismatched alternative counts")
+    cp = tuple(accumulate(p.numerators[x] for x in order))
+    cq = tuple(accumulate(q.numerators[x] for x in order))
+    against_p = against_q = None
+    if cp != cq:
+        if p.denominator != q.denominator:
+            cp = [c * q.denominator for c in cp]
+            cq = [c * p.denominator for c in cq]
+        for slot in range(len(order) - 1):
+            if cp[slot] < cq[slot]:
+                if against_p is None:
+                    against_p = order[slot]
+            elif cp[slot] > cq[slot]:
+                if against_q is None:
+                    against_q = order[slot]
+    if against_p is None:
+        rel = SDRelation.DOMINATES if against_q is not None else SDRelation.EQUIVALENT
+    else:
+        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
+    return SDVerdict(rel, against_p, against_q)
+
+
+@given(order_and_two_lotteries())
+def test_memoised_sd_compare_matches_frozen_body(case):
+    pref, p, q = case
+    assert sd_compare(pref, p, q) == frozen_sd_compare(pref, p, q)
+    # a second call is a cache hit and must say the same
+    assert sd_compare(pref, p, q) == frozen_sd_compare(pref, p, q)
+
+
+def test_equal_lotteries_built_two_ways_share_one_entry():
+    pref = PreferenceRelation((1, 0, 2))
+    built = Lottery([F(1, 2), F(1, 2), F(0)])
+    scaled = Lottery.from_integers([2, 2, 0], 4)
+    q = Lottery.uniform(3)
+    _sd_verdict.cache_clear()
+    first = sd_compare(pref, built, q)
+    second = sd_compare(pref, scaled, q)
+    info = _sd_verdict.cache_info()
+    assert second is first
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_mismatched_lengths_raise_on_every_call():
+    pref = PreferenceRelation((0, 1, 2))
+    three, two = Lottery.uniform(3), Lottery.uniform(2)
+    for p, q in ((three, two), (two, three), (two, two)):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="mismatched alternative counts"):
+                sd_compare(pref, p, q)
