@@ -305,14 +305,35 @@ def majority_margin(profile: Profile, x: int, y: int) -> int:
     return margin
 
 
-@lru_cache(maxsize=1 << 12)  # one entry per relation order: all of them up to m = 6
-def _pairwise(order: Tuple[int, ...]) -> Tuple[int, ...]:
-    """1 at ``x * m + y`` when ``order`` ranks ``x`` above ``y``, else 0."""
+@lru_cache(maxsize=1 << 12)  # one entry per relation order and field width: all up to m = 6
+def _packed(order: Tuple[int, ...], width: int) -> int:
+    """``order``'s pairwise preferences in one integer: field ``x * m + y``,
+    ``width`` bits wide, holds 1 when ``order`` ranks ``x`` above ``y``."""
     m = len(order)
-    pos = [0] * m
-    for slot, x in enumerate(order):
-        pos[x] = slot
-    return tuple(int(px < py) for px in pos for py in pos)
+    return sum(1 << width * (x * m + y) for i, x in enumerate(order) for y in order[i + 1:])
+
+
+# Keyed by value: a tally holds only pairwise counts, so few distinct ones occur.
+@lru_cache(maxsize=1 << 14)
+def _tally_winner(tally: int, n: int, m: int) -> Optional[int]:
+    """The majority winner among ``n`` voters whose tally, in fields
+    ``n.bit_length()`` bits wide, is ``tally``."""
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    half = n // 2
+    for x in range(m):
+        row = tally >> (width * x * m)
+        # x beats y by strict majority when more than half the voters say so
+        if all((row >> (width * y)) & mask > half for y in range(m) if y != x):
+            return x
+    return None
+
+
+def _majority_winner(relations: Tuple[PreferenceRelation, ...]) -> Optional[int]:
+    n = len(relations)
+    # n.bit_length() bits count up to n voters, so no field carries into the next
+    tally = sum([_packed(rel.order, n.bit_length()) for rel in relations])
+    return _tally_winner(tally, n, len(relations[0].order))
 
 
 # Bounded: scans read membership from the domain's table and lotteries from the
@@ -320,16 +341,7 @@ def _pairwise(order: Tuple[int, ...]) -> Tuple[int, ...]:
 @lru_cache(maxsize=1 << 14)
 def condorcet_winner(profile: Profile) -> Optional[int]:
     """The alternative beating every other by strict majority, if one exists."""
-    rels = profile.relations
-    m = len(rels[0].order)
-    # tally[x * m + y] counts the voters ranking x above y; the diagonal is 0
-    tally = list(map(sum, zip(*[_pairwise(rel.order) for rel in rels])))
-    half = len(rels) // 2
-    for x in range(m):
-        # x beats y by strict majority when more than half the voters say so
-        if sum(t > half for t in tally[x * m:(x + 1) * m]) == m - 1:
-            return x
-    return None
+    return _majority_winner(profile.relations)
 
 
 def augment(profile: Profile, tiebreaker: TieBreaker) -> Profile:
@@ -342,7 +354,9 @@ def augment(profile: Profile, tiebreaker: TieBreaker) -> Profile:
 @lru_cache(maxsize=1 << 14)
 def tiebroken_winner(profile: Profile, tiebreaker: TieBreaker) -> Optional[int]:
     """Majority winner after appending the tie-breaking order as a voter."""
-    return condorcet_winner(augment(profile, tiebreaker))
+    if tiebreaker.m != profile.m:
+        raise ValueError("tie-breaker ranks a different slate")
+    return _majority_winner(profile.relations + (tiebreaker,))
 
 
 def swap(profile: Profile, voter: int, x: int, y: int) -> Profile:

@@ -59,6 +59,9 @@ class Domain:
         self._members: Optional[tuple] = None
         # code -> member, or None outside the domain: the only membership record
         self._table: dict = {}
+        # (voter, relation index, slot) -> code shifts, filled by ``_shifts``
+        self._shift_table: dict = {}
+        self._voters = frozenset(range(n))
 
     # -- identity ---------------------------------------------------------
 
@@ -110,13 +113,15 @@ class Domain:
         return member
 
     def contains(self, profile: Profile) -> bool:
+        # the object the table holds at its own code is a member of this shape
+        if self._table.get(profile.code) is profile:
+            return True
         return self._member_at(self._code(profile), profile) is not None
 
     def _member_code(self, profile: Profile, what: str) -> int:
-        code = self._code(profile)
-        if self._member_at(code, profile) is None:
+        if not self.contains(profile):
             raise OutOfDomainError(f"{what} are only defined for domain members")
-        return code
+        return profile.code
 
     def _candidates(self) -> Iterator[Tuple[int, Profile]]:
         """``(code, profile)`` in code order, covering every member."""
@@ -142,22 +147,37 @@ class Domain:
 
     # -- neighborhood structure -------------------------------------------
 
+    def _shifts(self, voter: int, rel: PreferenceRelation, slot: Optional[int] = None):
+        """The code shifts moving ``voter`` off ``rel`` onto every other relation,
+        in relation order; given ``slot``, the one shift that swaps the pair at
+        ``slot`` and ``slot + 1``. Each is built on first use and kept."""
+        key = (voter, rel.index, slot)
+        shifts = self._shift_table.get(key)
+        if shifts is None:
+            radix = factorial(self.m)
+            place = radix ** (self.n - 1 - voter)
+            own = rel.index
+            if slot is None:
+                shifts = tuple([(r - own) * place for r in range(radix) if r != own])
+            else:
+                shifts = (rel.swapped(*rel.order[slot:slot + 2]).index - own) * place
+            self._shift_table[key] = shifts
+        return shifts
+
     def deviations(self, profile: Profile, coalition: Sequence[int]) -> Iterator[Profile]:
         """In-domain profiles where every coalition member reports a different
         relation and everyone else reports the same, in lexicographic product
         order of the members' new relations."""
         code = self._member_code(profile, "deviations")
-        if len(set(coalition)) != len(coalition) or not all(0 <= v < self.n for v in coalition):
+        voters = set(coalition)
+        if len(voters) != len(coalition) or not voters <= self._voters:
             raise ValueError(f"coalition must list distinct voters of 0..{self.n - 1}")
-        radix = factorial(self.m)
-        steps = []
-        for voter in coalition:
-            own = profile.relations[voter].index
-            place = radix ** (self.n - 1 - voter)
-            steps.append([(r - own) * place for r in range(radix) if r != own])
+        rels = profile.relations
+        if len(coalition) == 1:  # one voter's shifts are the walk: no 1-tuples to build and sum
+            shifts = self._shifts(coalition[0], rels[coalition[0]])
+        else:
+            shifts = map(sum, itertools.product(*[self._shifts(v, rels[v]) for v in coalition]))
         table, member_at = self._table, self._member_at
-        # one voter's shifts are its own steps: no 1-tuples to build and sum
-        shifts = steps[0] if len(steps) == 1 else map(sum, itertools.product(*steps))
         for shift in shifts:
             key = code + shift
             candidate = table[key] if key in table else member_at(key)
@@ -177,17 +197,13 @@ class Domain:
         in the voter's order; voters ascend, then slots top-down.
         """
         code = self._member_code(profile, "neighbors")
-        radix = factorial(self.m)
-        for voter in range(self.n):
-            rel = profile[voter]
-            place = radix ** (self.n - 1 - voter)
+        for voter, rel in enumerate(profile.relations):
             order = rel.order
             for slot in range(self.m - 1):
                 x, y = order[slot], order[slot + 1]
                 if fixed in (x, y):
                     continue
-                shift = (rel.swapped(x, y).index - rel.index) * place
-                candidate = self._member_at(code + shift)
+                candidate = self._member_at(code + self._shifts(voter, rel, slot))
                 if candidate is not None:
                     yield voter, x, y, candidate
 

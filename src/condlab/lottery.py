@@ -78,6 +78,7 @@ class Lottery:
         self._hash = hash(self.numerators)
 
     @classmethod
+    @lru_cache(maxsize=1 << 10)  # interned: the same object for every call with (x, m)
     def point(cls, x: int, m: int) -> "Lottery":
         return cls.from_integers([int(y == x) for y in range(m)], 1)
 

@@ -106,16 +106,22 @@ class RandomDictatorship(SDS):
             "rd:" + ",".join(str(w) for w in weights),
         )
         self.weights = weights
-        self._denominator = lcm(*(w.denominator for w in weights))
-        self._numerators = tuple(
-            w.numerator * (self._denominator // w.denominator) for w in weights
-        )
+        den = lcm(*(w.denominator for w in weights))
+        self._numerators = tuple(w.numerator * (den // w.denominator) for w in weights)
 
     def _lottery(self, profile: Profile) -> Lottery:
-        acc = [0] * self.m
-        for voter, a in enumerate(self._numerators):
-            acc[profile[voter].top()] += a
-        return Lottery.from_integers(acc, self._denominator)
+        tops = tuple([rel.order[0] for rel in profile.relations])
+        return _dictators_lottery(tops, self._numerators, self.m)
+
+
+# Bounded and keyed by value, like ``_combine``: equal weights share entries.
+@lru_cache(maxsize=1 << 14)
+def _dictators_lottery(tops: Tuple[int, ...], numerators: Tuple[int, ...], m: int) -> Lottery:
+    """Each voter's top wins with probability ``numerators[voter] / sum(numerators)``."""
+    acc = [0] * m
+    for top, a in zip(tops, numerators):
+        acc[top] += a
+    return Lottery.from_integers(acc, sum(numerators))
 
 
 class CondorcetRule(SDS):

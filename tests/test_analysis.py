@@ -508,8 +508,12 @@ def test_every_value_cache_is_bounded():
         lottery._sd_verdict,
         analysis._deviation_bound,
         sds._combine,
-        core._pairwise,
+        sds._dictators_lottery,
+        lottery.Lottery.point,
+        core._packed,
+        core._tally_winner,
         core.condorcet_winner,
+        core.tiebroken_winner,
         lottery._cumulative,
     ):
         maxsize = cached.cache_info().maxsize

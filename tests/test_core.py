@@ -290,6 +290,38 @@ def test_tiebroken_winner_agrees_with_outright_winner():
                 assert tiebroken_winner(p, tb) == w
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_tiebroken_winner_matches_augmented_profile_exhaustively(n):
+    for tb in all_relations(3):
+        for p in all_profiles(n, 3):
+            assert tiebroken_winner(p, tb) == condorcet_winner(augment(p, tb)), (p, tb)
+    with pytest.raises(ValueError):
+        tiebroken_winner(p, PreferenceRelation((0, 1)))
+
+
+def margin_winner(profile):
+    """The majority winner read off :func:`majority_margin`."""
+    others = range(profile.m)
+    for x in others:
+        if all(majority_margin(profile, x, y) > 0 for y in others if y != x):
+            return x
+    return None
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32])
+def test_winner_counts_at_field_boundaries(n):
+    # 2**k voters fill a k-bit count field; the tally must not carry
+    rng = random.Random(n)
+    rels = all_relations(3)
+    tb = rel("c>b>a")
+    profiles = [Profile([r] * n) for r in rels]
+    profiles += [Profile([rels[rng.randrange(6)] for _ in range(n)]) for _ in range(200)]
+    for p in profiles:
+        assert condorcet_winner(p) == margin_winner(p), p
+        assert tiebroken_winner(p, tb) == margin_winner(augment(p, tb)), p
+    assert condorcet_winner(profiles[0]) == 0
+
+
 # -- swaps and Pareto ---------------------------------------------------------
 
 

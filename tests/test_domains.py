@@ -374,6 +374,36 @@ def test_deviations_reject_malformed_coalitions():
             list(dom.deviations(profile, coalition))
 
 
+@pytest.mark.parametrize(
+    "make", NEIGHBOURHOOD_DOMAINS, ids=["condorcet", "condorcet-m4", "tb-condorcet", "extended"]
+)
+def test_unilateral_deviations_match_brute_force(make):
+    dom = make()
+    members = make().members()
+    for profile in members[:: len(members) // 25 + 1]:
+        for voter in range(dom.n):
+            expected = reference_deviations(make(), profile, (voter,))
+            found = list(dom.unilateral_deviations(profile, voter))
+            assert found == expected
+            # an equal profile that is not the member object walks to the same objects
+            copy = Profile.from_text(profile.to_text())
+            assert copy is not profile
+            assert all(a is b for a, b in zip(dom.unilateral_deviations(copy, voter), found))
+    outsider = next(p for p in all_profiles(dom.n, dom.m) if not dom.contains(p))
+    with pytest.raises(OutOfDomainError):
+        list(dom.unilateral_deviations(outsider, 0))
+    # the table holds a member at these codes, but not of this shape
+    member = dom.members()[-1]
+    for n, m in ((dom.n + 1, dom.m), (dom.n, dom.m + 1)):
+        wrong = Profile.from_code(member.code, n, m)
+        assert wrong.code == member.code
+        with pytest.raises(ValueError):
+            list(dom.unilateral_deviations(wrong, 0))
+    for voter in (-1, dom.n):
+        with pytest.raises(ValueError):
+            list(dom.unilateral_deviations(member, voter))
+
+
 def reference_adjacent_swaps(dom, profile, fixed):
     """Every in-domain profile where one voter's order is an adjacent
     transposition of the truthful one, found by comparing with every order."""

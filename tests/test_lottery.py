@@ -365,3 +365,26 @@ def test_mismatched_lengths_raise_on_every_call():
         for _ in range(3):
             with pytest.raises(ValueError, match="mismatched alternative counts"):
                 sd_compare(pref, p, q)
+
+
+# -- interned point lotteries ------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_point_lottery_is_interned_and_equal_to_its_integer_form(m):
+    for x in range(m):
+        point = Lottery.point(x, m)
+        assert point == Lottery.from_integers([int(y == x) for y in range(m)], 1)
+        assert (point.numerators, point.denominator, point.is_point()) == (
+            tuple(int(y == x) for y in range(m)), 1, x
+        )
+        assert Lottery.point(x, m) is point
+
+
+def test_point_lottery_outside_the_slate_raises_on_every_call():
+    size = Lottery.point.cache_info().currsize
+    for x in (-1, 3, None):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="sum to 0"):
+                Lottery.point(x, 3)
+    assert Lottery.point.cache_info().currsize == size

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -57,6 +59,37 @@ def test_random_dictatorship_weights():
         RandomDictatorship([F(1, 2), F(1, 2), F(1, 2)], 3)
     with pytest.raises(ValueError):
         RandomDictatorship([F(3, 2), F(-1, 2)], 3)
+
+
+def frozen_dictators_lottery(weights, profile, m):
+    """``RandomDictatorship``'s lottery as it read before it was interned."""
+    den = lcm(*(w.denominator for w in weights))
+    acc = [0] * m
+    for voter, w in enumerate(weights):
+        acc[profile[voter].top()] += w.numerator * (den // w.denominator)
+    return Lottery.from_integers(acc, den)
+
+
+@pytest.mark.parametrize(
+    "weights, m",
+    [
+        ((F(1, 2), F(1, 3), F(1, 6)), 3),
+        ((F(0), F(1, 4), F(3, 4)), 3),
+        ((F(1, 3), F(2, 3)), 4),
+        ((F(1), F(0)), 4),
+    ],
+)
+def test_random_dictatorship_matches_frozen_loop_for_every_tops(weights, m):
+    first_with_top = {}
+    for r in all_relations(m):
+        first_with_top.setdefault(r.top(), r)
+    rd, twin = RandomDictatorship(weights, m), RandomDictatorship(weights, m)
+    for tops in itertools.product(range(m), repeat=len(weights)):
+        profile = Profile([first_with_top[t] for t in tops])
+        got = rd.evaluate(profile)
+        assert got == frozen_dictators_lottery(weights, profile, m)
+        # equal weights and tops give the one interned lottery
+        assert twin.evaluate(profile) is got
 
 
 def test_condorcet_rule_point_on_winner():
