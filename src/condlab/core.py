@@ -313,14 +313,13 @@ def _packed(order: Tuple[int, ...], width: int) -> int:
     return sum(1 << width * (x * m + y) for i, x in enumerate(order) for y in order[i + 1:])
 
 
-# Keyed by value: a tally holds only pairwise counts, so few distinct ones occur.
+# Keyed by value: at m = 3 a tally has three free counts, so scans repeat a few hundred.
 @lru_cache(maxsize=1 << 14)
 def _tally_winner(tally: int, n: int, m: int) -> Optional[int]:
     """The majority winner among ``n`` voters whose tally, in fields
     ``n.bit_length()`` bits wide, is ``tally``."""
-    width = n.bit_length()
+    width, half = n.bit_length(), n // 2
     mask = (1 << width) - 1
-    half = n // 2
     for x in range(m):
         row = tally >> (width * x * m)
         # x beats y by strict majority when more than half the voters say so

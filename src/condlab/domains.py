@@ -59,7 +59,7 @@ class Domain:
         self._members: Optional[tuple] = None
         # code -> member, or None outside the domain: the only membership record
         self._table: dict = {}
-        # (voter, relation index, slot) -> code shifts, filled by ``_shifts``
+        # (voter, relation index) -> walk shifts; (voter, relation index, slot) -> swap shift
         self._shift_table: dict = {}
         self._voters = frozenset(range(n))
 
@@ -147,22 +147,26 @@ class Domain:
 
     # -- neighborhood structure -------------------------------------------
 
-    def _shifts(self, voter: int, rel: PreferenceRelation, slot: Optional[int] = None):
+    def _shifts(self, voter: int, rel: PreferenceRelation) -> Tuple[int, ...]:
         """The code shifts moving ``voter`` off ``rel`` onto every other relation,
-        in relation order; given ``slot``, the one shift that swaps the pair at
-        ``slot`` and ``slot + 1``. Each is built on first use and kept."""
-        key = (voter, rel.index, slot)
+        in relation order, built on first use and kept."""
+        key = (voter, rel.index)
         shifts = self._shift_table.get(key)
         if shifts is None:
-            radix = factorial(self.m)
-            place = radix ** (self.n - 1 - voter)
-            own = rel.index
-            if slot is None:
-                shifts = tuple([(r - own) * place for r in range(radix) if r != own])
-            else:
-                shifts = (rel.swapped(*rel.order[slot:slot + 2]).index - own) * place
+            own, place = rel.index, factorial(self.m) ** (self.n - 1 - voter)
+            shifts = tuple([(r - own) * place for r in range(factorial(self.m)) if r != own])
             self._shift_table[key] = shifts
         return shifts
+
+    def _swap_shift(self, voter: int, rel: PreferenceRelation, slot: int) -> int:
+        """The code shift swapping ``voter``'s adjacent pair at ``slot``, kept like ``_shifts``."""
+        key = (voter, rel.index, slot)
+        shift = self._shift_table.get(key)
+        if shift is None:
+            place = factorial(self.m) ** (self.n - 1 - voter)
+            shift = (rel.swapped(*rel.order[slot:slot + 2]).index - rel.index) * place
+            self._shift_table[key] = shift
+        return shift
 
     def deviations(self, profile: Profile, coalition: Sequence[int]) -> Iterator[Profile]:
         """In-domain profiles where every coalition member reports a different
@@ -203,7 +207,7 @@ class Domain:
                 x, y = order[slot], order[slot + 1]
                 if fixed in (x, y):
                     continue
-                candidate = self._member_at(code + self._shifts(voter, rel, slot))
+                candidate = self._member_at(code + self._swap_shift(voter, rel, slot))
                 if candidate is not None:
                     yield voter, x, y, candidate
 

@@ -114,7 +114,7 @@ class RandomDictatorship(SDS):
         return _dictators_lottery(tops, self._numerators, self.m)
 
 
-# Bounded and keyed by value, like ``_combine``: equal weights share entries.
+# Bounded and keyed by value, like ``_combine``: at most m ** n tops per weight vector.
 @lru_cache(maxsize=1 << 14)
 def _dictators_lottery(tops: Tuple[int, ...], numerators: Tuple[int, ...], m: int) -> Lottery:
     """Each voter's top wins with probability ``numerators[voter] / sum(numerators)``."""
