@@ -10,17 +10,19 @@ Two engines, both exact:
 
 * :func:`fm_feasible` decides feasibility of ``A x <= b`` (free variables)
   by Fourier-Motzkin elimination, tracking which original constraints were
-  combined into each derived row. Each input row is scaled to integer
-  coefficients and every row is kept divided by the gcd of its
-  coefficients, so derived rows combine in integers and rows with the same
-  direction share one key; only right-hand sides are fractions. Each step
-  eliminates the variable adding the fewest rows (ties: highest index).
-  On infeasibility that provenance
+  combined into each derived row. The elimination creates no ``Fraction``:
+  each input row is scaled to integer coefficients, its right-hand side
+  held as a reduced integer pair ``(num, den)`` with ``den > 0`` and
+  compared by cross-multiplication, and every row is kept divided by the
+  gcd of its coefficients, so rows with the same direction share one key.
+  Each step eliminates the variable adding the fewest rows (ties: highest
+  index). On infeasibility that provenance
   is an audit trail: a nonnegative combination of exactly those constraints
-  is contradictory. On feasibility the point depends on the feasible region
-  alone: in index order, each variable, projected with the earlier values
-  substituted, takes 0 if that fits, else its one finite bound, else the
-  midpoint of its interval.
+  is contradictory. On feasibility the point, the only ``Fraction`` output,
+  depends on the feasible region alone: in index order, each variable,
+  projected (without provenance) with the earlier values substituted, takes
+  0 if that fits, else its one finite bound, else the midpoint of its
+  interval.
 """
 
 from __future__ import annotations
@@ -100,40 +102,48 @@ def simplex_maximize(
 
 
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction):
-    """``coeffs . x <= rhs`` scaled by a positive factor to integer coefficients."""
-    coeffs = [Fraction(c) for c in coeffs]
+    """``coeffs . x <= rhs`` scaled by a positive factor to integer
+    coefficients, as ``(coeffs, num, den)`` with ``num / den`` the reduced
+    right-hand side. Every value must be an ``int`` or a ``Fraction``."""
     scale = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), Fraction(rhs) * scale
-
-
-def _normalize(coeffs: Tuple[int, ...], rhs: Fraction):
-    """The row divided by the gcd of its coefficients: one primitive integer
-    vector per direction, so same-direction rows share a dedup key."""
-    g = gcd(*coeffs)
-    if g > 1:
-        return tuple(c // g for c in coeffs), rhs / g
-    return coeffs, rhs
+    num, den = rhs.numerator * scale, rhs.denominator
+    g = gcd(num, den)
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), num // g, den // g
 
 
 def _dedupe(rows):
+    """One row per direction: coefficients divided by their gcd (which never
+    includes the right-hand side) and the right-hand side by the same number;
+    the least right-hand side wins, the first seen on a tie."""
     best: dict = {}
-    for coeffs, rhs, tags in rows:
-        coeffs, rhs = _normalize(coeffs, rhs)
+    for row in rows:
+        coeffs, num, den, tags = row
+        g = gcd(*coeffs)
+        if g > 1:
+            coeffs, den = tuple(c // g for c in coeffs), den * g
+        r = gcd(num, den)
+        if g > 1 or r > 1:
+            row = (coeffs, num // r, den // r, tags)
         kept = best.get(coeffs)
-        if kept is None or rhs < kept[0]:
-            best[coeffs] = (rhs, tags)
-    return [(coeffs, rhs, tags) for coeffs, (rhs, tags) in best.items()]
+        if kept is None or num * kept[2] < kept[1] * den:
+            best[coeffs] = row
+    return list(best.values())
 
 
 def _eliminate(rows, variables):
     """Project ``rows`` by eliminating ``variables``, each step taking the one
-    with least ``|pos| * |neg| - |pos| - |neg|``, ties to the highest index."""
+    with least ``|pos| * |neg| - |pos| - |neg|``, ties to the highest index.
+    Rows are ``(coeffs, num, den, tags)``; a combined row's tags are the union
+    of its parents' unless they are ``None``."""
     current = _dedupe(rows)
     remaining = set(variables)
-    while remaining:
+    while remaining and current:  # no rows, no columns to count
+        columns = list(zip(*(row[0] for row in current)))
+
         def growth(var):
-            pos = sum(1 for coeffs, _, _ in current if coeffs[var] > 0)
-            neg = sum(1 for coeffs, _, _ in current if coeffs[var] < 0)
+            column = columns[var]
+            pos = sum(c > 0 for c in column)
+            neg = len(column) - column.count(0) - pos
             return pos * neg - pos - neg, -var
 
         var = min(remaining, key=growth)
@@ -142,12 +152,13 @@ def _eliminate(rows, variables):
         for row in current:
             a = row[0][var]
             (pos if a > 0 else neg if a < 0 else combined).append(row)
-        for pc, pr, pt in pos:
+        for pc, pn, pd, pt in pos:
             a = pc[var]
-            for nc, nr, nt in neg:
+            for nc, nn, nd, nt in neg:
                 b = -nc[var]
                 coeffs = tuple(b * p + a * q for p, q in zip(pc, nc))
-                combined.append((coeffs, b * pr + a * nr, pt | nt))
+                num = b * pn * nd + a * nn * pd
+                combined.append((coeffs, num, pd * nd, None if pt is None else pt | nt))
                 if len(combined) > FM_ROW_CAP:
                     raise CapExceededError("Fourier-Motzkin row blow-up")
         current = _dedupe(combined)
@@ -163,21 +174,26 @@ def fm_feasible(
     ``(True, point, None)`` or ``(False, None, conflict_tags)``. A built point
     that fails an input row is an internal fault and raises ``RuntimeError``.
     """
-    scaled = [_integer_row(coeffs, rhs) + (tags,) for coeffs, rhs, tags in rows]
-    for coeffs, rhs, tags in _eliminate(scaled, range(num_vars)):
-        if rhs < 0:
+    if any(len(coeffs) != num_vars for coeffs, _, _ in rows):
+        raise ValueError("row width does not match num_vars")
+    scaled = [_integer_row(coeffs, rhs) for coeffs, rhs, _ in rows]
+    tagged = [row + (tags,) for row, (_, _, tags) in zip(scaled, rows)]
+    for coeffs, num, den, tags in _eliminate(tagged, range(num_vars)):
+        if num < 0:
             return False, None, tags
 
     point = [Fraction(0)] * num_vars
-    current = scaled
+    current = [row + (None,) for row in scaled]
     for var in range(num_vars):
-        lo = hi = None
-        for coeffs, rhs, _ in _eliminate(current, range(var + 1, num_vars)):
+        lo = hi = None  # bounds as (num, den) pairs, den > 0
+        for coeffs, num, den, _ in _eliminate(current, range(var + 1, num_vars)):
             a = coeffs[var]
-            if a > 0 and (hi is None or rhs / a < hi):
-                hi = rhs / a
-            elif a < 0 and (lo is None or rhs / a > lo):
-                lo = rhs / a
+            if a > 0 and (hi is None or num * hi[1] < hi[0] * den * a):
+                hi = (num, den * a)
+            elif a < 0 and (lo is None or num * lo[1] < lo[0] * den * a):
+                lo = (-num, -den * a)
+        lo = None if lo is None else Fraction(*lo)
+        hi = None if hi is None else Fraction(*hi)
         if lo is not None and hi is not None and lo > hi:
             raise RuntimeError(f"Fourier-Motzkin found no value for variable {var}")
         if (lo is None or lo <= 0) and (hi is None or hi >= 0):
@@ -187,11 +203,14 @@ def fm_feasible(
         else:
             value = (lo + hi) / 2
         point[var] = value
-        current = [
-            (coeffs[:var] + (0,) + coeffs[var + 1 :], rhs - coeffs[var] * value, tags)
-            for coeffs, rhs, tags in current
-        ]
+        vn, vd = value.numerator, value.denominator
+        for i, (coeffs, num, den, _) in enumerate(current):
+            c = coeffs[var]
+            if c:
+                num, den = num * vd - c * vn * den, den * vd
+                g = gcd(num, den)
+                current[i] = (coeffs[:var] + (0,) + coeffs[var + 1 :], num // g, den // g, None)
     for coeffs, rhs, _ in rows:
-        if sum(c * x for c, x in zip(coeffs, point)) > rhs:
+        if sum(c * x for c, x in zip(coeffs, point) if c and x) > rhs:
             raise RuntimeError("Fourier-Motzkin point violates an input row")
     return True, point, None

@@ -15,6 +15,7 @@ from condlab.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CYCLE3 = str(GOLDEN / "cycle3.txt")
 SIX_EXTRAS = str(GOLDEN / "six-extras.txt")
+SIX_EXTRAS_BC = str(GOLDEN / "six-extras-bc-swapped.txt")
 NEAR_WINNER_A = str(GOLDEN / "near-winner-a.txt")
 TWO_CYCLES = str(GOLDEN / "two-cycles.txt")
 TB = "tb-condorcet:a>b>c"
@@ -42,6 +43,10 @@ CASES = {
     "extend-cond-cycle": (1, ["extend", "--n", "3", "--base", "condorcet", "--sds", "cond", "--extras", CYCLE3]),
     "extend-cond-six-extras": (
         0, ["extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond", "--extras", SIX_EXTRAS],
+    ),
+    # the same six profiles with b and c swapped: a different elimination order
+    "extend-cond-six-extras-bc-swapped": (
+        0, ["extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond", "--extras", SIX_EXTRAS_BC],
     ),
     "extend-rd-cycle": (
         0, ["extend", "--n", "3", "--base", "condorcet", "--sds", "rd:1/3,1/3,1/3", "--extras", CYCLE3],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 import pytest
@@ -273,7 +274,8 @@ def test_fm_witness_guard_rejects_an_empty_interval(monkeypatch):
         calls.append(variables)
         if len(calls) == 1:
             return eliminate(rows, variables)
-        return _rows(((1,), 0, "x<=0"), ((-1,), -1, "x>=1"))
+        # projected rows are (coeffs, rhs numerator, rhs denominator, tags)
+        return [((1,), 0, 1, None), ((-1,), -1, 1, None)]
 
     monkeypatch.setattr(ratlp, "_eliminate", contradictory)
     with pytest.raises(RuntimeError, match="no value"):
@@ -289,3 +291,139 @@ def test_fm_row_cap_still_applies(monkeypatch):
     )
     with pytest.raises(CapExceededError):
         fm_feasible(rows, 2)
+
+
+def test_fm_rejects_rows_of_the_wrong_width():
+    # x0 + x1 <= -1 read as a one-variable row would be a wrong infeasible verdict
+    with pytest.raises(ValueError, match="row width"):
+        fm_feasible(_rows(((1, 1), -1, "a"), ((-1,), 0, "b")), 1)
+    with pytest.raises(ValueError, match="row width"):
+        fm_feasible(_rows(((1,), 0, "a"), ((-1, 0), 0, "b")), 2)
+
+
+# The Fraction kernel that ``fm_feasible`` ran before it worked in integer
+# pairs, kept as an oracle without its row cap and fault guards: the same
+# elimination order, dedupe rule, point rule and conflict, with every
+# right-hand side a Fraction.
+
+
+def _fraction_integer_row(coeffs, rhs):
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), Fraction(rhs) * scale
+
+
+def _fraction_normalize(coeffs, rhs):
+    g = gcd(*coeffs)
+    if g > 1:
+        return tuple(c // g for c in coeffs), rhs / g
+    return coeffs, rhs
+
+
+def _fraction_dedupe(rows):
+    best: dict = {}
+    for coeffs, rhs, tags in rows:
+        coeffs, rhs = _fraction_normalize(coeffs, rhs)
+        kept = best.get(coeffs)
+        if kept is None or rhs < kept[0]:
+            best[coeffs] = (rhs, tags)
+    return [(coeffs, rhs, tags) for coeffs, (rhs, tags) in best.items()]
+
+
+def _fraction_eliminate(rows, variables):
+    current = _fraction_dedupe(rows)
+    remaining = set(variables)
+    while remaining:
+        def growth(var):
+            pos = sum(1 for coeffs, _, _ in current if coeffs[var] > 0)
+            neg = sum(1 for coeffs, _, _ in current if coeffs[var] < 0)
+            return pos * neg - pos - neg, -var
+
+        var = min(remaining, key=growth)
+        remaining.remove(var)
+        pos, neg, combined = [], [], []
+        for row in current:
+            a = row[0][var]
+            (pos if a > 0 else neg if a < 0 else combined).append(row)
+        for pc, pr, pt in pos:
+            a = pc[var]
+            for nc, nr, nt in neg:
+                b = -nc[var]
+                coeffs = tuple(b * p + a * q for p, q in zip(pc, nc))
+                combined.append((coeffs, b * pr + a * nr, pt | nt))
+        current = _fraction_dedupe(combined)
+    return current
+
+
+def reference_fraction_fm_feasible(rows, num_vars):
+    scaled = [_fraction_integer_row(coeffs, rhs) + (tags,) for coeffs, rhs, tags in rows]
+    for coeffs, rhs, tags in _fraction_eliminate(scaled, range(num_vars)):
+        if rhs < 0:
+            return False, None, tags
+
+    point = [Fraction(0)] * num_vars
+    current = scaled
+    for var in range(num_vars):
+        lo = hi = None
+        for coeffs, rhs, _ in _fraction_eliminate(current, range(var + 1, num_vars)):
+            a = coeffs[var]
+            if a > 0 and (hi is None or rhs / a < hi):
+                hi = rhs / a
+            elif a < 0 and (lo is None or rhs / a > lo):
+                lo = rhs / a
+        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
+            value = Fraction(0)
+        elif lo is None or hi is None:
+            value = lo if hi is None else hi
+        else:
+            value = (lo + hi) / 2
+        point[var] = value
+        current = [
+            (coeffs[:var] + (0,) + coeffs[var + 1 :], rhs - coeffs[var] * value, tags)
+            for coeffs, rhs, tags in current
+        ]
+    return True, point, None
+
+
+mixed = st.builds(F, st.integers(min_value=-6, max_value=6), st.sampled_from((1, 2, 3, 4)))
+
+
+@st.composite
+def exact_systems(draw):
+    """Up to ten rows over up to four free variables with mixed denominators,
+    each tagged with its position. A drawn row may come with its negation (an
+    equality) or with a positive multiple whose right-hand side is scaled
+    alike (a dedupe tie) or shifted; a zero row comes with a second one."""
+    num_vars = draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for coeffs, rhs, kind in draw(
+        st.lists(
+            st.tuples(
+                st.lists(mixed, min_size=num_vars, max_size=num_vars).map(tuple),
+                mixed,
+                st.sampled_from(("plain", "equality", "multiple", "zero")),
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    ):
+        if kind == "zero":
+            coeffs = (F(0),) * num_vars
+            rows.append((coeffs, draw(mixed)))
+        rows.append((coeffs, rhs))
+        if kind == "equality":
+            rows.append((tuple(-c for c in coeffs), -rhs))
+        elif kind == "multiple":
+            k = draw(st.sampled_from((F(1, 3), F(1, 2), F(2), F(5, 2), F(4))))
+            shift = draw(st.sampled_from((F(0), F(0), F(-1), F(1, 2))))
+            rows.append((tuple(k * c for c in coeffs), k * rhs + shift))
+    rows = draw(st.permutations(rows[:10]))
+    return num_vars, [(coeffs, rhs, frozenset({i})) for i, (coeffs, rhs) in enumerate(rows)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(exact_systems())
+def test_fm_feasible_matches_fraction_reference(system):
+    num_vars, rows = system
+    ok, point, conflict = fm_feasible(rows, num_vars)
+    assert (ok, point, conflict) == reference_fraction_fm_feasible(rows, num_vars)
