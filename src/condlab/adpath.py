@@ -22,12 +22,9 @@ from .domains import (
     CondorcetDomain,
     Domain,
     OutOfDomainError,
+    ParityMismatchError,
     TieBreakingCondorcetDomain,
 )
-
-
-class ParityMismatchError(ValueError):
-    """The electorate parity does not fit the requested domain kind."""
 
 
 class PreconditionViolatedError(ValueError):

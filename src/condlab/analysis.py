@@ -10,10 +10,9 @@ extra profiles without breaking strategyproofness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name, profile_key
 from .axioms import ManipulationWitness, Verdict, check_strategyproof
@@ -36,16 +35,20 @@ class InfeasibleModelError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class MixtureCoefficients:
-    """Weights of a (possibly signed) mixture of the majority rule and dictatorships."""
-
+class _MixtureWeights(NamedTuple):
     condorcet_weight: Fraction
     voter_weights: Tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.condorcet_weight + sum(self.voter_weights) != 1:
+
+class MixtureCoefficients(_MixtureWeights):
+    """Weights of a (possibly signed) mixture of the majority rule and dictatorships."""
+
+    __slots__ = ()
+
+    def __new__(cls, condorcet_weight: Fraction, voter_weights: Tuple[Fraction, ...]):
+        if condorcet_weight + sum(voter_weights) != 1:
             raise ValueError("mixture coefficients must sum to 1")
+        return super().__new__(cls, condorcet_weight, voter_weights)
 
     @property
     def nonnegative(self) -> bool:
@@ -65,8 +68,7 @@ class MixtureCoefficients:
         )
 
 
-@dataclass(frozen=True)
-class MixtureMismatchWitness:
+class MixtureMismatchWitness(NamedTuple):
     profile: Profile
     alternative: int
     actual: Fraction
@@ -233,8 +235,7 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
 # -- extension feasibility -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     witness: Optional[Dict[Profile, Lottery]]
     conflict: Optional[Tuple[str, ...]]

@@ -25,17 +25,15 @@ The checkers implement, for a scheme f on domain D:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .core import Profile, alternative_index, alternative_name, pareto_dominates, swap
 from .domains import Domain, FullDomain
 from .lottery import Lottery, sd_compare
 
 
-@dataclass(frozen=True)
-class ManipulationWitness:
+class ManipulationWitness(NamedTuple):
     profile: Profile
     voter: int
     deviation: Profile
@@ -54,8 +52,7 @@ class ManipulationWitness:
         }
 
 
-@dataclass(frozen=True)
-class GroupManipulationWitness:
+class GroupManipulationWitness(NamedTuple):
     profile: Profile
     coalition: Tuple[int, ...]
     deviation: Profile
@@ -70,16 +67,14 @@ class GroupManipulationWitness:
         }
 
 
-@dataclass(frozen=True)
-class ImpositionWitness:
+class ImpositionWitness(NamedTuple):
     alternative: int
 
     def to_json_dict(self) -> dict:
         return {"alternative": alternative_name(self.alternative)}
 
 
-@dataclass(frozen=True)
-class ExPostWitness:
+class ExPostWitness(NamedTuple):
     profile: Profile
     dominator: int
     dominated: int
@@ -94,8 +89,7 @@ class ExPostWitness:
         }
 
 
-@dataclass(frozen=True)
-class SwapEffectWitness:
+class SwapEffectWitness(NamedTuple):
     """A single adjacent swap whose effect breaks localizedness or non-perversity."""
 
     profile: Profile
@@ -118,8 +112,7 @@ class SwapEffectWitness:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     axiom: str
     holds: bool
     witness: Optional[object]
@@ -293,8 +286,7 @@ def checker_for(axiom: str):
         raise ValueError(f"unknown axiom {axiom!r}") from None
 
 
-@dataclass(frozen=True)
-class ImplicationReport:
+class ImplicationReport(NamedTuple):
     strategyproof: Verdict
     localized: Verdict
     non_perverse: Verdict

@@ -6,6 +6,8 @@ extension feasibility, and run the check batteries.  Reports go to stdout as
 JSON (default) or indented text.  Exit status: 0 when the result is positive
 (holds, feasible, verified), 1 when a violation or negative result was found,
 2 for usage errors and exceeded caps (enumeration, Fourier-Motzkin rows).
+Each handler imports the modules only its command runs, so a job loads no
+more: ``check`` never loads ``analysis``, ``ratlp``, ``adpath`` or ``theorems``.
 """
 
 from __future__ import annotations
@@ -15,29 +17,15 @@ import json
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .adpath import (
-    ParityMismatchError,
-    build_adpath,
-    build_adpath_fixing,
-    validate_adpath,
-)
-from .analysis import (
-    InfeasibleModelError,
-    extension_feasibility,
-    max_dictatorial_weight,
-    probe_coefficients,
-    verify_mixture,
-)
-from .axioms import checker_for, replay_witness
 from .core import alternative_index, parse_profiles, parse_rational
 from .domains import (
     CapExceededError,
+    ParityMismatchError,
     TieBreakingCondorcetDomain,
     capped_enumeration,
     parse_domain,
 )
 from .sds import CondorcetRule, TieBreakingCondorcetRule, parse_sds
-from .theorems import DEFAULT_TIEBREAKERS, run_battery
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -133,6 +121,8 @@ def _cmd_enumerate(args) -> Tuple[int, Dict]:
 
 
 def _cmd_check(args) -> Tuple[int, Dict]:
+    from .axioms import checker_for, replay_witness
+
     dom, sds = _domain_and_scheme(args.domain, args)
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as handle:
@@ -162,6 +152,8 @@ def _cmd_check(args) -> Tuple[int, Dict]:
 
 
 def _cmd_decompose(args) -> Tuple[int, Dict]:
+    from .analysis import probe_coefficients, verify_mixture
+
     dom, sds = _domain_and_scheme(args.domain, args)
     anchor = _parse_alternative(args.anchor) if args.anchor is not None else 0
     coeffs = probe_coefficients(sds, anchor)
@@ -180,6 +172,8 @@ def _cmd_decompose(args) -> Tuple[int, Dict]:
 
 
 def _cmd_gamma(args) -> Tuple[int, Dict]:
+    from .analysis import InfeasibleModelError, max_dictatorial_weight
+
     dom, sds = _domain_and_scheme(args.domain, args)
     try:
         value = max_dictatorial_weight(sds, dom)
@@ -195,6 +189,8 @@ def _cmd_gamma(args) -> Tuple[int, Dict]:
 
 
 def _cmd_adpath(args) -> Tuple[int, Dict]:
+    from .adpath import build_adpath, build_adpath_fixing, validate_adpath
+
     dom = parse_domain(args.domain, args.n, args.m)
     start = _single_profile(args.from_file)
     goal = _single_profile(args.to_file)
@@ -214,6 +210,8 @@ def _cmd_adpath(args) -> Tuple[int, Dict]:
 
 
 def _cmd_extend(args) -> Tuple[int, Dict]:
+    from .analysis import extension_feasibility
+
     base, sds = _domain_and_scheme(args.base, args)
     extras = _load_profiles(args.extras)
     result = extension_feasibility(
@@ -223,6 +221,8 @@ def _cmd_extend(args) -> Tuple[int, Dict]:
 
 
 def _cmd_theorems(args) -> Tuple[int, Dict]:
+    from .theorems import DEFAULT_TIEBREAKERS, run_battery
+
     tiebreakers = tuple(args.tiebreak) if args.tiebreak else DEFAULT_TIEBREAKERS
     results = run_battery(
         args.which,

@@ -48,6 +48,10 @@ class OutOfDomainError(ValueError):
     """A profile outside the relevant domain was passed where a member is required."""
 
 
+class ParityMismatchError(ValueError):
+    """The electorate parity does not fit the requested domain kind."""
+
+
 class Domain:
     kind = "abstract"
 

@@ -19,12 +19,11 @@ entry however they were built.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, alternative_index, alternative_name, parse_rational
 
@@ -165,8 +164,7 @@ class SDRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class SDVerdict:
+class SDVerdict(NamedTuple):
     """Outcome of comparing lotteries p and q under one preference order.
 
     ``against_p`` is the first alternative (scanning the order top-down) whose

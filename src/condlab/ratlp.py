@@ -20,9 +20,11 @@ Two engines, both exact:
   is an audit trail: a nonnegative combination of exactly those constraints
   is contradictory. On feasibility the point, the only ``Fraction`` output,
   depends on the feasible region alone: in index order, each variable,
-  projected (without provenance) with the earlier values substituted, takes
-  0 if that fits, else its one finite bound, else the midpoint of its
-  interval.
+  with the earlier values substituted, takes 0 if that fits, else its one
+  finite bound, else the midpoint of its interval. Whether 0 fits is one
+  feasibility elimination of the later variables with 0 substituted too;
+  only when it does not is the variable projected (without provenance) to
+  find its interval.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def _eliminate(rows, variables):
     """Project ``rows`` by eliminating ``variables``, each step taking the one
     with least ``|pos| * |neg| - |pos| - |neg|``, ties to the highest index.
     Rows are ``(coeffs, num, den, tags)``; a combined row's tags are the union
-    of its parents' unless they are ``None``."""
+    of its parents' unless they are ``None``. A step that would make more than
+    ``FM_ROW_CAP`` rows raises ``CapExceededError`` before building any."""
     current = _dedupe(rows)
     remaining = set(variables)
     while remaining and current:  # no rows, no columns to count
@@ -152,6 +155,8 @@ def _eliminate(rows, variables):
         for row in current:
             a = row[0][var]
             (pos if a > 0 else neg if a < 0 else combined).append(row)
+        if len(combined) + len(pos) * len(neg) > FM_ROW_CAP:
+            raise CapExceededError("Fourier-Motzkin row blow-up")
         for pc, pn, pd, pt in pos:
             a = pc[var]
             for nc, nn, nd, nt in neg:
@@ -159,10 +164,23 @@ def _eliminate(rows, variables):
                 coeffs = tuple(b * p + a * q for p, q in zip(pc, nc))
                 num = b * pn * nd + a * nn * pd
                 combined.append((coeffs, num, pd * nd, None if pt is None else pt | nt))
-                if len(combined) > FM_ROW_CAP:
-                    raise CapExceededError("Fourier-Motzkin row blow-up")
         current = _dedupe(combined)
     return current
+
+
+def _substitute(rows, var, value: Fraction):
+    """``rows`` with ``x[var] = value`` moved into the right-hand sides."""
+    vn, vd = value.numerator, value.denominator
+    out = []
+    for row in rows:
+        coeffs, num, den, _ = row
+        c = coeffs[var]
+        if c:
+            num, den = num * vd - c * vn * den, den * vd
+            g = gcd(num, den)
+            row = (coeffs[:var] + (0,) + coeffs[var + 1 :], num // g, den // g, None)
+        out.append(row)
+    return out
 
 
 def fm_feasible(
@@ -185,8 +203,13 @@ def fm_feasible(
     point = [Fraction(0)] * num_vars
     current = [row + (None,) for row in scaled]
     for var in range(num_vars):
+        later = range(var + 1, num_vars)
+        zeroed = _substitute(current, var, Fraction(0))
+        if all(num >= 0 for _, num, _, _ in _eliminate(zeroed, later)):
+            current = zeroed  # x[var] = 0 fits: the point already holds it
+            continue
         lo = hi = None  # bounds as (num, den) pairs, den > 0
-        for coeffs, num, den, _ in _eliminate(current, range(var + 1, num_vars)):
+        for coeffs, num, den, _ in _eliminate(current, later):
             a = coeffs[var]
             if a > 0 and (hi is None or num * hi[1] < hi[0] * den * a):
                 hi = (num, den * a)
@@ -203,13 +226,7 @@ def fm_feasible(
         else:
             value = (lo + hi) / 2
         point[var] = value
-        vn, vd = value.numerator, value.denominator
-        for i, (coeffs, num, den, _) in enumerate(current):
-            c = coeffs[var]
-            if c:
-                num, den = num * vd - c * vn * den, den * vd
-                g = gcd(num, den)
-                current[i] = (coeffs[:var] + (0,) + coeffs[var + 1 :], num // g, den // g, None)
+        current = _substitute(current, var, value)
     for coeffs, rhs, _ in rows:
         if sum(c * x for c, x in zip(coeffs, point) if c and x) > rhs:
             raise RuntimeError("Fourier-Motzkin point violates an input row")

@@ -5,7 +5,9 @@ and rebinds module-level ``sd_compare`` and ``condorcet_winner`` names, then
 compares the counts it sees with exact values. A scan that walks neighbours
 another way, aliases ``sd_compare`` or drops the functools caches would
 make a traced benchmark run report wrong counts; this test catches that
-without running the benchmark.
+without running the benchmark. The tracer rebinds names only in the modules
+loaded when it installs, so a CLI handler that imports its layer late must
+still reach the rebound function.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from condlab.core import all_relations
-from condlab.domains import CondorcetDomain
+from condlab.domains import CondorcetDomain, CondorcetForDomain, FullDomain
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEME = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
@@ -59,3 +61,19 @@ def test_traced_counts_match_the_scan(tmp_path, command):
     assert layers["domains.deviations"]["yielded"] == brute_force_triples(dom)
     for cache in ("core.winner", "lottery.cumulative"):
         assert set(trace["caches"][cache]) == {"hits", "misses", "size"}
+
+
+def test_traced_extend_reaches_one_solve(tmp_path):
+    # job (i) of the extend-fm workload: the first six canonical profiles
+    # outside condorcet-for:a at n=3
+    base = CondorcetForDomain(0, 3, 3)
+    extras = [p for p in FullDomain(3, 3).members() if not base.contains(p)][:6]
+    path = tmp_path / "extras.prof"
+    path.write_text("\n\n".join(p.to_text() for p in extras) + "\n")
+    result, trace = traced(
+        tmp_path, "extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond",
+        "--extras", str(path),
+    )
+    assert result["feasible"] is True
+    assert trace["layers"]["ratlp.fm"]["calls"] == 1
+    assert trace["layers"]["analysis.extension"]["calls"] == 1

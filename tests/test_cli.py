@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -493,3 +496,55 @@ def test_reports_are_byte_identical(capsys):
     code_two, out_two = run(capsys, argv)
     assert code_one == code_two == 0
     assert out_one == out_two
+
+
+def fresh_python(tmp_path, script, *argv):
+    """Run ``script`` in a fresh interpreter; its stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return run.stdout, run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, also_absent",
+    [
+        (["check", "--domain", "condorcet", "--sds", "cond"], {"condlab.analysis", "condlab.ratlp"}),
+        (["gamma", "--domain", "condorcet", "--sds", "cond"], set()),
+        (["extend", "--base", "condorcet-for:a", "--sds", "cond", "--extras", "x.prof"], set()),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, also_absent):
+    (tmp_path / "x.prof").write_text("a>b>c\nb>c>a\nc>a>b\n")
+    script = (
+        "import sys\n"
+        "from condlab.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "sys.stderr.write('\\n'.join(sys.modules))\n"
+    )
+    report, modules = fresh_python(tmp_path, script, *argv, "--n", "3")
+    assert json.loads(report), modules
+    loaded = set(modules.splitlines())
+    assert "condlab.cli" in loaded
+    assert not loaded & ({"condlab.theorems", "condlab.adpath", "dataclasses"} | also_absent)
+
+
+def test_package_names_resolve_on_first_access(tmp_path):
+    script = (
+        "import json, sys, condlab\n"
+        "listed = set(condlab.__all__) <= set(dir(condlab))\n"
+        "print(json.dumps([listed, [m for m in sys.modules if m.startswith('condlab.')]]))\n"
+    )
+    out, err = fresh_python(tmp_path, script)
+    assert json.loads(out) == [True, []], err
+
+    import condlab
+    from condlab import adpath, domains
+
+    for name in condlab.__all__:
+        getattr(condlab, name)
+    with pytest.raises(AttributeError):
+        condlab.no_such_name
+    assert condlab.ParityMismatchError is adpath.ParityMismatchError is domains.ParityMismatchError

@@ -282,6 +282,29 @@ def test_fm_witness_guard_rejects_an_empty_interval(monkeypatch):
         fm_feasible(_rows(((1,), 5, "x<=5")), 1)
 
 
+def test_fm_point_settles_zero_first_and_projects_only_when_it_fails(monkeypatch):
+    # x0 in [1, 3] takes the midpoint; then x1 >= x0 + 1 has one bound, 3;
+    # x2 in [-5, 0] takes 0, which the zero test settles without projecting.
+    eliminate = ratlp._eliminate
+    calls = []
+
+    def counted(rows, variables):
+        calls.append(tuple(variables))
+        return eliminate(rows, variables)
+
+    monkeypatch.setattr(ratlp, "_eliminate", counted)
+    ok, point, _ = fm_feasible(
+        _rows(
+            ((1, 0, 0), 3, "x0<=3"), ((-1, 0, 0), -1, "x0>=1"), ((1, -1, 0), -1, "x1>=x0+1"),
+            ((0, 0, 1), 0, "x2<=0"), ((0, 0, -1), 5, "x2>=-5"),
+        ),
+        3,
+    )
+    assert ok and point == [F(2), F(3), F(0)]
+    # the verdict, then per variable the zero test and, where 0 fails, the projection
+    assert calls == [(0, 1, 2), (1, 2), (1, 2), (2,), (2,), ()]
+
+
 def test_fm_row_cap_still_applies(monkeypatch):
     monkeypatch.setattr(ratlp, "FM_ROW_CAP", 3)
     # x[0] has three upper and two lower bounds: six combined rows.
@@ -289,6 +312,19 @@ def test_fm_row_cap_still_applies(monkeypatch):
         ((1, 1), 1, 0), ((1, 2), 1, 1), ((1, 3), 1, 2), ((-1, 1), 1, 3), ((-1, 2), 1, 4),
         ((0, 1), 1, 5), ((0, -1), 1, 6), ((0, -2), 1, 7), ((0, -3), 1, 8),
     )
+    with pytest.raises(CapExceededError):
+        fm_feasible(rows, 2)
+
+
+def test_fm_row_cap_bounds_the_rows_one_step_makes(monkeypatch):
+    # Both variables grow by 0; x1 goes first and makes the zero row plus
+    # 2 * 2 combinations. No later elimination makes more.
+    rows = _rows(
+        ((1, 1), 1, 0), ((1, -1), 1, 1), ((-1, 1), 1, 2), ((-1, -1), 1, 3), ((0, 0), 5, 4),
+    )
+    monkeypatch.setattr(ratlp, "FM_ROW_CAP", 5)
+    assert fm_feasible(rows, 2)[0]
+    monkeypatch.setattr(ratlp, "FM_ROW_CAP", 4)
     with pytest.raises(CapExceededError):
         fm_feasible(rows, 2)
 
