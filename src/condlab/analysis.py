@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .core import PreferenceRelation, Profile, alternative_name, profile_key
+from .core import PreferenceRelation, Profile, alternative_name
 from .axioms import ManipulationWitness, Verdict, check_strategyproof
 from .domains import Domain, ExtendedDomain, OutOfDomainError
 from .lottery import (
-    AffineLottery, Lottery, _cumulative, constant_form, nonnegative_rows, sd_rows,
+    AffineLottery, Lottery, constant_form, nonnegative_rows, sd_margins, sd_rows,
 )
 from .ratlp import fm_feasible, simplex_maximize
 from .sds import TableMissError, TableSDS
@@ -149,18 +149,15 @@ def _deviation_bound(
     loses; ``(None, None)`` when no cut leaves ``new_top`` out; otherwise
     ``(None, (num, den))``, the least margin over the cuts above ``new_top``.
     """
-    cp = _cumulative(order, truthful)
-    cq = _cumulative(order, deviated)
-    den, qd = cp[-1], cq[-1]
-    margins = [a * qd - b * den for a, b in zip(cp, cq)]
-    for slot, margin in enumerate(margins):
+    margins, den = sd_margins(order, truthful, deviated)
+    for cut, margin in zip(order, margins):
         if margin < 0:
-            return order[slot], None
+            return cut, None
     # the cuts above the deviation's top are those leaving it out
     reach = order.index(new_top)
     if not reach:
         return None, None
-    return None, (min(margins[:reach]), den * qd)
+    return None, (min(margins[:reach]), den)
 
 
 def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
@@ -364,7 +361,7 @@ def extension_feasibility(
     unilateral neighbors inside the extended domain, in both deviation
     directions, plus the same inequalities among extras.
     """
-    extras = sorted(set(extras), key=profile_key)
+    extras = sorted(set(extras), key=lambda p: p.code)
     if not extras:
         raise ValueError("no extra profiles to extend to")
     ExtendedDomain(base, extras)  # validates shapes and disjointness

@@ -260,10 +260,6 @@ class Profile:
         return "Profile(" + "; ".join(rel.to_text() for rel in self.relations) + ")"
 
 
-def profile_key(profile: Profile) -> int:
-    return profile.code
-
-
 def parse_profiles(text: str) -> list:
     """Parse a file of profiles: blocks of preference lines separated by blank lines."""
     blocks: list = []
@@ -338,9 +334,14 @@ def _majority_winner(relations: Tuple[PreferenceRelation, ...]) -> Optional[int]
 # Bounded: scans read membership from the domain's table and lotteries from the
 # scheme's evaluation cache, so this cache and the next only spare nearby repeats.
 @lru_cache(maxsize=1 << 14)
-def condorcet_winner(profile: Profile) -> Optional[int]:
-    """The alternative beating every other by strict majority, if one exists."""
-    return _majority_winner(profile.relations)
+def condorcet_winner(profile: Profile, tiebreaker: Optional[TieBreaker] = None) -> Optional[int]:
+    """The alternative beating every other by strict majority, if one exists;
+    with ``tiebreaker``, after that order votes as one extra voter."""
+    if tiebreaker is None:
+        return _majority_winner(profile.relations)
+    if tiebreaker.m != profile.m:
+        raise ValueError("tie-breaker ranks a different slate")
+    return _majority_winner(profile.relations + (tiebreaker,))
 
 
 def augment(profile: Profile, tiebreaker: TieBreaker) -> Profile:
@@ -348,14 +349,6 @@ def augment(profile: Profile, tiebreaker: TieBreaker) -> Profile:
     if tiebreaker.m != profile.m:
         raise ValueError("tie-breaker ranks a different slate")
     return Profile(profile.relations + (tiebreaker,))
-
-
-@lru_cache(maxsize=1 << 14)
-def tiebroken_winner(profile: Profile, tiebreaker: TieBreaker) -> Optional[int]:
-    """Majority winner after appending the tie-breaking order as a voter."""
-    if tiebreaker.m != profile.m:
-        raise ValueError("tie-breaker ranks a different slate")
-    return _majority_winner(profile.relations + (tiebreaker,))
 
 
 def swap(profile: Profile, voter: int, x: int, y: int) -> Profile:

@@ -34,13 +34,10 @@ from .core import (
     alternative_index,
     alternative_name,
     all_profiles,
-    all_relations,
     condorcet_winner,
     enumeration_cap,
     full_profile_count,
     parse_profiles,
-    profile_key,
-    tiebroken_winner,
 )
 
 
@@ -279,14 +276,14 @@ class TieBreakingCondorcetDomain(CondorcetDomain):
         return f"tb-condorcet:{self.tiebreaker.to_text()}"
 
     def majority_winner(self, profile: Profile) -> Optional[int]:
-        return tiebroken_winner(profile, self.tiebreaker)
+        return condorcet_winner(profile, self.tiebreaker)
 
 
 class ExplicitDomain(Domain):
     kind = "explicit"
 
     def __init__(self, profiles: Iterable[Profile]):
-        profiles = sorted(set(profiles), key=profile_key)
+        profiles = sorted(set(profiles), key=lambda p: p.code)
         if not profiles:
             raise ValueError("explicit domain needs at least one profile")
         super().__init__(profiles[0].n, profiles[0].m)
@@ -318,7 +315,7 @@ class ExtendedDomain(Domain):
     kind = "extended"
 
     def __init__(self, base: Domain, extras: Iterable[Profile]):
-        extras = sorted(set(extras), key=profile_key)
+        extras = sorted(set(extras), key=lambda p: p.code)
         super().__init__(base.n, base.m)
         for extra in extras:
             if base.contains(extra):
@@ -428,11 +425,17 @@ def majority_cycle_profile(n: int, m: int = 3) -> Profile:
 
 
 def beyond_unilateral_reach(profile: Profile, base: Domain) -> bool:
-    """True when neither ``profile`` nor any single-voter change of it is in ``base``."""
-    return not any(
-        base.contains(profile.replace(voter, rel))
-        for voter in range(profile.n)
-        for rel in all_relations(profile.m)
+    """True when neither ``profile`` nor any single-voter change of it is in ``base``.
+
+    The changes are read by code from ``base``'s shift table and decided
+    through its member table, like the deviation walk."""
+    code = base._code(profile)
+    if base._member_at(code, profile) is not None:
+        return False
+    return all(
+        base._member_at(code + shift) is None
+        for voter, rel in enumerate(profile.relations)
+        for shift in base._shifts(voter, rel)
     )
 
 

@@ -13,7 +13,9 @@ contour set (every prefix of the order) as ``q`` does.
 :func:`sd_compare` decides each distinct comparison once: its verdict comes
 from a bounded cache keyed by the order and the two integer forms, which
 are plain tuples, so a lookup hashes in C and two equal lotteries share an
-entry however they were built.
+entry however they were built. Every stochastic-dominance decision on
+integer forms walks the cuts through :func:`sd_margins`: the comparison
+here and the dictatorial-weight bound in ``analysis``.
 """
 
 from __future__ import annotations
@@ -205,6 +207,24 @@ def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
     return _sd_verdict(pref.order, p.numerators, q.numerators)
 
 
+def sd_margins(
+    order: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], int]:
+    """``p(U) - q(U)`` at each proper upper contour set ``U`` of ``order``,
+    top-down, and their common denominator.
+
+    ``p`` and ``q`` are integer forms (a lottery's ``numerators``); the
+    margins count in units of the product of the two denominators. The whole
+    slate carries mass 1 on both sides, so it has no margin.
+    """
+    if not (len(order) == len(p) == len(q)):
+        raise ValueError("mismatched alternative counts")
+    cp = _cumulative(order, p)
+    cq = _cumulative(order, q)
+    p_den, q_den = cp[-1], cq[-1]
+    return tuple([a * q_den - b * p_den for a, b in zip(cp[:-1], cq[:-1])]), p_den * q_den
+
+
 # Bounded: a scan over a strategyproof scheme meets few distinct values (the
 # n=5 benchmark domain 4,170 of 169,560), and an all-distinct scan only
 # evicts. An exception is never cached, so a bad call raises every time.
@@ -212,26 +232,9 @@ def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
 def _sd_verdict(
     order: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...]
 ) -> SDVerdict:
-    if not (len(order) == len(p) == len(q)):
-        raise ValueError("mismatched alternative counts")
-    cp = _cumulative(order, p)
-    cq = _cumulative(order, q)
-    if cp == cq:  # the last sums are the denominators, so they agree too
-        return _verdict(None, None)
-    p_den, q_den = cp[-1], cq[-1]
-    if p_den != q_den:
-        # cross-multiply so both sides count in the same unit
-        cp = [c * q_den for c in cp]
-        cq = [c * p_den for c in cq]
-    against_p = against_q = None
-    # the whole slate carries mass 1 on both sides, so only proper cuts count
-    for slot in range(len(order) - 1):
-        if cp[slot] < cq[slot]:
-            if against_p is None:
-                against_p = order[slot]
-        elif cp[slot] > cq[slot]:
-            if against_q is None:
-                against_q = order[slot]
+    margins, _ = sd_margins(order, p, q)
+    against_p = next((x for x, d in zip(order, margins) if d < 0), None)
+    against_q = next((x for x, d in zip(order, margins) if d > 0), None)
     return _verdict(against_p, against_q)
 
 

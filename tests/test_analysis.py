@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from condlab import analysis
 from condlab.analysis import (
@@ -513,8 +516,44 @@ def test_every_value_cache_is_bounded():
         core._packed,
         core._tally_winner,
         core.condorcet_winner,
-        core.tiebroken_winner,
         lottery._cumulative,
     ):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1 << 14
+
+
+def frozen_deviation_bound(order, new_top, truthful, deviated):
+    """``_deviation_bound`` as it read before it took its cuts from ``sd_margins``."""
+    cp = tuple(accumulate(truthful[x] for x in order))
+    cq = tuple(accumulate(deviated[x] for x in order))
+    den, qd = cp[-1], cq[-1]
+    margins = [a * qd - b * den for a, b in zip(cp, cq)]
+    for slot, margin in enumerate(margins):
+        if margin < 0:
+            return order[slot], None
+    reach = order.index(new_top)
+    if not reach:
+        return None, None
+    return None, (min(margins[:reach]), den * qd)
+
+
+@st.composite
+def deviation_cases(draw):
+    """An order on 2..4 alternatives, a new top, and two integer forms over
+    random denominators in 1..30."""
+    m = draw(st.integers(2, 4))
+    order = tuple(draw(st.permutations(range(m))))
+
+    def numerators():
+        den = draw(st.integers(1, 30))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=m - 1, max_size=m - 1)))
+        return Lottery([F(hi - lo, den) for lo, hi in zip([0] + cuts, cuts + [den])]).numerators
+
+    return order, draw(st.integers(0, m - 1)), numerators(), numerators()
+
+
+@given(deviation_cases())
+def test_memoised_deviation_bound_matches_frozen_body(case):
+    assert analysis._deviation_bound(*case) == frozen_deviation_bound(*case)
+    # a second call is a cache hit and must say the same
+    assert analysis._deviation_bound(*case) == frozen_deviation_bound(*case)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from condlab.core import all_relations
-from condlab.domains import CondorcetDomain, CondorcetForDomain, FullDomain
+from condlab.core import PreferenceRelation, all_relations, full_profile_count
+from condlab.domains import CondorcetDomain, CondorcetForDomain, FullDomain, TieBreakingCondorcetDomain
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEME = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
@@ -61,6 +61,20 @@ def test_traced_counts_match_the_scan(tmp_path, command):
     assert layers["domains.deviations"]["yielded"] == brute_force_triples(dom)
     for cache in ("core.winner", "lottery.cumulative"):
         assert set(trace["caches"][cache]) == {"hits", "misses", "size"}
+
+
+def test_traced_tie_breaking_scan_counts_its_winner_calls(tmp_path):
+    # the tie-breaking domain answers through the traced condorcet_winner:
+    # once per enumerated profile, and once more per member for the rule's lottery
+    dom = TieBreakingCondorcetDomain(PreferenceRelation((0, 1, 2)), 4)
+    members = len(dom.members())
+    assert (full_profile_count(4, 3), members) == (1_296, 1_206)
+    result, trace = traced(
+        tmp_path, "check", "--n", "4", "--domain", "tb-condorcet:a>b>c", "--sds", "tb-cond:a>b>c",
+        "--axiom", "sp",
+    )
+    assert result["holds"] is True and result["profiles_checked"] == members
+    assert trace["layers"]["core.winner"]["calls"] == 1_296 + 1_206 == 2_502
 
 
 def test_traced_extend_reaches_one_solve(tmp_path):

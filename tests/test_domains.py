@@ -13,7 +13,6 @@ from condlab.core import (
     all_profiles,
     all_relations,
     condorcet_winner,
-    profile_key,
     swap,
 )
 from condlab.domains import (
@@ -222,6 +221,19 @@ def test_beyond_unilateral_reach_demonstration_n9():
     assert not beyond_unilateral_reach(near, CondorcetDomain(3, 3))
 
 
+def test_beyond_reach_search_pins_the_smallest_even_electorate_at_m3():
+    found = find_profiles_beyond_unilateral_reach(CondorcetDomain(6, 3))
+    assert len(found) == 180
+    assert "|".join(r.to_text() for r in found[0]) == "a>b>c|a>b>c|b>c>a|b>c>a|c>a>b|c>a>b"
+
+
+@pytest.mark.slow
+def test_beyond_reach_search_pins_four_voters_at_m4():
+    found = find_profiles_beyond_unilateral_reach(CondorcetDomain(4, 4))
+    assert len(found) == 144
+    assert "|".join(r.to_text() for r in found[0]) == "a>b>c>d|b>c>d>a|c>d>a>b|d>a>b>c"
+
+
 def test_find_beyond_reach_respects_cap():
     with capped_enumeration(1000), pytest.raises(CapExceededError):
         find_profiles_beyond_unilateral_reach(CondorcetDomain(9, 3))
@@ -269,7 +281,7 @@ def test_extended_domain_membership_and_disjointness():
     dom = ExtendedDomain(base, [cycle])
     assert dom.contains(cycle)
     assert len(dom.members()) == len(base.members()) + 1
-    keys = [profile_key(p) for p in dom.members()]
+    keys = [p.code for p in dom.members()]
     assert keys == sorted(keys)
     with pytest.raises(ValueError):
         ExtendedDomain(base, [prof("a>b>c\na>b>c\na>b>c")])
@@ -445,9 +457,9 @@ def test_neighbour_lookups_yield_member_objects(make, members_first):
         for voter in range(dom.n):
             yielded.extend(dom.unilateral_deviations(profile, voter))
         yielded.extend(neighbour for *_, neighbour in dom.adjacent_swaps(profile))
-    by_code = {profile_key(p): p for p in dom.members()}
+    by_code = {p.code: p for p in dom.members()}
     assert yielded
-    assert all(p is by_code[profile_key(p)] for p in yielded)
+    assert all(p is by_code[p.code] for p in yielded)
 
 
 def test_membership_decided_once_per_profile():

@@ -66,6 +66,10 @@ CASES = {
         ["extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond", "--extras", TWO_CYCLES,
          "--require-non-imposition"],
     ),
+    "check-all-tb-mix": (
+        1, ["check", "--n", "4", "--domain", TB, "--sds", "mix:1/2*tb-cond:a>b>c+1/4*dict:0+1/4*dict:3",
+            "--axiom", "all"],
+    ),
     "decompose-tb-mix": (
         0, ["decompose", "--n", "4", "--domain", TB, "--sds", "mix:1/2*tb-cond:a>b>c+1/4*dict:0+1/4*dict:3"],
     ),

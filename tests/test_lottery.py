@@ -17,6 +17,7 @@ from condlab.lottery import (
     constant_form,
     mix,
     sd_compare,
+    sd_margins,
     sd_rows,
 )
 
@@ -343,6 +344,27 @@ def test_memoised_sd_compare_matches_frozen_body(case):
     assert sd_compare(pref, p, q) == frozen_sd_compare(pref, p, q)
     # a second call is a cache hit and must say the same
     assert sd_compare(pref, p, q) == frozen_sd_compare(pref, p, q)
+
+
+@given(order_and_two_lotteries())
+def test_sd_margins_are_the_sd_row_right_hand_sides(case):
+    # the integer kernel and the row builder walk the same cuts
+    pref, p, q = case
+    margins, den = sd_margins(pref.order, p.numerators, q.numerators)
+    rows = list(sd_rows(pref, constant_form(p), constant_form(q), 0))
+    assert den == p.denominator * q.denominator
+    assert [F(margin, den) for margin in margins] == [rhs for _, _, rhs in rows]
+
+
+def test_sd_margins_over_unequal_denominators():
+    third, half = Lottery([F(1, 3), F(2, 3)]), Lottery([F(1, 2), F(1, 2)])
+    assert sd_margins((0, 1), third.numerators, half.numerators) == ((-1,), 6)
+    assert sd_margins((1, 0), third.numerators, half.numerators) == ((1,), 6)
+    p = Lottery([F(1, 4), F(1, 4), F(1, 2), F(0)])
+    q = Lottery([F(1, 3), F(0), F(1, 3), F(1, 3)])
+    assert sd_margins((3, 2, 1, 0), p.numerators, q.numerators) == ((-4, -2, 1), 12)
+    with pytest.raises(ValueError, match="mismatched alternative counts"):
+        sd_margins((0, 1, 2), third.numerators, half.numerators)
 
 
 def test_equal_lotteries_built_two_ways_share_one_entry():
