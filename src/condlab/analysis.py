@@ -20,7 +20,7 @@ from .domains import Domain, ExtendedDomain, OutOfDomainError
 from .lottery import (
     AffineLottery, Lottery, constant_form, nonnegative_rows, sd_margins, sd_rows,
 )
-from .ratlp import fm_feasible, simplex_maximize
+from .ratlp import fm_feasible, satisfies, simplex_maximize
 from .sds import TableMissError, TableSDS
 
 
@@ -351,15 +351,15 @@ def extension_feasibility(
     """Can lotteries be chosen at the extra profiles so that the base scheme,
     so extended, is strategyproof on the extended domain?
 
-    When the base scheme happens to be defined at the extras, its own
-    lotteries are tried first, through :func:`verify_extension_witness`, so
-    an unconstrained restriction shows up with its natural witness. Unless
-    that passes, :func:`check_strategyproof` decides the base: a manipulable
-    base is infeasible, and the one conflict names its manipulation. Either
-    way the base is enumerated once. Otherwise the constraints are all
-    stochastic-dominance inequalities between each extra profile and its
-    unilateral neighbors inside the extended domain, in both deviation
-    directions, plus the same inequalities among extras.
+    Strategyproofness on the extended domain is strategyproofness on the
+    base plus the stochastic-dominance inequalities, in both deviation
+    directions, between each extra profile and its unilateral neighbors
+    inside the extended domain, extras included. :func:`check_strategyproof`
+    decides the base, once: a manipulable base is infeasible, and the one
+    conflict names its manipulation. The inequalities are the model's rows,
+    so when the base scheme happens to be defined at the extras and its own
+    lotteries satisfy every row, those are the witness; otherwise
+    Fourier-Motzkin elimination solves the rows.
     """
     extras = sorted(set(extras), key=lambda p: p.code)
     if not extras:
@@ -370,16 +370,13 @@ def extension_feasibility(
         candidate = {extra: base_sds.evaluate(extra) for extra in extras}
     except (OutOfDomainError, TableMissError):
         pass
-    # the extended check covers every base-to-base deviation: a pass proves the base
-    natural = candidate is not None and verify_extension_witness(base_sds, base, extras, candidate)
-    if not natural:
-        found = check_strategyproof(base_sds, base).witness
-        if found is not None:
-            tag = (
-                f"base scheme is manipulable: voter {found.voter} gains by leaving "
-                f"{found.profile.to_text()!r} (cut at {alternative_name(found.cut)})"
-            )
-            return FeasibilityResult(False, None, (tag,))
+    found = check_strategyproof(base_sds, base).witness
+    if found is not None:
+        tag = (
+            f"base scheme is manipulable: voter {found.voter} gains by leaving "
+            f"{found.profile.to_text()!r} (cut at {alternative_name(found.cut)})"
+        )
+        return FeasibilityResult(False, None, (tag,))
 
     uncovered: List[int] = []
     if require_non_imposition:
@@ -395,10 +392,13 @@ def extension_feasibility(
                 ),
             )
 
-    if natural and all(any(candidate[e].is_point() == x for e in extras) for x in uncovered):
-        return FeasibilityResult(True, candidate, None)
-
     rows, num_vars = _extension_rows(base_sds, base, extras)
+    if (
+        candidate is not None
+        and all(any(candidate[e].is_point() == x for e in extras) for x in uncovered)
+        and satisfies(rows, [p for e in extras for p in candidate[e].probs[:-1]])
+    ):
+        return FeasibilityResult(True, candidate, None)
 
     # There is at least one pinning: with nothing uncovered, the one empty
     # pinning is the unpinned solve, and a failure keeps the last conflict.

@@ -6,7 +6,8 @@ here are the full domain, the domain of profiles with a majority winner
 electorates, explicit finite sets, and a base domain extended by extra
 profiles. Enumeration is always in canonical order, by ``Profile.code``.
 One member table per domain, shared by enumeration, ``contains`` and the
-neighbour walks, records membership.
+neighbour walks, records membership; explicit and extended domains seed it
+with their own profiles, and an extended domain enumerates its base's members.
 Every enumeration here (members, connectivity, the reach search) is bounded
 by the one cap of :func:`enumeration_cap`; no function takes its own.
 
@@ -22,7 +23,6 @@ import heapq
 import itertools
 from collections import deque
 from math import factorial
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 # The cap lives in core, which also caps the relation table; it is re-exported here.
@@ -291,7 +291,7 @@ class ExplicitDomain(Domain):
             if p.n != self.n or p.m != self.m:
                 raise ValueError("explicit domain mixes profile shapes")
         self.profiles = tuple(profiles)
-        self._explicit_set = frozenset(profiles)
+        self._table.update((p.code, p) for p in profiles)
 
     def _key(self) -> tuple:
         return (self.kind, self.profiles)
@@ -303,10 +303,10 @@ class ExplicitDomain(Domain):
         return len(self.profiles)
 
     def _contains(self, profile: Profile) -> bool:
-        return profile in self._explicit_set
+        return False  # every member is in the table from the start
 
     def _candidates(self) -> Iterator[Tuple[int, Profile]]:
-        return ((self._code(p), p) for p in self.profiles)
+        return ((p.code, p) for p in self.profiles)
 
 
 class ExtendedDomain(Domain):
@@ -324,7 +324,7 @@ class ExtendedDomain(Domain):
                 )
         self.base = base
         self.extras = tuple(extras)
-        self._extra_set = frozenset(extras)
+        self._table.update((p.code, p) for p in extras)
 
     def _key(self) -> tuple:
         return (self.kind, self.base._key(), self.extras)
@@ -336,13 +336,12 @@ class ExtendedDomain(Domain):
         return self.base.size_bound() + len(self.extras)
 
     def _contains(self, profile: Profile) -> bool:
-        return profile in self._extra_set or self.base.contains(profile)
+        return self.base.contains(profile)  # the extras are in the table from the start
 
     def _candidates(self) -> Iterator[Tuple[int, Profile]]:
-        extras = {self._code(p): p for p in self.extras}
-        # a generic base lists the extras too: keep each code once
-        rest = (pair for pair in self.base._candidates() if pair[0] not in extras)
-        return heapq.merge(rest, extras.items(), key=itemgetter(0))
+        # the base's own member objects: the base decides each profile once
+        merged = heapq.merge(self.base.members(), self.extras, key=lambda p: p.code)
+        return ((p.code, p) for p in merged)
 
 
 # -- connectivity -----------------------------------------------------------

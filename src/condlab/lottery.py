@@ -192,15 +192,6 @@ def _cumulative(order: Tuple[int, ...], numerators: Tuple[int, ...]) -> Tuple[in
     return tuple(accumulate(numerators[x] for x in order))
 
 
-@lru_cache(maxsize=None)  # keys are pairs of alternatives: at most (m+1)^2 verdicts
-def _verdict(against_p: Optional[int], against_q: Optional[int]) -> SDVerdict:
-    if against_p is None:
-        rel = SDRelation.DOMINATES if against_q is not None else SDRelation.EQUIVALENT
-    else:
-        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
-    return SDVerdict(rel, against_p, against_q)
-
-
 def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
     """Stochastic-dominance comparison of ``p`` against ``q`` under ``pref``,
     decided once per distinct value of the order and the two integer forms."""
@@ -235,7 +226,11 @@ def _sd_verdict(
     margins, _ = sd_margins(order, p, q)
     against_p = next((x for x, d in zip(order, margins) if d < 0), None)
     against_q = next((x for x, d in zip(order, margins) if d > 0), None)
-    return _verdict(against_p, against_q)
+    if against_p is None:
+        rel = SDRelation.DOMINATES if against_q is not None else SDRelation.EQUIVALENT
+    else:
+        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
+    return SDVerdict(rel, against_p, against_q)
 
 
 # An affine lottery gives each alternative a constant plus integer multiples

@@ -24,7 +24,7 @@ Two engines, both exact:
   finite bound, else the midpoint of its interval. Whether 0 fits is one
   feasibility elimination of the later variables with 0 substituted too;
   only when it does not is the variable projected (without provenance) to
-  find its interval.
+  find its interval. :func:`satisfies` is the one test of a point on rows.
 """
 
 from __future__ import annotations
@@ -227,7 +227,11 @@ def fm_feasible(
             value = (lo + hi) / 2
         point[var] = value
         current = _substitute(current, var, value)
-    for coeffs, rhs, _ in rows:
-        if sum(c * x for c, x in zip(coeffs, point) if c and x) > rhs:
-            raise RuntimeError("Fourier-Motzkin point violates an input row")
+    if not satisfies(rows, point):
+        raise RuntimeError("Fourier-Motzkin point violates an input row")
     return True, point, None
+
+
+def satisfies(rows: Sequence[Tuple[Sequence[Fraction], Fraction, frozenset]], point) -> bool:
+    """Whether ``point`` meets every tagged ``coeffs . x <= rhs`` row."""
+    return all(sum(c * x for c, x in zip(coeffs, point) if c and x) <= rhs for coeffs, rhs, _ in rows)

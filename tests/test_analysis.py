@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import condlab
 from condlab import analysis
 from condlab.analysis import (
     InfeasibleModelError,
@@ -19,16 +22,18 @@ from condlab.analysis import (
     verify_mixture,
 )
 from condlab.axioms import check_strategyproof
+from condlab.cli import build_parser
 from condlab.core import PreferenceRelation, Profile, alternative_name, condorcet_winner, parse_profiles
 from condlab.domains import (
     CondorcetDomain,
     CondorcetForDomain,
     ExtendedDomain,
     FullDomain,
+    OutOfDomainError,
     TieBreakingCondorcetDomain,
     majority_cycle_profile,
+    parse_domain,
 )
-from condlab import core, lottery, sds
 from condlab.lottery import Lottery, NegativeProbabilityError
 from condlab.sds import (
     Borda,
@@ -37,12 +42,13 @@ from condlab.sds import (
     Mixture,
     Plurality,
     RandomDictatorship,
+    TableMissError,
     TableSDS,
     TieBreakingCondorcetRule,
     parse_sds,
     signed_mixture_counterexample,
 )
-from condlab.theorems import perturbed_condorcet_table
+from condlab.theorems import coefficient_grid, mixture_sds, perturbed_condorcet_table
 
 F = Fraction
 
@@ -452,9 +458,8 @@ def test_witness_check_builds_no_extension_rows(monkeypatch):
     assert not verify_extension_witness(rd, base, [cycle], {cycle: Lottery.point(0, 3)})
 
 
-def test_natural_witness_scans_the_base_once(monkeypatch):
-    # the extended check of the scheme's own lotteries covers every
-    # base-to-base deviation, so it stands in for the base check
+def counted_scans(monkeypatch):
+    """The domains that ``analysis`` runs :func:`check_strategyproof` on."""
     domains = []
 
     def counting(sds, dom):
@@ -462,11 +467,90 @@ def test_natural_witness_scans_the_base_once(monkeypatch):
         return check_strategyproof(sds, dom)
 
     monkeypatch.setattr(analysis, "check_strategyproof", counting)
+    return domains
+
+
+def test_natural_witness_scans_the_base_once(monkeypatch):
+    # the base check plus the rows touching the extra accept the scheme's own lottery
+    domains = counted_scans(monkeypatch)
     cycle = majority_cycle_profile(3, 3)
     rd = RandomDictatorship([F(1, 3)] * 3, 3)
     res = extension_feasibility(rd, CondorcetDomain(3, 3), [cycle])
     assert res.feasible and res.witness == {cycle: Lottery.uniform(3)}
-    assert domains == [ExtendedDomain(CondorcetDomain(3, 3), [cycle]).describe()]
+    assert domains == ["condorcet"]
+
+
+def cycle_table(rule):
+    """``rule`` on the majority domain as a table, extended by ``point(a)`` at the cycle."""
+    base = CondorcetDomain(3, 3)
+    cycle = majority_cycle_profile(3, 3)
+    mapping = {profile: rule.evaluate(profile) for profile in base.members()}
+    mapping[cycle] = Lottery.point(0, 3)
+    return TableSDS(mapping, ExtendedDomain(base, [cycle]), "natural-fail")
+
+
+@pytest.mark.parametrize("rule", ["cond", "rd:1/3,1/3,1/3"])
+def test_natural_fail_scans_the_base_once(monkeypatch, rule):
+    # the scheme's own point(a) at the cycle fails a row, so the rows are solved
+    # as for the rule itself, which is undefined (cond) or uniform (rd) there
+    base = CondorcetDomain(3, 3)
+    cycle = majority_cycle_profile(3, 3)
+    expected = extension_feasibility(parse_sds(rule, 3, 3), base, [cycle])
+    assert expected.feasible == (rule != "cond")
+    if expected.feasible:
+        assert expected.witness == {cycle: Lottery.uniform(3)}
+    domains = counted_scans(monkeypatch)
+    assert extension_feasibility(cycle_table(parse_sds(rule, 3, 3)), base, [cycle]) == expected
+    assert domains == ["condorcet"]
+
+
+def test_undefined_base_member_is_named_in_scan_order():
+    # defined at the cycle, missing two base members: the scan meets a voter-0
+    # deviation of the first member before the second member in code order
+    base = CondorcetDomain(3, 3)
+    table = cycle_table(CondorcetRule(3, 3))
+    first, second = base.members()[:2]
+    late = next(p for p in base.unilateral_deviations(first, 0) if p.code > second.code)
+    del table.mapping[second], table.mapping[late]
+    with pytest.raises(TableMissError) as caught:
+        extension_feasibility(table, base, [majority_cycle_profile(3, 3)])
+    assert str(caught.value).endswith(late.to_text())
+
+
+def differential_inputs():
+    """``(scheme, base, extras, flag)``: the golden ``extend`` command lines,
+    the criterion-5 grid onto the n=3 cycle, and the two natural-fail tables."""
+    from test_golden import CASES
+
+    for _, argv in CASES.values():
+        if argv[0] == "extend":
+            args = build_parser().parse_args(argv)
+            extras = parse_profiles(Path(args.extras).read_text(encoding="utf-8"))
+            scheme = parse_sds(args.sds, args.n, args.m)
+            yield scheme, parse_domain(args.base, args.n, args.m), extras, args.require_non_imposition
+    cycle = [majority_cycle_profile(3, 3)]
+    for coeffs in coefficient_grid(3):
+        yield mixture_sds(coeffs, 3, 3), CondorcetDomain(3, 3), cycle, False
+    for rule in (CondorcetRule(3, 3), RandomDictatorship([F(1, 3)] * 3, 3)):
+        yield cycle_table(rule), CondorcetDomain(3, 3), cycle, False
+
+
+def test_own_lotteries_returned_exactly_when_the_witness_check_accepts_them():
+    verdicts = []
+    for scheme, base, extras, flag in differential_inputs():
+        result = extension_feasibility(scheme, base, extras, require_non_imposition=flag)
+        try:
+            own = {extra: scheme.evaluate(extra) for extra in extras}
+        except (OutOfDomainError, TableMissError):
+            continue
+        covered = {scheme.at(p).is_point() for p in (*base.members(), *extras)}
+        accepted = verify_extension_witness(scheme, base, extras, own) and (
+            not flag or covered >= set(range(base.m))
+        )
+        assert (result.witness == own) == accepted
+        verdicts.append(accepted)
+    # rejected: both natural-fail tables, and cond's point(b) at the near-winner extras
+    assert verdicts.count(True) == 17 and verdicts.count(False) == 3
 
 
 # -- value-keyed memos -------------------------------------------------------------
@@ -506,20 +590,28 @@ def test_signed_mixture_raises_again_on_a_second_evaluate():
     assert signed.evaluate(prof("a>b>c\na>c>b")) == Lottery.point(0, 3)
 
 
+def functools_caches():
+    """Every ``functools`` cache in ``condlab``, by qualified name: module
+    functions and the functions, class and static methods in class dicts."""
+    found = {}
+    for info in pkgutil.iter_modules(condlab.__path__):
+        module = importlib.import_module(f"condlab.{info.name}")
+        for value in vars(module).values():
+            inner = vars(value).values() if isinstance(value, type) else ()
+            for obj in (value, *(getattr(v, "__func__", v) for v in inner)):
+                if hasattr(obj, "cache_info"):
+                    found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
 def test_every_value_cache_is_bounded():
-    for cached in (
-        lottery._sd_verdict,
-        analysis._deviation_bound,
-        sds._combine,
-        sds._dictators_lottery,
-        lottery.Lottery.point,
-        core._packed,
-        core._tally_winner,
-        core.condorcet_winner,
-        lottery._cumulative,
-    ):
+    caches = functools_caches()
+    # the relation table is capped by the enumeration cap instead
+    unbounded = "condlab.core.all_relations"
+    assert {unbounded, "condlab.lottery.Lottery.point", "condlab.lottery._sd_verdict"} <= set(caches)
+    for name, cached in caches.items():
         maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 1 << 14
+        assert name == unbounded or (maxsize is not None and 0 < maxsize <= 1 << 14), name
 
 
 def frozen_deviation_bound(order, new_top, truthful, deviated):

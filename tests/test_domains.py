@@ -287,6 +287,48 @@ def test_extended_domain_membership_and_disjointness():
         ExtendedDomain(base, [prof("a>b>c\na>b>c\na>b>c")])
 
 
+EXTENSION_BASES = {
+    "condorcet": lambda: CondorcetDomain(3, 3),
+    "condorcet-for:a": lambda: CondorcetForDomain(0, 3, 3),
+    "tb-condorcet:a>b>c": lambda: TieBreakingCondorcetDomain(rel("a>b>c"), 4),
+    "explicit": lambda: ExplicitDomain(list(all_profiles(3, 3))[::7]),
+    "extended": lambda: ExtendedDomain(CondorcetDomain(3, 3), [majority_cycle_profile(3, 3)]),
+}
+
+
+@pytest.mark.parametrize("make_base", EXTENSION_BASES.values(), ids=EXTENSION_BASES)
+def test_extended_members_are_the_base_members_merged_with_the_extras(make_base):
+    reference = make_base()
+    outside = [p for p in all_profiles(reference.n, reference.m) if not reference.contains(p)]
+    extras = outside[:: len(outside) // 3][:3]
+    base = make_base()
+    base.members()  # enumerated first, as a scan of the base leaves it
+    dom = ExtendedDomain(base, extras)
+    # brute force: every profile of the full space, decided by a fresh base
+    expected = [p.code for p in all_profiles(base.n, base.m) if reference.contains(p) or p in extras]
+    assert [p.code for p in dom.members()] == expected
+    own = {p.code: p for p in (*base.members(), *dom.extras)}
+    assert all(p is own[p.code] for p in dom.members())
+
+
+@pytest.mark.parametrize("members_first", [True, False])
+def test_explicit_and_extended_contains(members_first):
+    cycle = majority_cycle_profile(3, 3)
+    unanimous = prof("a>b>c\na>b>c\na>b>c")
+    for dom in (ExplicitDomain([cycle, unanimous]), ExtendedDomain(CondorcetDomain(3, 3), [cycle])):
+        if members_first:
+            dom.members()
+        for member in (cycle, unanimous):
+            twin = prof(member.to_text())
+            assert twin is not member and dom.contains(member) and dom.contains(twin)
+        assert not dom.contains(prof("a>c>b\nc>b>a\nb>a>c"))  # the other cycle
+        # a base member outside the explicit list
+        assert dom.contains(prof("a>b>c\na>b>c\nb>c>a")) == isinstance(dom, ExtendedDomain)
+        for wrong in (prof("a>b>c\nb>c>a"), prof("a>b>c>d\nb>c>d>a\nc>d>a>b")):
+            with pytest.raises(ValueError):
+                dom.contains(wrong)
+
+
 def test_enumeration_cap_enforced():
     dom = FullDomain(3, 3)
     with capped_enumeration(100), pytest.raises(CapExceededError):

@@ -14,6 +14,7 @@ from condlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CYCLE3 = str(GOLDEN / "cycle3.txt")
+CYCLE5 = str(GOLDEN / "cycle5.txt")
 SIX_EXTRAS = str(GOLDEN / "six-extras.txt")
 SIX_EXTRAS_BC = str(GOLDEN / "six-extras-bc-swapped.txt")
 NEAR_WINNER_A = str(GOLDEN / "near-winner-a.txt")
@@ -50,6 +51,10 @@ CASES = {
     ),
     "extend-rd-cycle": (
         0, ["extend", "--n", "3", "--base", "condorcet", "--sds", "rd:1/3,1/3,1/3", "--extras", CYCLE3],
+    ),
+    # the scheme's own lottery at a size where scan order and code order differ
+    "extend-rd-cycle5": (
+        0, ["extend", "--n", "5", "--base", "condorcet", "--sds", "rd:1/5,1/5,1/5,1/5,1/5", "--extras", CYCLE5],
     ),
     "extend-mix-cycle-non-imposing": (
         1,
