@@ -16,8 +16,7 @@ _EXPORTS = {
         "majority_margin", "parse_profiles", "swap",
     ),
     "lottery": (
-        "Lottery", "NegativeProbabilityError", "SDRelation", "SDVerdict",
-        "affine_combine", "mix", "sd_compare",
+        "Lottery", "NegativeProbabilityError", "affine_combine", "mix", "sd_compare",
     ),
     "domains": (
         "CapExceededError", "CondorcetDomain", "CondorcetForDomain", "Domain",

@@ -250,16 +250,16 @@ class FeasibilityResult(NamedTuple):
         }
 
 
-def _extension_rows(base_sds, base: Domain, extras: Sequence[Profile]):
+def _extension_rows(base_sds, extended: ExtendedDomain):
     """Inequality rows over the reduced extension variables.
 
     Variables are the first ``m - 1`` probabilities of each extra profile's
-    lottery; the last probability is substituted as one minus their sum.
-    Rows are ``coeffs . v <= rhs`` tagged with a readable description.
+    lottery, in ``extended.extras`` order; the last probability is
+    substituted as one minus their sum. Rows are ``coeffs . v <= rhs``
+    tagged with a readable description.
     """
-    n, m = base.n, base.m
-    reduced = m - 1
-    extended = ExtendedDomain(base, extras)
+    n, extras = extended.n, extended.extras
+    reduced = extended.m - 1
     f = base_sds.at
     num_vars = reduced * len(extras)
     forms: Dict[Profile, AffineLottery] = {}
@@ -361,10 +361,10 @@ def extension_feasibility(
     lotteries satisfy every row, those are the witness; otherwise
     Fourier-Motzkin elimination solves the rows.
     """
-    extras = sorted(set(extras), key=lambda p: p.code)
+    extended = ExtendedDomain(base, extras)  # validates shapes and disjointness
+    extras = extended.extras  # distinct, in code order
     if not extras:
         raise ValueError("no extra profiles to extend to")
-    ExtendedDomain(base, extras)  # validates shapes and disjointness
     candidate: Optional[Mapping[Profile, Lottery]] = None
     try:
         candidate = {extra: base_sds.evaluate(extra) for extra in extras}
@@ -392,7 +392,7 @@ def extension_feasibility(
                 ),
             )
 
-    rows, num_vars = _extension_rows(base_sds, base, extras)
+    rows, num_vars = _extension_rows(base_sds, extended)
     if (
         candidate is not None
         and all(any(candidate[e].is_point() == x for e in extras) for x in uncovered)

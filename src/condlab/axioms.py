@@ -139,12 +139,11 @@ def check_strategyproof(sds, dom: Domain) -> Verdict:
         for voter in range(dom.n):
             pref = profile[voter]
             for deviation in dom.unilateral_deviations(profile, voter):
-                verdict = sd_compare(pref, truthful, f(deviation))
+                cut = sd_compare(pref, truthful, f(deviation))
                 comparisons += 1
-                if verdict.against_p is not None:
+                if cut is not None:
                     witness = ManipulationWitness(
-                        profile, voter, deviation, verdict.against_p,
-                        truthful, f(deviation),
+                        profile, voter, deviation, cut, truthful, f(deviation)
                     )
                     return Verdict("strategyproof", False, witness, index + 1, comparisons)
     return Verdict("strategyproof", True, None, len(members), comparisons)
@@ -174,15 +173,13 @@ def check_group_strategyproof(
                 for deviation in dom.deviations(profile, coalition):
                     outcome = f(deviation)
                     cuts = []
-                    content = False
                     for voter in coalition:
-                        verdict = sd_compare(profile[voter], truthful, outcome)
+                        cut = sd_compare(profile[voter], truthful, outcome)
                         comparisons += 1
-                        if verdict.weakly_prefers:
-                            content = True
+                        if cut is None:  # this member weakly prefers the truth
                             break
-                        cuts.append((voter, verdict.against_p))
-                    if not content:
+                        cuts.append((voter, cut))
+                    else:
                         witness = GroupManipulationWitness(
                             profile, coalition, deviation, tuple(cuts)
                         )
@@ -417,6 +414,5 @@ def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
     truthful = sds.evaluate(profile)
     outcome = sds.evaluate(deviation)
     return all(
-        not sd_compare(profile[voter], truthful, outcome).weakly_prefers
-        for voter in coalition
+        sd_compare(profile[voter], truthful, outcome) is not None for voter in coalition
     )

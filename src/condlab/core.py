@@ -212,6 +212,8 @@ class Profile:
         """The profile of ``n`` voters over ``m`` alternatives with ``code``."""
         rels = all_relations(m)
         radix = len(rels)
+        if not 0 <= code < radix ** n:
+            raise ValueError(f"profile code {code} is outside 0..{radix ** n - 1} for n={n}, m={m}")
         return cls([rels[code // radix ** (n - 1 - v) % radix] for v in range(n)])
 
     @property

@@ -4,28 +4,31 @@ A lottery is stored as integer numerators over one common denominator (the
 least common multiple of its reduced denominators), so equal lotteries have
 equal integer forms however they were built. Equality, hashing, cumulative
 sums and stochastic-dominance comparison all run on those integers;
-:class:`fractions.Fraction` values appear only at the report boundary
-(``probs``, ``to_json_dict``, witnesses). There are no floats and no
-tolerances anywhere. A lottery ``p`` stochastically dominates ``q`` under a
-preference order when ``p`` puts at least as much mass on every upper
-contour set (every prefix of the order) as ``q`` does.
+:class:`fractions.Fraction` values come from ``probs`` and ``__getitem__``,
+which the reports, witnesses and the per-alternative checks in ``axioms``
+and ``analysis`` read. There are no floats and no tolerances anywhere. A
+lottery ``p`` stochastically dominates ``q`` under a preference order when
+``p`` puts at least as much mass on every upper contour set (every prefix
+of the order) as ``q`` does.
 
-:func:`sd_compare` decides each distinct comparison once: its verdict comes
-from a bounded cache keyed by the order and the two integer forms, which
-are plain tuples, so a lookup hashes in C and two equal lotteries share an
-entry however they were built. Every stochastic-dominance decision on
-integer forms walks the cuts through :func:`sd_margins`: the comparison
-here and the dictatorial-weight bound in ``analysis``.
+:func:`sd_compare` answers a comparison with the cut where ``p`` loses, or
+None when ``p`` weakly dominates ``q``; the reverse cut is the same call
+with the lotteries swapped. Each distinct comparison is decided once: the
+cut comes from a bounded cache keyed by the order and the two integer
+forms, which are plain tuples, so a lookup hashes in C and two equal
+lotteries share an entry however they were built. Every
+stochastic-dominance decision on integer forms walks the cuts through
+:func:`sd_margins`: the comparison here and the dictatorial-weight bound in
+``analysis``.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, alternative_index, alternative_name, parse_rational
 
@@ -159,32 +162,6 @@ class Lottery:
         return f"Lottery({inner})"
 
 
-class SDRelation(enum.Enum):
-    DOMINATES = "dominates"
-    DOMINATED = "dominated"
-    EQUIVALENT = "equivalent"
-    INCOMPARABLE = "incomparable"
-
-
-class SDVerdict(NamedTuple):
-    """Outcome of comparing lotteries p and q under one preference order.
-
-    ``against_p`` is the first alternative (scanning the order top-down) whose
-    upper contour set carries strictly less p-mass than q-mass, i.e. the cut
-    witnessing that p does not weakly dominate q. ``against_q`` is the same
-    for the opposite direction. Incomparable verdicts carry both cuts.
-    """
-
-    relation: SDRelation
-    against_p: Optional[int] = None
-    against_q: Optional[int] = None
-
-    @property
-    def weakly_prefers(self) -> bool:
-        """True when p is at least as good as q at every cut."""
-        return self.relation in (SDRelation.DOMINATES, SDRelation.EQUIVALENT)
-
-
 @lru_cache(maxsize=1 << 14)
 def _cumulative(order: Tuple[int, ...], numerators: Tuple[int, ...]) -> Tuple[int, ...]:
     """Sums of ``numerators`` over each prefix of ``order`` (a relation's order
@@ -192,9 +169,15 @@ def _cumulative(order: Tuple[int, ...], numerators: Tuple[int, ...]) -> Tuple[in
     return tuple(accumulate(numerators[x] for x in order))
 
 
-def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> SDVerdict:
-    """Stochastic-dominance comparison of ``p`` against ``q`` under ``pref``,
-    decided once per distinct value of the order and the two integer forms."""
+def sd_compare(pref: PreferenceRelation, p: Lottery, q: Lottery) -> Optional[int]:
+    """The cut where ``p`` loses to ``q`` under ``pref``: the first alternative,
+    top-down, whose upper contour set carries less ``p``-mass than ``q``-mass,
+    or None when ``p`` weakly stochastically dominates ``q``.
+
+    Decided once per distinct value of the order and the two integer forms.
+    The reverse cut is ``sd_compare(pref, q, p)``: ``p`` and ``q`` are
+    equivalent when both are None, and incomparable when neither is.
+    """
     return _sd_verdict(pref.order, p.numerators, q.numerators)
 
 
@@ -222,15 +205,9 @@ def sd_margins(
 @lru_cache(maxsize=1 << 14)
 def _sd_verdict(
     order: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...]
-) -> SDVerdict:
+) -> Optional[int]:
     margins, _ = sd_margins(order, p, q)
-    against_p = next((x for x, d in zip(order, margins) if d < 0), None)
-    against_q = next((x for x, d in zip(order, margins) if d > 0), None)
-    if against_p is None:
-        rel = SDRelation.DOMINATES if against_q is not None else SDRelation.EQUIVALENT
-    else:
-        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
-    return SDVerdict(rel, against_p, against_q)
+    return next((x for x, d in zip(order, margins) if d < 0), None)
 
 
 # An affine lottery gives each alternative a constant plus integer multiples

@@ -45,6 +45,8 @@ class SDS:
     def __init__(self, valid_domain: Domain, name: str):
         self.valid_domain = valid_domain
         self.name = name
+        # code -> (profile, lottery): an int key hashes in C, and a hit needs
+        # the stored profile itself or an equal one, never another shape's
         self._evaluations: dict = {}
 
     @property
@@ -64,9 +66,11 @@ class SDS:
 
     def at(self, profile: Profile) -> Lottery:
         """``evaluate(profile)``, computed at most once per profile."""
-        lot = self._evaluations.get(profile)
-        if lot is None:
-            lot = self._evaluations[profile] = self.evaluate(profile)
+        entry = self._evaluations.get(profile.code)
+        if entry is not None and (entry[0] is profile or entry[0] == profile):
+            return entry[1]
+        lot = self.evaluate(profile)
+        self._evaluations[profile.code] = (profile, lot)
         return lot
 
     def _lottery(self, profile: Profile) -> Lottery:

@@ -417,7 +417,7 @@ def reference_extension_rows(base_sds, base, extras):
 def test_extension_rows_match_reference(m, make_sds):
     base = CondorcetDomain(3, m)
     extras = [majority_cycle_profile(3, m)]
-    got = _extension_rows(make_sds(m), base, extras)
+    got = _extension_rows(make_sds(m), ExtendedDomain(base, extras))
     assert got == reference_extension_rows(make_sds(m), base, extras)
 
 

@@ -167,6 +167,15 @@ def test_profile_code_is_position_in_all_profiles():
             assert Profile.from_code(position, n, m) == p
 
 
+@pytest.mark.parametrize(
+    "code, n, m", [(-1, 2, 3), (36, 2, 3), (10**9, 3, 3), (24, 1, 4), (-216, 3, 3)]
+)
+def test_profile_from_code_refuses_a_code_outside_the_profile_space(code, n, m):
+    # without the check, 36 and -1 wrapped round to the profiles coded 0 and 35
+    with pytest.raises(ValueError, match=f"profile code {code} is outside"):
+        Profile.from_code(code, n, m)
+
+
 def test_derived_profiles_get_the_canonical_code():
     canonical = list(all_profiles(3, 3))
     position = {p: i for i, p in enumerate(canonical)}

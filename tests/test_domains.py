@@ -141,6 +141,14 @@ def test_contains_shape_check():
         dom.contains(prof("a>b>c\nb>a>c"))
 
 
+def test_member_lookup_refuses_a_code_outside_the_profile_space():
+    dom = CondorcetDomain(3, 3)
+    for code in (-1, 216, 10**9):
+        with pytest.raises(ValueError, match="outside"):
+            dom._member_at(code)
+        assert code not in dom._table
+
+
 def test_unilateral_deviations_stay_in_domain():
     dom = CondorcetDomain(3, 3)
     member = prof("a>b>c\nb>a>c\na>c>b")

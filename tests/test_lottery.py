@@ -10,8 +10,6 @@ from condlab.core import PreferenceRelation
 from condlab.lottery import (
     Lottery,
     NegativeProbabilityError,
-    SDRelation,
-    SDVerdict,
     _sd_verdict,
     affine_combine,
     constant_form,
@@ -81,38 +79,33 @@ def test_incomparable_pair_with_both_cuts():
     # mass half on top and half on bottom against a point on the middle
     p = Lottery([F(1, 2), F(0), F(1, 2)])
     q = Lottery.point(1, 3)
-    verdict = sd_compare(PreferenceRelation((0, 1, 2)), p, q)
-    assert verdict.relation is SDRelation.INCOMPARABLE
-    assert verdict.against_p == 1  # {a,b} carries 1/2 < 1
-    assert verdict.against_q == 0  # {a} carries 1/2 > 0
+    pref = PreferenceRelation((0, 1, 2))
+    assert sd_compare(pref, p, q) == 1  # {a,b} carries 1/2 < 1
+    assert sd_compare(pref, q, p) == 0  # {a} carries 0 < 1/2
 
 
 def test_dominance_hand_case():
     p = Lottery([F(2, 3), F(1, 3), F(0)])
     q = Lottery([F(1, 3), F(1, 3), F(1, 3)])
-    verdict = sd_compare(PreferenceRelation((0, 1, 2)), p, q)
-    assert verdict.relation is SDRelation.DOMINATES
-    assert verdict.weakly_prefers
-    flipped = sd_compare(PreferenceRelation((2, 1, 0)), p, q)
-    assert flipped.relation is SDRelation.DOMINATED
+    pref = PreferenceRelation((0, 1, 2))
+    assert sd_compare(pref, p, q) is None
+    assert sd_compare(pref, q, p) == 0  # {a} carries 1/3 < 2/3
+    flipped = PreferenceRelation((2, 1, 0))
+    assert sd_compare(flipped, p, q) == 2  # {c} carries 0 < 1/3
+    assert sd_compare(flipped, q, p) is None
 
 
 @given(preferences3, lotteries3())
 def test_sd_compare_is_reflexive(pref, lot):
-    assert sd_compare(pref, lot, lot).relation is SDRelation.EQUIVALENT
+    assert sd_compare(pref, lot, lot) is None
 
 
 @given(preferences3, lotteries3(), lotteries3())
 def test_sd_compare_antisymmetric(pref, p, q):
-    forward = sd_compare(pref, p, q).relation
-    backward = sd_compare(pref, q, p).relation
-    mirror = {
-        SDRelation.DOMINATES: SDRelation.DOMINATED,
-        SDRelation.DOMINATED: SDRelation.DOMINATES,
-        SDRelation.EQUIVALENT: SDRelation.EQUIVALENT,
-        SDRelation.INCOMPARABLE: SDRelation.INCOMPARABLE,
-    }
-    assert backward is mirror[forward]
+    # each weakly dominates the other exactly when every cut carries equal mass
+    both = sd_compare(pref, p, q) is None and sd_compare(pref, q, p) is None
+    cuts = [pref.order[:k] for k in range(1, len(pref.order))]
+    assert both == all(p.mass(cut) == q.mass(cut) for cut in cuts)
 
 
 def test_sd_dominance_matches_expected_utility():
@@ -123,16 +116,20 @@ def test_sd_dominance_matches_expected_utility():
         p = Lottery([F(x, 12) for x in _random_composition(rng)])
         q = Lottery([F(x, 12) for x in _random_composition(rng)])
         for pref in orders:
-            verdict = sd_compare(pref, p, q)
+            cut = sd_compare(pref, p, q)
             dominates_by_eu = all(
                 _eu(p, u) >= _eu(q, u) for u in _utility_vectors(pref, rng)
             )
-            if verdict.weakly_prefers:
+            if cut is None:
                 assert dominates_by_eu
-            if verdict.relation is SDRelation.EQUIVALENT:
-                assert p == q or all(
-                    _eu(p, u) == _eu(q, u) for u in _utility_vectors(pref, rng)
-                )
+                if sd_compare(pref, q, p) is None:
+                    assert p == q or all(
+                        _eu(p, u) == _eu(q, u) for u in _utility_vectors(pref, rng)
+                    )
+            else:
+                # utility 1 on the cut's upper contour set and 0 below it
+                step = [int(pref.rank(x) <= pref.rank(cut)) for x in range(3)]
+                assert _eu(p, step) < _eu(q, step)
 
 
 def _random_composition(rng):
@@ -209,19 +206,20 @@ def preference_and_lotteries(draw):
 def test_sd_rows_agree_with_sd_compare(case):
     pref, p, q = case
     rows = list(sd_rows(pref, constant_form(p), constant_form(q), 0))
-    verdict = sd_compare(pref, p, q)
+    losing = sd_compare(pref, p, q)
     assert [cut for cut, _, _ in rows] == list(pref.order[:-1])
     assert all(coeffs == () for _, coeffs, _ in rows)
-    assert all(0 <= rhs for _, _, rhs in rows) == verdict.weakly_prefers
+    assert all(0 <= rhs for _, _, rhs in rows) == (losing is None)
     failing = [cut for cut, _, rhs in rows if rhs < 0]
-    assert (failing[0] if failing else None) == verdict.against_p
+    assert (failing[0] if failing else None) == losing
 
 
 # -- integer kernel against a frozen Fraction reference -------------------------
 
 
 def reference_sd_compare(pref, p, q):
-    """The Fraction comparison the integer kernel replaced: (relation, against_p, against_q)."""
+    """The Fraction comparison the integer kernel replaced: the first cut where
+    ``p`` loses and the first where ``q`` loses, each None if there is none."""
     cp = cq = F(0)
     against_p = against_q = None
     for x in pref.order:
@@ -231,11 +229,7 @@ def reference_sd_compare(pref, p, q):
             against_p = x
         elif cp > cq and against_q is None:
             against_q = x
-    if against_p is None:
-        rel = SDRelation.EQUIVALENT if against_q is None else SDRelation.DOMINATES
-    else:
-        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
-    return rel, against_p, against_q
+    return against_p, against_q
 
 
 @st.composite
@@ -256,10 +250,7 @@ def order_and_two_lotteries(draw):
 @given(order_and_two_lotteries())
 def test_integer_sd_compare_matches_fraction_reference(case):
     pref, p, q = case
-    verdict = sd_compare(pref, p, q)
-    assert (verdict.relation, verdict.against_p, verdict.against_q) == reference_sd_compare(
-        pref, p, q
-    )
+    assert (sd_compare(pref, p, q), sd_compare(pref, q, p)) == reference_sd_compare(pref, p, q)
 
 
 @given(st.integers(2, 4).flatmap(lotteries), st.integers(1, 6), st.integers(-5, 5), st.integers(1, 5))
@@ -313,7 +304,8 @@ def test_integer_form_is_canonical():
 
 
 def frozen_sd_compare(pref, p, q):
-    """``sd_compare`` as it read before comparisons were memoised by value."""
+    """``sd_compare`` as it read before comparisons were memoised by value,
+    reduced to its two cuts: where ``p`` loses and where ``q`` loses."""
     order = pref.order
     if not (len(order) == len(p.numerators) == len(q.numerators)):
         raise ValueError("mismatched alternative counts")
@@ -331,19 +323,16 @@ def frozen_sd_compare(pref, p, q):
             elif cp[slot] > cq[slot]:
                 if against_q is None:
                     against_q = order[slot]
-    if against_p is None:
-        rel = SDRelation.DOMINATES if against_q is not None else SDRelation.EQUIVALENT
-    else:
-        rel = SDRelation.DOMINATED if against_q is None else SDRelation.INCOMPARABLE
-    return SDVerdict(rel, against_p, against_q)
+    return against_p, against_q
 
 
 @given(order_and_two_lotteries())
 def test_memoised_sd_compare_matches_frozen_body(case):
     pref, p, q = case
-    assert sd_compare(pref, p, q) == frozen_sd_compare(pref, p, q)
+    both_ways = frozen_sd_compare(pref, p, q)
+    assert (sd_compare(pref, p, q), sd_compare(pref, q, p)) == both_ways
     # a second call is a cache hit and must say the same
-    assert sd_compare(pref, p, q) == frozen_sd_compare(pref, p, q)
+    assert (sd_compare(pref, p, q), sd_compare(pref, q, p)) == both_ways
 
 
 @given(order_and_two_lotteries())

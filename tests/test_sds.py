@@ -219,6 +219,30 @@ def test_at_outside_the_domain_raises_as_evaluate_does():
     assert str(got.value) == str(expected.value)
 
 
+def test_at_never_answers_for_a_profile_of_another_shape():
+    # code 0 is a>b>c for every voter at any n: the two profiles share a code
+    rule = CondorcetRule(3, 3)
+    three = Profile.from_code(0, 3, 3)
+    assert rule.at(three) == Lottery.point(0, 3)
+    five = Profile.from_code(0, 5, 3)
+    assert five.code == three.code
+    for _ in range(2):
+        with pytest.raises(ValueError, match="shape"):
+            rule.at(five)
+    assert rule.at(three) == Lottery.point(0, 3)
+
+
+def test_at_evaluates_equal_profiles_once(monkeypatch):
+    rule = CondorcetRule(3, 3)
+    evaluated = []
+    evaluate = rule.evaluate
+    monkeypatch.setattr(rule, "evaluate", lambda p: evaluated.append(p) or evaluate(p))
+    first, again = prof("a>b>c\nb>a>c\nb>c>a"), prof("a>b>c\nb>a>c\nb>c>a")
+    assert first is not again
+    assert rule.at(first) == rule.at(again) == rule.at(first) == Lottery.point(1, 3)
+    assert evaluated == [first]
+
+
 # -- tables ----------------------------------------------------------------------
 
 
