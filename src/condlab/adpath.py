@@ -14,7 +14,7 @@ parity is what keeps intermediate winners well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name, swap
 from .axioms import Verdict
@@ -31,8 +31,7 @@ class PreconditionViolatedError(ValueError):
     """The endpoints do not satisfy the builder's entry condition."""
 
 
-@dataclass(frozen=True)
-class PathFlawWitness:
+class PathFlawWitness(NamedTuple):
     step: int
     reason: str
     profile: Optional[Profile] = None

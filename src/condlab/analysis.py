@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name
-from .axioms import ManipulationWitness, Verdict, check_strategyproof
+from .axioms import ManipulationWitness, Verdict, check_strategyproof, sure_winners
 from .domains import Domain, ExtendedDomain, OutOfDomainError
 from .lottery import (
     AffineLottery, Lottery, constant_form, nonnegative_rows, sd_margins, sd_rows,
@@ -380,7 +380,7 @@ def extension_feasibility(
 
     uncovered: List[int] = []
     if require_non_imposition:
-        covered = {base_sds.at(profile).is_point() for profile in base.members()}
+        covered = sure_winners(base_sds, base)
         uncovered = [x for x in range(base.m) if x not in covered]
         if len(uncovered) > len(extras):
             return FeasibilityResult(

@@ -1,7 +1,7 @@
 """Axiom checkers for social decision schemes on finite domains.
 
 Every checker scans its domain exhaustively in canonical order (profiles by
-canonical key, voters ascending, deviations in lexicographic order) and
+``Profile.code``, voters ascending, deviations in lexicographic order) and
 reports the first violation it meets, so witnesses are deterministic and
 minimal in that order. Verdicts serialize to a stable JSON shape and every
 reported witness can be replayed independently of the scan that found it.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import gt, ne
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .core import Profile, alternative_index, alternative_name, pareto_dominates, swap
@@ -189,24 +190,21 @@ def check_group_strategyproof(
     return Verdict("group-strategyproof", True, None, len(members), comparisons)
 
 
+def sure_winners(sds, dom: Domain) -> set:
+    """The alternatives that some member's lottery elects with probability 1."""
+    winners = {sds.at(profile).is_point() for profile in dom.members()}
+    winners.discard(None)
+    return winners
+
+
 def check_non_imposition(sds, dom: Domain) -> Verdict:
     """Every alternative must receive probability exactly 1 at some profile."""
-    members = dom.members()
-    f = sds.at
-    hit = [False] * dom.m
-    comparisons = 0
-    for profile in members:
-        lot = f(profile)
-        comparisons += 1
-        winner = lot.is_point()
-        if winner is not None:
-            hit[winner] = True
+    checked = len(dom.members())
+    winners = sure_winners(sds, dom)
     for x in range(dom.m):
-        if not hit[x]:
-            return Verdict(
-                "non-imposition", False, ImpositionWitness(x), len(members), comparisons
-            )
-    return Verdict("non-imposition", True, None, len(members), comparisons)
+        if x not in winners:
+            return Verdict("non-imposition", False, ImpositionWitness(x), checked, checked)
+    return Verdict("non-imposition", True, None, checked, checked)
 
 
 def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
@@ -229,8 +227,9 @@ def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
     return Verdict("ex-post-efficient", True, None, len(members), comparisons)
 
 
-def check_localized(sds, dom: Domain) -> Verdict:
-    """Adjacent swaps of x and y must leave all other probabilities unchanged."""
+def _swap_scan(sds, dom: Domain, axiom: str, watched, fails) -> Verdict:
+    """The first adjacent swap where ``fails(before, after)`` holds for an
+    alternative of ``watched(x, y)``, ``x`` having sat directly above ``y``."""
     members = dom.members()
     f = sds.at
     comparisons = 0
@@ -238,32 +237,24 @@ def check_localized(sds, dom: Domain) -> Verdict:
         before = f(profile)
         for voter, x, y, neighbor in dom.adjacent_swaps(profile):
             after = f(neighbor)
-            for z in range(dom.m):
-                if z == x or z == y:
-                    continue
+            for z in watched(x, y):
                 comparisons += 1
-                if before[z] != after[z]:
-                    witness = SwapEffectWitness(
-                        profile, voter, x, y, z, before[z], after[z]
-                    )
-                    return Verdict("localized", False, witness, index + 1, comparisons)
-    return Verdict("localized", True, None, len(members), comparisons)
+                if fails(before[z], after[z]):
+                    witness = SwapEffectWitness(profile, voter, x, y, z, before[z], after[z])
+                    return Verdict(axiom, False, witness, index + 1, comparisons)
+    return Verdict(axiom, True, None, len(members), comparisons)
+
+
+def check_localized(sds, dom: Domain) -> Verdict:
+    """Adjacent swaps of x and y must leave all other probabilities unchanged."""
+    return _swap_scan(
+        sds, dom, "localized", lambda x, y: [z for z in range(dom.m) if z not in (x, y)], ne
+    )
 
 
 def check_non_perverse(sds, dom: Domain) -> Verdict:
     """Reinforcing y by one adjacent position never lowers y's probability."""
-    members = dom.members()
-    f = sds.at
-    comparisons = 0
-    for index, profile in enumerate(members):
-        before = f(profile)
-        for voter, x, y, neighbor in dom.adjacent_swaps(profile):
-            comparisons += 1
-            after = f(neighbor)
-            if after[y] < before[y]:
-                witness = SwapEffectWitness(profile, voter, x, y, y, before[y], after[y])
-                return Verdict("non-perverse", False, witness, index + 1, comparisons)
-    return Verdict("non-perverse", True, None, len(members), comparisons)
+    return _swap_scan(sds, dom, "non-perverse", lambda x, y: (y,), gt)
 
 
 _CHECKERS = {

@@ -6,8 +6,9 @@ here are the full domain, the domain of profiles with a majority winner
 electorates, explicit finite sets, and a base domain extended by extra
 profiles. Enumeration is always in canonical order, by ``Profile.code``.
 One member table per domain, shared by enumeration, ``contains`` and the
-neighbour walks, records membership; explicit and extended domains seed it
-with their own profiles, and an extended domain enumerates its base's members.
+neighbour walks, records membership. An explicit domain seeds it with its
+profiles; an extended domain records only its extras there and leaves every
+other profile to its base, whose member objects it enumerates and walks.
 Every enumeration here (members, connectivity, the reach search) is bounded
 by the one cap of :func:`enumeration_cap`; no function takes its own.
 
@@ -87,6 +88,8 @@ class Domain:
     # Enumeration, ``contains`` and the neighbour walks all go through
     # ``_member_at``, so each profile is decided and built at most once per
     # domain, and every walk yields the objects that ``members()`` returns.
+    # An explicit domain's table is seeded and never grows; an extended domain's
+    # holds its extras alone, and its base answers for the rest with its own objects.
 
     def _contains(self, profile: Profile) -> bool:
         raise NotImplementedError
@@ -169,6 +172,15 @@ class Domain:
             self._shift_table[key] = shift
         return shift
 
+    def _walk(self, code: int, shifts: Iterable[int]) -> Iterator[Profile]:
+        """The members at ``code`` plus each shift, in shift order."""
+        table, member_at = self._table, self._member_at
+        for shift in shifts:
+            key = code + shift
+            candidate = table[key] if key in table else member_at(key)
+            if candidate is not None:
+                yield candidate
+
     def deviations(self, profile: Profile, coalition: Sequence[int]) -> Iterator[Profile]:
         """In-domain profiles where every coalition member reports a different
         relation and everyone else reports the same, in lexicographic product
@@ -178,20 +190,15 @@ class Domain:
         if len(voters) != len(coalition) or not voters <= self._voters:
             raise ValueError(f"coalition must list distinct voters of 0..{self.n - 1}")
         rels = profile.relations
-        if len(coalition) == 1:  # one voter's shifts are the walk: no 1-tuples to build and sum
-            shifts = self._shifts(coalition[0], rels[coalition[0]])
-        else:
-            shifts = map(sum, itertools.product(*[self._shifts(v, rels[v]) for v in coalition]))
-        table, member_at = self._table, self._member_at
-        for shift in shifts:
-            key = code + shift
-            candidate = table[key] if key in table else member_at(key)
-            if candidate is not None:
-                yield candidate
+        shifts = itertools.product(*[self._shifts(v, rels[v]) for v in coalition])
+        return self._walk(code, map(sum, shifts))
 
     def unilateral_deviations(self, profile: Profile, voter: int) -> Iterator[Profile]:
         """In-domain profiles obtained by replacing one voter's relation."""
-        return self.deviations(profile, (voter,))
+        code = self._member_code(profile, "deviations")
+        if not 0 <= voter < self.n:
+            raise ValueError(f"voter must be one of 0..{self.n - 1}")
+        return self._walk(code, self._shifts(voter, profile.relations[voter]))
 
     def adjacent_swaps(
         self, profile: Profile, fixed: Optional[int] = None
@@ -302,8 +309,8 @@ class ExplicitDomain(Domain):
     def size_bound(self) -> int:
         return len(self.profiles)
 
-    def _contains(self, profile: Profile) -> bool:
-        return False  # every member is in the table from the start
+    def _member_at(self, code: int, profile: Optional[Profile] = None) -> Optional[Profile]:
+        return self._table.get(code)  # seeded with every member; nothing else is recorded
 
     def _candidates(self) -> Iterator[Tuple[int, Profile]]:
         return ((p.code, p) for p in self.profiles)
@@ -335,8 +342,8 @@ class ExtendedDomain(Domain):
     def size_bound(self) -> int:
         return self.base.size_bound() + len(self.extras)
 
-    def _contains(self, profile: Profile) -> bool:
-        return self.base.contains(profile)  # the extras are in the table from the start
+    def _member_at(self, code: int, profile: Optional[Profile] = None) -> Optional[Profile]:
+        return self._table[code] if code in self._table else self.base._member_at(code, profile)
 
     def _candidates(self) -> Iterator[Tuple[int, Profile]]:
         # the base's own member objects: the base decides each profile once
@@ -427,15 +434,14 @@ def beyond_unilateral_reach(profile: Profile, base: Domain) -> bool:
     """True when neither ``profile`` nor any single-voter change of it is in ``base``.
 
     The changes are read by code from ``base``'s shift table and decided
-    through its member table, like the deviation walk."""
+    by the deviation walk, every voter's shifts in one."""
     code = base._code(profile)
     if base._member_at(code, profile) is not None:
         return False
-    return all(
-        base._member_at(code + shift) is None
-        for voter, rel in enumerate(profile.relations)
-        for shift in base._shifts(voter, rel)
+    shifts = itertools.chain.from_iterable(
+        base._shifts(voter, rel) for voter, rel in enumerate(profile.relations)
     )
+    return next(base._walk(code, shifts), None) is None
 
 
 def find_profiles_beyond_unilateral_reach(base: Domain) -> list:

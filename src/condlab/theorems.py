@@ -30,7 +30,7 @@ from .axioms import (
     implication_suite,
     replay_witness,
 )
-from .core import CapExceededError, PreferenceRelation, Profile, enumeration_cap
+from .core import CapExceededError, PreferenceRelation, Profile, enumeration_cap, full_profile_count
 from .domains import (
     CondorcetDomain,
     ExtendedDomain,
@@ -382,7 +382,7 @@ def criterion_6(n: int = 3, m: int = 3) -> Dict:
     found = find_profiles_beyond_unilateral_reach(dom)
     ok = bool(found)
     details = {
-        "searched": len(FullDomain(n, m).members()),
+        "searched": full_profile_count(n, m),  # the search enumerated every one
         "found": len(found),
         "profiles": [p.to_text() for p in found[:5]],
     }

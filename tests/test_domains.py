@@ -319,6 +319,60 @@ def test_extended_members_are_the_base_members_merged_with_the_extras(make_base)
     assert all(p is own[p.code] for p in dom.members())
 
 
+def _extras_outside(base):
+    outside = [p for p in all_profiles(base.n, base.m) if not base.contains(p)]
+    return outside[:: len(outside) // 3][:3]
+
+
+WALK_BASES = {
+    name: EXTENSION_BASES[name] for name in ("condorcet", "condorcet-for:a", "explicit", "extended")
+}
+
+
+@pytest.mark.parametrize("make_base", WALK_BASES.values(), ids=WALK_BASES)
+@pytest.mark.parametrize("base_first", [True, False])
+def test_extended_walks_yield_the_base_member_objects(make_base, base_first):
+    base = make_base()
+    if base_first:
+        base.members()  # as a scan of the base leaves it
+    dom = ExtendedDomain(base, _extras_outside(make_base()))
+
+    def walk(profile):
+        for voter in range(dom.n):
+            yield from dom.unilateral_deviations(profile, voter)
+        yield from dom.deviations(profile, (0, dom.n - 1))
+        yield from (neighbour for *_, neighbour in dom.adjacent_swaps(profile))
+
+    # from the extras first, then from every member
+    yielded = [q for extra in dom.extras for q in walk(extra)]
+    yielded += [q for profile in dom.members() for q in walk(profile)]
+    own = {p.code: p for p in (*base.members(), *dom.extras)}
+    assert {p.code for p in yielded} - {extra.code for extra in dom.extras}  # base members too
+    assert all(p is own[p.code] for p in yielded)
+
+
+@pytest.mark.parametrize("make_base", WALK_BASES.values(), ids=WALK_BASES)
+def test_extended_domain_records_only_its_extras(make_base):
+    dom = ExtendedDomain(make_base(), _extras_outside(make_base()))
+    dom.members()
+    check_strategyproof(parse_sds("rd:1/3,1/3,1/3", 3, 3), dom)
+    assert dom._table == {extra.code: extra for extra in dom.extras}
+    assert all(dom._table[extra.code] is extra for extra in dom.extras)
+
+
+def test_explicit_walks_record_nothing():
+    dom = ExplicitDomain(list(all_profiles(3, 3))[::7])
+    seeded = dict(dom._table)
+    for profile in dom.members():
+        for voter in range(dom.n):
+            list(dom.unilateral_deviations(profile, voter))
+        list(dom.deviations(profile, (0, 1, 2)))
+        list(dom.adjacent_swaps(profile))
+    assert sum(map(dom.contains, all_profiles(3, 3))) == len(seeded)
+    assert find_profiles_beyond_unilateral_reach(dom)
+    assert dom._table == seeded
+
+
 @pytest.mark.parametrize("members_first", [True, False])
 def test_explicit_and_extended_contains(members_first):
     cycle = majority_cycle_profile(3, 3)
@@ -442,6 +496,9 @@ def test_deviations_reject_malformed_coalitions():
     for coalition in ((0, 0), (-1,), (3,)):
         with pytest.raises(ValueError):
             list(dom.deviations(profile, coalition))
+    for voter in (-1, 3):
+        with pytest.raises(ValueError):
+            list(dom.unilateral_deviations(profile, voter))
     outsider = next(p for p in all_profiles(3, 3) if not dom.contains(p))
     with pytest.raises(OutOfDomainError):
         list(dom.unilateral_deviations(outsider, 0))

@@ -88,6 +88,9 @@ CASES = {
         ["adpath", "--n", "4", "--domain", TB, "--fix", "c", "--from", str(GOLDEN / "tb-start.txt"),
          "--to", str(GOLDEN / "tb-goal.txt")],
     ),
+    # the batteries: the third carries the standing criterion 7 failure
+    "theorems-1": (0, ["theorems", "--which", "1"]),
+    "theorems-3": (1, ["theorems", "--which", "3"]),
 }
 
 

@@ -6,6 +6,11 @@ versions they replaced, with their own deviation walk, are kept here as the
 reference: on random and named schemes both must give the same verdict JSON
 (witness, ``profiles_checked``, ``comparisons``) and the same weight, or the
 same error type and text when evaluation or the model fails mid-scan.
+
+The localizedness and non-perversity checkers share one adjacent-swap scan,
+and non-imposition reads the set of sure winners that the extension model
+reads too; frozen copies of their former separate loops are the reference
+for those.
 """
 
 from fractions import Fraction
@@ -15,9 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condlab.analysis import InfeasibleModelError, max_dictatorial_weight
-from condlab.axioms import ManipulationWitness, Verdict, check_strategyproof
+from condlab.axioms import (
+    ImpositionWitness,
+    ManipulationWitness,
+    SwapEffectWitness,
+    Verdict,
+    check_localized,
+    check_non_imposition,
+    check_non_perverse,
+    check_strategyproof,
+)
 from condlab.core import PreferenceRelation, all_relations
-from condlab.domains import CondorcetDomain, ExtendedDomain, TieBreakingCondorcetDomain
+from condlab.domains import CondorcetDomain, ExtendedDomain, FullDomain, TieBreakingCondorcetDomain
 from condlab.domains import majority_cycle_profile
 from condlab.lottery import Lottery, nonnegative_rows, sd_rows
 from condlab.ratlp import simplex_maximize
@@ -33,6 +47,7 @@ from condlab.sds import (
     TieBreakingCondorcetRule,
     signed_mixture_counterexample,
 )
+from condlab.theorems import perturbed_condorcet_table
 
 F = Fraction
 
@@ -121,6 +136,67 @@ def reference_max_dictatorial_weight(sds, dom):
         return F(1)
     value, _ = simplex_maximize([F(1)] * n, list(rows.items()))
     return value
+
+
+def reference_check_localized(sds, dom):
+    members = dom.members()
+    f = reference_evaluator(sds)
+    comparisons = 0
+    for index, profile in enumerate(members):
+        before = f(profile)
+        for voter, x, y, neighbor in dom.adjacent_swaps(profile):
+            after = f(neighbor)
+            for z in range(dom.m):
+                if z == x or z == y:
+                    continue
+                comparisons += 1
+                if before[z] != after[z]:
+                    witness = SwapEffectWitness(
+                        profile, voter, x, y, z, before[z], after[z]
+                    )
+                    return Verdict("localized", False, witness, index + 1, comparisons)
+    return Verdict("localized", True, None, len(members), comparisons)
+
+
+def reference_check_non_perverse(sds, dom):
+    members = dom.members()
+    f = reference_evaluator(sds)
+    comparisons = 0
+    for index, profile in enumerate(members):
+        before = f(profile)
+        for voter, x, y, neighbor in dom.adjacent_swaps(profile):
+            comparisons += 1
+            after = f(neighbor)
+            if after[y] < before[y]:
+                witness = SwapEffectWitness(profile, voter, x, y, y, before[y], after[y])
+                return Verdict("non-perverse", False, witness, index + 1, comparisons)
+    return Verdict("non-perverse", True, None, len(members), comparisons)
+
+
+def reference_check_non_imposition(sds, dom):
+    members = dom.members()
+    f = reference_evaluator(sds)
+    hit = [False] * dom.m
+    comparisons = 0
+    for profile in members:
+        lot = f(profile)
+        comparisons += 1
+        winner = lot.is_point()
+        if winner is not None:
+            hit[winner] = True
+    for x in range(dom.m):
+        if not hit[x]:
+            return Verdict(
+                "non-imposition", False, ImpositionWitness(x), len(members), comparisons
+            )
+    return Verdict("non-imposition", True, None, len(members), comparisons)
+
+
+SWAP_SCANS = (
+    (check_localized, reference_check_localized),
+    (check_non_perverse, reference_check_non_perverse),
+    (check_non_imposition, reference_check_non_imposition),
+)
 
 
 # -- random schemes ----------------------------------------------------------------
@@ -274,4 +350,54 @@ def test_named_cases_match_fraction_reference(name):
         (check_strategyproof, reference_check_strategyproof),
         (max_dictatorial_weight, reference_max_dictatorial_weight),
     ):
+        assert outcome(scan, sds, dom) == outcome(reference, sds, dom)
+
+
+# -- the swap scan and non-imposition ------------------------------------------------
+
+SWAP_DOMAINS = (FullDomain(2, 3), FullDomain(3, 3), CondorcetDomain(3, 3))
+
+
+@st.composite
+def swap_tables(draw):
+    """A table on a small full or majority domain: a random dictatorship
+    (localized, non-perverse and non-imposing) with a few entries replaced,
+    or every entry drawn from a short list of lotteries."""
+    dom = draw(st.sampled_from(SWAP_DOMAINS))
+    members = dom.members()
+    if draw(st.booleans()):
+        rd = random_dictatorship(dom, draw)
+        table = {p: rd.evaluate(p) for p in members}
+        for index in draw(st.lists(st.integers(0, len(members) - 1), max_size=3)):
+            table[members[index]] = draw(lotteries(dom.m))
+    else:
+        pool = draw(st.lists(lotteries(dom.m), min_size=1, max_size=4))
+        table = {p: draw(st.sampled_from(pool)) for p in members}
+    return TableSDS(table, valid_domain=dom), dom
+
+
+@settings(max_examples=60, deadline=None)
+@given(swap_tables())
+def test_swap_scans_match_reference(case):
+    sds, dom = case
+    for scan, reference in SWAP_SCANS:
+        assert outcome(scan, sds, dom) == outcome(reference, sds, dom)
+
+
+def named_swap_cases():
+    full, cond = FullDomain(3, 3), CondorcetDomain(3, 3)
+    rd = RandomDictatorship([F(1, 2), F(1, 3), F(1, 6)], 3)
+    return {
+        "borda-full": (Borda(3, 3), full),
+        "plurality-full": (Plurality(3, 3), full),
+        "cond-condorcet": (CondorcetRule(3, 3), cond),
+        "mix-condorcet": (Mixture([(F(1, 4), CondorcetRule(3, 3)), (F(3, 4), rd)], cond), cond),
+        "cond-perturbed": (perturbed_condorcet_table(3, 3), cond),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(named_swap_cases()))
+def test_named_swap_cases_match_reference(name):
+    sds, dom = named_swap_cases()[name]
+    for scan, reference in SWAP_SCANS:
         assert outcome(scan, sds, dom) == outcome(reference, sds, dom)
