@@ -17,9 +17,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .core import PreferenceRelation, Profile, alternative_name
 from .axioms import ManipulationWitness, Verdict, check_strategyproof, sure_winners
 from .domains import Domain, ExtendedDomain, OutOfDomainError
-from .lottery import (
-    AffineLottery, Lottery, constant_form, nonnegative_rows, sd_margins, sd_rows,
-)
+from .lottery import Lottery, sd_margins
 from .ratlp import fm_feasible, satisfies, simplex_maximize
 from .sds import TableMissError, TableSDS
 
@@ -254,43 +252,62 @@ def _extension_rows(base_sds, extended: ExtendedDomain):
     """Inequality rows over the reduced extension variables.
 
     Variables are the first ``m - 1`` probabilities of each extra profile's
-    lottery, in ``extended.extras`` order; the last probability is
-    substituted as one minus their sum. Rows are ``coeffs . v <= rhs``
-    tagged with a readable description.
+    lottery, in ``extended.extras`` order; the last is one minus their sum,
+    so an extra's mass on a set is a constant part (that of
+    ``Lottery.point(m - 1, m)``) plus a variable part. A stochastic-dominance
+    row's right-hand side is the :func:`sd_margins` margin of the two
+    constant parts (a base member's is its lottery), and its coefficients
+    are the deviation's variable part minus the truth's. Rows are
+    ``coeffs . v <= rhs`` tagged with a readable description.
     """
-    n, extras = extended.n, extended.extras
-    reduced = extended.m - 1
-    f = base_sds.at
+    n, m, extras = extended.n, extended.m, extended.extras
+    reduced = m - 1
+    offsets = {extra: e * reduced for e, extra in enumerate(extras)}
     num_vars = reduced * len(extras)
-    forms: Dict[Profile, AffineLottery] = {}
-    for e, extra in enumerate(extras):
-        own = range(e * reduced, (e + 1) * reduced)
-        forms[extra] = tuple((0, ((v, 1),)) for v in own) + ((1, tuple((v, -1) for v in own)),)
+    last = Lottery.point(reduced, m).numerators
+    f = base_sds.at
     rows: List[Tuple[Tuple[int, ...], Fraction, frozenset]] = []
 
-    def add(built, tag):
-        for x, coeffs, rhs in built:
-            rows.append((coeffs, rhs, frozenset([tag(x)])))
+    def constant(profile):
+        return last if profile in offsets else f(profile).numerators
+
+    def shift(coeffs, profile, x, sign):
+        # adds sign times the variable part of the profile's mass on x
+        start = offsets.get(profile)
+        if start is None:
+            return
+        if x < reduced:
+            coeffs[start + x] += sign
+        else:
+            coeffs[start : start + reduced] = [c - sign for c in coeffs[start : start + reduced]]
+
+    def add_dominance_rows(order, truth, deviation, tag):
+        # the truthful lottery weakly dominates the deviation's at each cut
+        margins, den = sd_margins(order, constant(truth), constant(deviation))
+        coeffs = [0] * num_vars
+        for x, margin in zip(order, margins):
+            shift(coeffs, deviation, x, 1)
+            shift(coeffs, truth, x, -1)
+            rows.append((tuple(coeffs), Fraction(margin, den), frozenset([tag(x)])))
 
     for extra in extras:
-        here = forms[extra]
         name = repr(extra.to_text())
-        add(
-            nonnegative_rows(here, num_vars),
-            lambda x: f"lottery at {name} nonnegative on {alternative_name(x)}",
-        )
+        for x in range(m):
+            coeffs = [0] * num_vars
+            shift(coeffs, extra, x, -1)
+            tag = f"lottery at {name} nonnegative on {alternative_name(x)}"
+            rows.append((tuple(coeffs), last[x], frozenset([tag])))
         for voter in range(n):
             for neighbor in extended.unilateral_deviations(extra, voter):
-                there = forms.get(neighbor) or constant_form(f(neighbor))
                 # truth at the extra profile: its lottery must dominate the deviation
-                add(
-                    sd_rows(extra[voter], here, there, num_vars),
+                add_dominance_rows(
+                    extra[voter].order, extra, neighbor,
                     lambda x: f"voter {voter} gains by leaving {name} "
                     f"(cut at {alternative_name(x)})",
                 )
                 # truth at the neighbor: deviating into the extra must not pay
-                add(
-                    sd_rows(neighbor[voter], there, here, num_vars),
+                add_dominance_rows(
+                    neighbor[voter].order, neighbor, extra,
                     lambda x: f"voter {voter} gains by deviating into {name} "
                     f"(cut at {alternative_name(x)})",
                 )
@@ -298,8 +315,7 @@ def _extension_rows(base_sds, extended: ExtendedDomain):
 
 
 def _point_from_reduced(point: Sequence[Fraction], extras: Sequence[Profile]):
-    m = extras[0].m
-    reduced = m - 1
+    reduced = extras[0].m - 1
     assignment = {}
     for e, extra in enumerate(extras):
         head = list(point[e * reduced : (e + 1) * reduced])
@@ -328,14 +344,13 @@ def _solve_extension(rows, num_vars: int, extras, forced: Mapping[Profile, Lotte
     """Solve the extension model ``rows`` with the ``forced`` lotteries pinned."""
     pinned = []
     reduced = extras[0].m - 1
+    offsets = {extra: e * reduced for e, extra in enumerate(extras)}
     for extra, lot in forced.items():
-        e = extras.index(extra)
+        tag = frozenset([f"pinned lottery at {extra.to_text()!r}"])
         for x in range(reduced):
-            unit = [Fraction(0)] * num_vars
-            unit[e * reduced + x] = Fraction(1)
-            tag = f"pinned lottery at {extra.to_text()!r}"
-            pinned.append((tuple(unit), lot.probs[x], frozenset([tag])))
-            pinned.append((tuple(-u for u in unit), -lot.probs[x], frozenset([tag])))
+            unit = tuple(int(v == offsets[extra] + x) for v in range(num_vars))
+            pinned.append((unit, lot.probs[x], tag))
+            pinned.append((tuple(-u for u in unit), -lot.probs[x], tag))
     ok, point, conflict = fm_feasible(rows + pinned, num_vars)
     if not ok:
         return None, conflict

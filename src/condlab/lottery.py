@@ -17,9 +17,9 @@ with the lotteries swapped. Each distinct comparison is decided once: the
 cut comes from a bounded cache keyed by the order and the two integer
 forms, which are plain tuples, so a lookup hashes in C and two equal
 lotteries share an entry however they were built. Every
-stochastic-dominance decision on integer forms walks the cuts through
-:func:`sd_margins`: the comparison here and the dictatorial-weight bound in
-``analysis``.
+stochastic-dominance decision and row walks the cuts through
+:func:`sd_margins`, the one kernel: the comparison here, and the
+dictatorial-weight bound and the extension model's rows in ``analysis``.
 """
 
 from __future__ import annotations
@@ -189,7 +189,10 @@ def sd_margins(
 
     ``p`` and ``q`` are integer forms (a lottery's ``numerators``); the
     margins count in units of the product of the two denominators. The whole
-    slate carries mass 1 on both sides, so it has no margin.
+    slate carries mass 1 on both sides, so it has no margin. This is the one
+    stochastic-dominance kernel: it decides :func:`sd_compare` and the
+    dictatorial-weight bound, and gives the extension rows their right-hand
+    sides.
     """
     if not (len(order) == len(p) == len(q)):
         raise ValueError("mismatched alternative counts")
@@ -208,45 +211,6 @@ def _sd_verdict(
 ) -> Optional[int]:
     margins, _ = sd_margins(order, p, q)
     return next((x for x, d in zip(order, margins) if d < 0), None)
-
-
-# An affine lottery gives each alternative a constant plus integer multiples
-# of model variables: ``(const, ((var, coef), ...))`` per alternative.
-AffineLottery = Sequence[Tuple[Fraction, Tuple[Tuple[int, int], ...]]]
-
-
-def constant_form(lottery: Lottery) -> AffineLottery:
-    """``lottery`` as an affine lottery with no variable terms."""
-    return tuple((p, ()) for p in lottery.probs)
-
-
-def sd_rows(pref: PreferenceRelation, p: AffineLottery, q: AffineLottery, width: int):
-    """Linear rows saying that ``p`` weakly SD-dominates ``q`` under ``pref``.
-
-    Yields ``(cut, coeffs, rhs)`` for each proper upper contour set, top-down,
-    where ``cut`` is the alternative closing the set and the row
-    ``coeffs . v <= rhs`` over ``width`` variables reads ``p(U) >= q(U)``.
-    """
-    coeffs = [0] * width
-    rhs = 0
-    for x in pref.order[:-1]:
-        p_const, p_terms = p[x]
-        q_const, q_terms = q[x]
-        rhs += p_const - q_const
-        for var, c in q_terms:
-            coeffs[var] += c
-        for var, c in p_terms:
-            coeffs[var] -= c
-        yield x, tuple(coeffs), rhs
-
-
-def nonnegative_rows(p: AffineLottery, width: int):
-    """Rows ``(x, coeffs, rhs)`` saying ``p(x) >= 0``, one per alternative."""
-    for x, (const, terms) in enumerate(p):
-        coeffs = [0] * width
-        for var, c in terms:
-            coeffs[var] -= c
-        yield x, tuple(coeffs), const
 
 
 def mix(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:

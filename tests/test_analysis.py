@@ -403,22 +403,32 @@ def reference_extension_rows(base_sds, base, extras):
     return rows, num_vars
 
 
-@pytest.mark.parametrize("m", [3, 4])
+def golden_extras(name):
+    return parse_profiles((Path(__file__).resolve().parent / "golden" / name).read_text(encoding="utf-8"))
+
+
+def reference_cases():
+    """``(id, scheme, base, extras)``: the majority cycle alone, then the
+    golden extra sets, in all but ``two-cycles`` of which some extras
+    neighbour each other, so some rows carry variables on both sides."""
+    for m in (3, 4):
+        cycle = [majority_cycle_profile(3, m)]
+        mix = Mixture([(F(1, 2), CondorcetRule(3, m)), (F(1, 2), RandomDictatorship([F(1, 3)] * 3, m))])
+        yield f"cond-{m}", CondorcetRule(3, m), CondorcetDomain(3, m), cycle
+        yield f"mix-{m}", mix, CondorcetDomain(3, m), cycle
+    for name in ("six-extras", "six-extras-bc-swapped", "two-cycles", "near-winner-a"):
+        for label, scheme in (("cond", CondorcetRule(3, 3)), ("rd", RandomDictatorship([F(1, 3)] * 3, 3))):
+            yield f"{name}-{label}", scheme, CondorcetForDomain(0, 3, 3), golden_extras(f"{name}.txt")
+    yield "m4-cycle-pair-cond", CondorcetRule(3, 4), CondorcetDomain(3, 4), golden_extras("m4-cycle-pair.txt")
+
+
 @pytest.mark.parametrize(
-    "make_sds",
-    [
-        lambda m: CondorcetRule(3, m),
-        lambda m: Mixture(
-            [(F(1, 2), CondorcetRule(3, m)), (F(1, 2), RandomDictatorship([F(1, 3)] * 3, m))]
-        ),
-    ],
-    ids=["cond", "mix"],
+    "scheme, base, extras", [pytest.param(*case[1:], id=case[0]) for case in reference_cases()]
 )
-def test_extension_rows_match_reference(m, make_sds):
-    base = CondorcetDomain(3, m)
-    extras = [majority_cycle_profile(3, m)]
-    got = _extension_rows(make_sds(m), ExtendedDomain(base, extras))
-    assert got == reference_extension_rows(make_sds(m), base, extras)
+def test_extension_rows_match_reference(scheme, base, extras):
+    extended = ExtendedDomain(base, extras)
+    got = _extension_rows(scheme, extended)
+    assert got == reference_extension_rows(scheme, base, extended.extras)
 
 
 # -- a manipulable base and the independent witness check ----------------------------------

@@ -19,6 +19,7 @@ SIX_EXTRAS = str(GOLDEN / "six-extras.txt")
 SIX_EXTRAS_BC = str(GOLDEN / "six-extras-bc-swapped.txt")
 NEAR_WINNER_A = str(GOLDEN / "near-winner-a.txt")
 TWO_CYCLES = str(GOLDEN / "two-cycles.txt")
+M4_CYCLE_PAIR = str(GOLDEN / "m4-cycle-pair.txt")
 TB = "tb-condorcet:a>b>c"
 MIX = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
 
@@ -48,6 +49,10 @@ CASES = {
     # the same six profiles with b and c swapped: a different elimination order
     "extend-cond-six-extras-bc-swapped": (
         0, ["extend", "--n", "3", "--base", "condorcet-for:a", "--sds", "cond", "--extras", SIX_EXTRAS_BC],
+    ),
+    # the m=4 majority cycle and its outside neighbour: adjacent extras above m=3
+    "extend-cond-m4-cycle-pair": (
+        1, ["extend", "--n", "3", "--m", "4", "--base", "condorcet", "--sds", "cond", "--extras", M4_CYCLE_PAIR],
     ),
     "extend-rd-cycle": (
         0, ["extend", "--n", "3", "--base", "condorcet", "--sds", "rd:1/3,1/3,1/3", "--extras", CYCLE3],

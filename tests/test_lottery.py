@@ -12,11 +12,9 @@ from condlab.lottery import (
     NegativeProbabilityError,
     _sd_verdict,
     affine_combine,
-    constant_form,
     mix,
     sd_compare,
     sd_margins,
-    sd_rows,
 )
 
 F = Fraction
@@ -189,31 +187,6 @@ def test_mix_interpolates(p, q, k):
         assert got[x] == w * p[x] + (1 - w) * q[x]
 
 
-@st.composite
-def preference_and_lotteries(draw):
-    """A random order over 2..4 alternatives and two lotteries with denominator 12."""
-    m = draw(st.integers(2, 4))
-    pref = PreferenceRelation(tuple(draw(st.permutations(range(m)))))
-
-    def lottery():
-        bounds = [0] + sorted(draw(st.lists(st.integers(0, 12), min_size=m - 1, max_size=m - 1))) + [12]
-        return Lottery([F(hi - lo, 12) for lo, hi in zip(bounds, bounds[1:])])
-
-    return pref, lottery(), lottery()
-
-
-@given(preference_and_lotteries())
-def test_sd_rows_agree_with_sd_compare(case):
-    pref, p, q = case
-    rows = list(sd_rows(pref, constant_form(p), constant_form(q), 0))
-    losing = sd_compare(pref, p, q)
-    assert [cut for cut, _, _ in rows] == list(pref.order[:-1])
-    assert all(coeffs == () for _, coeffs, _ in rows)
-    assert all(0 <= rhs for _, _, rhs in rows) == (losing is None)
-    failing = [cut for cut, _, rhs in rows if rhs < 0]
-    assert (failing[0] if failing else None) == losing
-
-
 # -- integer kernel against a frozen Fraction reference -------------------------
 
 
@@ -337,12 +310,13 @@ def test_memoised_sd_compare_matches_frozen_body(case):
 
 @given(order_and_two_lotteries())
 def test_sd_margins_are_the_sd_row_right_hand_sides(case):
-    # the integer kernel and the row builder walk the same cuts
+    # each margin is p(U) - q(U) at a proper upper contour set, top-down
     pref, p, q = case
     margins, den = sd_margins(pref.order, p.numerators, q.numerators)
-    rows = list(sd_rows(pref, constant_form(p), constant_form(q), 0))
+    cp = list(accumulate(p[x] for x in pref.order))
+    cq = list(accumulate(q[x] for x in pref.order))
     assert den == p.denominator * q.denominator
-    assert [F(margin, den) for margin in margins] == [rhs for _, _, rhs in rows]
+    assert [F(margin, den) for margin in margins] == [a - b for a, b in zip(cp[:-1], cq[:-1])]
 
 
 def test_sd_margins_over_unequal_denominators():

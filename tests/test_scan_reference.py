@@ -33,7 +33,7 @@ from condlab.axioms import (
 from condlab.core import PreferenceRelation, all_relations
 from condlab.domains import CondorcetDomain, ExtendedDomain, FullDomain, TieBreakingCondorcetDomain
 from condlab.domains import majority_cycle_profile
-from condlab.lottery import Lottery, nonnegative_rows, sd_rows
+from condlab.lottery import Lottery
 from condlab.ratlp import simplex_maximize
 from condlab.sds import (
     Borda,
@@ -101,6 +101,37 @@ def reference_check_strategyproof(sds, dom):
                     )
                     return Verdict("strategyproof", False, witness, index + 1, comparisons)
     return Verdict("strategyproof", True, None, len(members), comparisons)
+
+
+def sd_rows(pref, p, q, width):
+    """Rows ``(cut, coeffs, rhs)`` saying that ``p`` weakly SD-dominates ``q``.
+
+    ``p`` and ``q`` are affine lotteries: per alternative, a constant and
+    integer multiples of the variables, ``(const, ((var, coef), ...))``. The
+    row ``coeffs . v <= rhs`` over ``width`` variables reads ``p(U) >= q(U)``
+    at each proper upper contour set ``U`` of ``pref``, top-down. A frozen
+    copy of the general builder the package once shared.
+    """
+    coeffs = [0] * width
+    rhs = 0
+    for x in pref.order[:-1]:
+        p_const, p_terms = p[x]
+        q_const, q_terms = q[x]
+        rhs += p_const - q_const
+        for var, c in q_terms:
+            coeffs[var] += c
+        for var, c in p_terms:
+            coeffs[var] -= c
+        yield x, tuple(coeffs), rhs
+
+
+def nonnegative_rows(p, width):
+    """Rows ``(x, coeffs, rhs)`` saying ``p(x) >= 0`` for an affine lottery ``p``."""
+    for x, (const, terms) in enumerate(p):
+        coeffs = [0] * width
+        for var, c in terms:
+            coeffs[var] -= c
+        yield x, tuple(coeffs), const
 
 
 def reference_max_dictatorial_weight(sds, dom):
