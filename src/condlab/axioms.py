@@ -227,9 +227,17 @@ def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
     return Verdict("ex-post-efficient", True, None, len(members), comparisons)
 
 
-def _swap_scan(sds, dom: Domain, axiom: str, watched, fails) -> Verdict:
-    """The first adjacent swap where ``fails(before, after)`` holds for an
-    alternative of ``watched(x, y)``, ``x`` having sat directly above ``y``."""
+# axiom -> (watched, fails): a swap of x directly above y on m alternatives breaks the
+# axiom at each z of watched(x, y, m) with fails(before[z], after[z]); scan and replay read it
+_SWAP_AXIOMS = {
+    "localized": (lambda x, y, m: [z for z in range(m) if z not in (x, y)], ne),
+    "non-perverse": (lambda x, y, m: (y,), gt),
+}
+
+
+def _swap_scan(sds, dom: Domain, axiom: str) -> Verdict:
+    """The first adjacent swap that breaks ``axiom``, one of ``_SWAP_AXIOMS``."""
+    watched, fails = _SWAP_AXIOMS[axiom]
     members = dom.members()
     f = sds.at
     comparisons = 0
@@ -237,7 +245,7 @@ def _swap_scan(sds, dom: Domain, axiom: str, watched, fails) -> Verdict:
         before = f(profile)
         for voter, x, y, neighbor in dom.adjacent_swaps(profile):
             after = f(neighbor)
-            for z in watched(x, y):
+            for z in watched(x, y, dom.m):
                 comparisons += 1
                 if fails(before[z], after[z]):
                     witness = SwapEffectWitness(profile, voter, x, y, z, before[z], after[z])
@@ -247,14 +255,12 @@ def _swap_scan(sds, dom: Domain, axiom: str, watched, fails) -> Verdict:
 
 def check_localized(sds, dom: Domain) -> Verdict:
     """Adjacent swaps of x and y must leave all other probabilities unchanged."""
-    return _swap_scan(
-        sds, dom, "localized", lambda x, y: [z for z in range(dom.m) if z not in (x, y)], ne
-    )
+    return _swap_scan(sds, dom, "localized")
 
 
 def check_non_perverse(sds, dom: Domain) -> Verdict:
     """Reinforcing y by one adjacent position never lowers y's probability."""
-    return _swap_scan(sds, dom, "non-perverse", lambda x, y: (y,), gt)
+    return _swap_scan(sds, dom, "non-perverse")
 
 
 _CHECKERS = {
@@ -364,8 +370,7 @@ def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
     if axiom not in _CHECKERS:
         raise ValueError(f"unknown axiom {axiom!r}")
     if axiom == "non-imposition":
-        point = Lottery.point(_alternative(witness, "alternative", dom.m), dom.m)
-        return all(sds.at(profile) != point for profile in dom.members())
+        return _alternative(witness, "alternative", dom.m) not in sure_winners(sds, dom)
     profile = Profile.from_text(_field(witness, "profile", str))
     if axiom == "ex-post-efficient":
         dominator = _alternative(witness, "dominator", dom.m)
@@ -375,7 +380,7 @@ def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
             and pareto_dominates(profile, dominator, dominated)
             and sds.evaluate(profile)[dominated] > 0
         )
-    if axiom in ("localized", "non-perverse"):
+    if axiom in _SWAP_AXIOMS:
         voter = _voter(_field(witness, "voter", int), dom.n)
         lowered, raised, watched = (
             _alternative(witness, key, dom.m) for key in ("lowered", "raised", "watched")
@@ -385,11 +390,9 @@ def replay_witness(sds, dom: Domain, verdict_json: Mapping) -> bool:
         neighbor = swap(profile, voter, lowered, raised)
         if not dom.contains(neighbor):
             return False
-        before = sds.evaluate(profile)
-        after = sds.evaluate(neighbor)
-        if axiom == "localized":
-            return watched not in (lowered, raised) and before[watched] != after[watched]
-        return watched == raised and after[watched] < before[watched]
+        before, after = sds.evaluate(profile)[watched], sds.evaluate(neighbor)[watched]
+        watched_by, fails = _SWAP_AXIOMS[axiom]
+        return watched in watched_by(lowered, raised, dom.m) and fails(before, after)
     # strategyproofness is group strategyproofness for a coalition of one
     deviation = Profile.from_text(_field(witness, "deviation", str))
     if axiom == "strategyproof":

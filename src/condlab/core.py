@@ -4,7 +4,8 @@ Alternatives are dense integer indices ``0..m-1`` shown to users as letters
 (0 = ``a``, 1 = ``b``, ...). Preference relations are strict total orders,
 profiles are fixed-length voter tuples of relations. Everything here is
 immutable and hashable so values can be cached, interned and used as
-dictionary keys; all arithmetic on top of these types stays in exact
+dictionary keys; a relation hashes by its ``index`` and a profile by its
+``code``. All arithmetic on top of these types stays in exact
 rationals elsewhere in the package.
 """
 
@@ -95,7 +96,7 @@ class PreferenceRelation:
     ``index`` is the relation's position in :func:`all_relations`: its Lehmer
     code, each slot's digit counting the smaller alternatives not yet placed."""
 
-    __slots__ = ("order", "index", "_pos", "_hash")
+    __slots__ = ("order", "index", "_pos")
 
     def __init__(self, order: Sequence[int]):
         order = tuple(order)
@@ -111,7 +112,6 @@ class PreferenceRelation:
         self.order = order
         self.index = index
         self._pos = tuple(pos)
-        self._hash = hash(order)
 
     @property
     def m(self) -> int:
@@ -160,7 +160,7 @@ class PreferenceRelation:
         return self.order < other.order
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.index
 
     def __repr__(self) -> str:
         return f"PreferenceRelation({self.to_text()})"
@@ -190,22 +190,21 @@ class Profile:
     ``code`` is the profile's position in :func:`all_profiles`: the voters'
     relation indices as digits in base m!, the first voter most significant."""
 
-    __slots__ = ("relations", "code", "_hash")
+    __slots__ = ("relations", "code")
 
     def __init__(self, relations: Sequence[PreferenceRelation]):
         relations = tuple(relations)
         if not relations:
             raise ValueError("a profile needs at least one voter")
-        m = relations[0].m
+        m = len(relations[0].order)
         radix = factorial(m)
         code = 0
         for rel in relations:
-            if rel.m != m:
+            if len(rel.order) != m:
                 raise ValueError("voters rank different numbers of alternatives")
             code = code * radix + rel.index
         self.relations = relations
         self.code = code
-        self._hash = hash(relations)
 
     @classmethod
     def from_code(cls, code: int, n: int, m: int) -> "Profile":
@@ -256,7 +255,7 @@ class Profile:
         return isinstance(other, Profile) and self.relations == other.relations
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.code
 
     def __repr__(self) -> str:
         return "Profile(" + "; ".join(rel.to_text() for rel in self.relations) + ")"

@@ -108,12 +108,13 @@ class Domain:
 
     def _member_at(self, code: int, profile: Optional[Profile] = None) -> Optional[Profile]:
         """The member with ``code``, or None outside the domain. On a miss,
-        ``profile`` (built from the code when not given) is decided and recorded."""
+        ``profile`` (built from the code when not given) is decided and recorded
+        under its own ``code`` object, so a member adds no second integer."""
         if code in self._table:
             return self._table[code]
         if profile is None:
             profile = Profile.from_code(code, self.n, self.m)
-        member = self._table[code] = profile if self._contains(profile) else None
+        member = self._table[profile.code] = profile if self._contains(profile) else None
         return member
 
     def contains(self, profile: Profile) -> bool:
@@ -127,9 +128,9 @@ class Domain:
             raise OutOfDomainError(f"{what} are only defined for domain members")
         return profile.code
 
-    def _candidates(self) -> Iterator[Tuple[int, Profile]]:
-        """``(code, profile)`` in code order, covering every member."""
-        return enumerate(all_profiles(self.n, self.m))
+    def _candidates(self) -> Iterator[Profile]:
+        """Profiles in code order, covering every member."""
+        return all_profiles(self.n, self.m)
 
     def size_bound(self) -> int:
         """Upper bound on the work needed to enumerate this domain."""
@@ -145,7 +146,7 @@ class Domain:
                 f"cap is {cap}"
             )
         if self._members is None:
-            found = itertools.starmap(self._member_at, self._candidates())
+            found = (self._member_at(p.code, p) for p in self._candidates())
             self._members = tuple(p for p in found if p is not None)
         return self._members
 
@@ -297,7 +298,7 @@ class ExplicitDomain(Domain):
         for p in profiles:
             if p.n != self.n or p.m != self.m:
                 raise ValueError("explicit domain mixes profile shapes")
-        self.profiles = tuple(profiles)
+        self.profiles = self._members = tuple(profiles)
         self._table.update((p.code, p) for p in profiles)
 
     def _key(self) -> tuple:
@@ -311,9 +312,6 @@ class ExplicitDomain(Domain):
 
     def _member_at(self, code: int, profile: Optional[Profile] = None) -> Optional[Profile]:
         return self._table.get(code)  # seeded with every member; nothing else is recorded
-
-    def _candidates(self) -> Iterator[Tuple[int, Profile]]:
-        return ((p.code, p) for p in self.profiles)
 
 
 class ExtendedDomain(Domain):
@@ -345,10 +343,9 @@ class ExtendedDomain(Domain):
     def _member_at(self, code: int, profile: Optional[Profile] = None) -> Optional[Profile]:
         return self._table[code] if code in self._table else self.base._member_at(code, profile)
 
-    def _candidates(self) -> Iterator[Tuple[int, Profile]]:
+    def _candidates(self) -> Iterator[Profile]:
         # the base's own member objects: the base decides each profile once
-        merged = heapq.merge(self.base.members(), self.extras, key=lambda p: p.code)
-        return ((p.code, p) for p in merged)
+        return heapq.merge(self.base.members(), self.extras, key=lambda p: p.code)
 
 
 # -- connectivity -----------------------------------------------------------

@@ -51,7 +51,7 @@ class Lottery:
     ``denominator`` is the smallest that works.
     """
 
-    __slots__ = ("numerators", "denominator", "_probs", "_hash")
+    __slots__ = ("numerators", "denominator", "_probs")
 
     def __init__(self, probs: Sequence[Fraction]):
         probs = tuple(Fraction(p) for p in probs)
@@ -79,7 +79,6 @@ class Lottery:
         self.numerators = tuple(a // g for a in numerators)
         self.denominator = denominator // g
         self._probs = None
-        self._hash = hash(self.numerators)
 
     @classmethod
     @lru_cache(maxsize=1 << 10)  # interned: the same object for every call with (x, m)
@@ -155,7 +154,7 @@ class Lottery:
         return isinstance(other, Lottery) and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.numerators)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{alternative_name(x)}: {p}" for x, p in enumerate(self.probs) if p)

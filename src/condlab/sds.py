@@ -10,9 +10,10 @@ lotteries is memoised, by value, in a bounded cache that keeps no failed
 combination.
 
 ``SDS.evaluate`` is the single checked evaluation. ``SDS.at`` memoises it in
-the object's one evaluation cache, which every scan reads, so scans over one
-scheme object evaluate each profile at most once. The cache lives as long as
-the object and keeps no failed evaluation.
+the object's one evaluation cache, keyed by the profile itself and holding
+the lottery alone, which every scan reads, so scans over one scheme object
+evaluate each profile at most once. The cache lives as long as the object
+and keeps no failed evaluation.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class SDS:
     def __init__(self, valid_domain: Domain, name: str):
         self.valid_domain = valid_domain
         self.name = name
-        # code -> (profile, lottery): an int key hashes in C, and a hit needs
-        # the stored profile itself or an equal one, never another shape's
+        # profile -> lottery: a profile hashes by its code and a lookup tries identity,
+        # then equality, so another shape's profile with the same code never hits
         self._evaluations: dict = {}
 
     @property
@@ -66,11 +67,9 @@ class SDS:
 
     def at(self, profile: Profile) -> Lottery:
         """``evaluate(profile)``, computed at most once per profile."""
-        entry = self._evaluations.get(profile.code)
-        if entry is not None and (entry[0] is profile or entry[0] == profile):
-            return entry[1]
-        lot = self.evaluate(profile)
-        self._evaluations[profile.code] = (profile, lot)
+        lot = self._evaluations.get(profile)
+        if lot is None:
+            lot = self._evaluations[profile] = self.evaluate(profile)
         return lot
 
     def _lottery(self, profile: Profile) -> Lottery:

@@ -176,6 +176,53 @@ def test_profile_from_code_refuses_a_code_outside_the_profile_space(code, n, m):
         Profile.from_code(code, n, m)
 
 
+# -- identity: a relation hashes by its index, a profile by its code ------------
+
+IDENTITY_SHAPES = [(n, m) for n in range(1, 5) for m in range(2, 5)]
+
+
+def _shape_sample(n, m, size=400):
+    """Every profile of the shape, or a seeded sample of ``size`` when there are more."""
+    total = full_profile_count(n, m)
+    if total <= size:
+        return list(all_profiles(n, m))
+    codes = random.Random(n * 10 + m).sample(range(total), size)
+    return [Profile.from_code(code, n, m) for code in codes]
+
+
+@pytest.mark.parametrize("m", range(2, 5))
+def test_relation_hashes_by_its_index(m):
+    for r in all_relations(m):
+        copy = PreferenceRelation(r.order)
+        assert copy is not r and copy == r
+        assert hash(r) == r.index == hash(copy)
+
+
+@pytest.mark.parametrize("n, m", IDENTITY_SHAPES)
+def test_profile_hashes_by_its_code(n, m):
+    for p in _shape_sample(n, m):
+        copy = Profile([PreferenceRelation(r.order) for r in p])
+        assert copy is not p and copy == p
+        assert hash(p) == p.code == hash(copy)
+
+
+def test_values_of_different_shapes_sharing_an_identity_are_distinct_keys():
+    shapes = IDENTITY_SHAPES
+    for i, first in enumerate(shapes):
+        for second in shapes[i + 1:]:
+            shared = min(full_profile_count(*first), full_profile_count(*second))
+            for code in {0, 1, shared - 1}:
+                p, q = Profile.from_code(code, *first), Profile.from_code(code, *second)
+                assert p != q and hash(p) == hash(q)
+                keys = {p: first, q: second}
+                assert len(keys) == 2 and keys[p] == first and keys[q] == second
+    for small, large in [(2, 3), (2, 4), (3, 4)]:
+        for index in range(factorial(small)):
+            r, s = all_relations(small)[index], all_relations(large)[index]
+            assert r != s and hash(r) == hash(s)
+            assert len({r: small, s: large}) == 2
+
+
 def test_derived_profiles_get_the_canonical_code():
     canonical = list(all_profiles(3, 3))
     position = {p: i for i, p in enumerate(canonical)}

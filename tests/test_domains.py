@@ -360,6 +360,37 @@ def test_extended_domain_records_only_its_extras(make_base):
     assert all(dom._table[extra.code] is extra for extra in dom.extras)
 
 
+# n 1..4 and m 2..4, less n=4 m=4 and its 331,776 profiles
+IDENTITY_SHAPES = [(n, m) for n in range(1, 5) for m in range(2, 5) if (n, m) != (4, 4)]
+IDENTITY_DOMAINS = {
+    **{f"{kind.kind}-{n}-{m}": (lambda kind=kind, n=n, m=m: kind(n, m))
+       for kind in (FullDomain, CondorcetDomain) for n, m in IDENTITY_SHAPES},
+    "explicit": EXTENSION_BASES["explicit"],
+    "extended": EXTENSION_BASES["extended"],
+}
+
+
+def _stored_members(dom):
+    """id(member) -> the key object the member table holds it under."""
+    tables = [dom._table] + ([dom.base._table] if isinstance(dom, ExtendedDomain) else [])
+    return {id(p): key for table in tables for key, p in table.items() if p is not None}
+
+
+@pytest.mark.parametrize("make_dom", IDENTITY_DOMAINS.values(), ids=IDENTITY_DOMAINS)
+@pytest.mark.parametrize("walk_first", [False, True])
+def test_every_member_is_held_under_its_own_code(make_dom, walk_first):
+    dom = make_dom()
+    if walk_first:  # walks decode neighbours from codes before enumeration meets them
+        for profile in list(all_profiles(dom.n, dom.m))[::5]:
+            if dom.contains(profile):
+                list(dom.unilateral_deviations(profile, 0))
+                list(dom.adjacent_swaps(profile))
+    members = dom.members()
+    stored = _stored_members(dom)
+    assert len(stored) == len(members)
+    assert all(stored[id(p)] is p.code and hash(p) == p.code for p in members)
+
+
 def test_explicit_walks_record_nothing():
     dom = ExplicitDomain(list(all_profiles(3, 3))[::7])
     seeded = dict(dom._table)

@@ -3,13 +3,19 @@
 Each case names a command line and the exit code it must return; its
 expected stdout is ``tests/golden/<name>.out``. The reports include the
 witnesses and the ``profiles_checked`` and ``comparisons`` counters, so any
-change to scan order or deviation generation shows up here.
+change to scan order or deviation generation shows up here. A few of them
+also run in fresh interpreters under two hash seeds: no report may depend on
+the iteration order of a set or dict of hashed values.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import condlab
 from condlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -104,3 +110,26 @@ def test_report_matches_golden(name, capsys):
     code, argv = CASES[name]
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# one report per command family: the axiom table, the FM solve, the LP, merged enumeration
+HASH_SEED_CASES = [
+    "check-all-borda-full",
+    "extend-cond-six-extras",
+    "gamma-borda",
+    "enumerate-cond-for-two-cycles",
+]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("name", HASH_SEED_CASES)
+def test_report_does_not_depend_on_the_hash_seed(name, seed):
+    code, argv = CASES[name]
+    src = str(Path(condlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "condlab.cli", *argv], env=env, capture_output=True, timeout=300
+    )
+    assert done.returncode == code, done.stderr.decode()
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
