@@ -332,9 +332,9 @@ def _majority_winner(relations: Tuple[PreferenceRelation, ...]) -> Optional[int]
     return _tally_winner(tally, n, len(relations[0].order))
 
 
-# Bounded: scans read membership from the domain's table and lotteries from the
-# scheme's evaluation cache, so this cache and the next only spare nearby repeats.
-@lru_cache(maxsize=1 << 14)
+# Holds a whole n<=3 domain (6^3 = 216 profiles), whose scans ask each winner
+# again, but no copy of a larger one. It stays for the tracer's cache_info().
+@lru_cache(maxsize=1 << 8)
 def condorcet_winner(profile: Profile, tiebreaker: Optional[TieBreaker] = None) -> Optional[int]:
     """The alternative beating every other by strict majority, if one exists;
     with ``tiebreaker``, after that order votes as one extra voter."""

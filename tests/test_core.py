@@ -353,6 +353,26 @@ def test_tiebroken_winner_matches_augmented_profile_exhaustively(n):
         condorcet_winner(p, PreferenceRelation((0, 1)))
 
 
+@pytest.mark.parametrize("n, m", [(n, 3) for n in range(1, 5)] + [(2, 4)])
+def test_tiebroken_winner_matches_frozen_routine_on_augmented_profile(n, m):
+    # the tie-broken kernel against margin rows rebuilt from every voter's positions
+    for tb in all_relations(m):
+        for p in all_profiles(n, m):
+            assert condorcet_winner(p, tb) == frozen_condorcet_winner(augment(p, tb)), (p, tb)
+
+
+def test_winner_memo_holds_no_domain():
+    from condlab.domains import CondorcetDomain
+    from condlab.sds import CondorcetRule
+
+    condorcet_winner.cache_clear()
+    members = CondorcetDomain(5, 3).members()
+    rule = CondorcetRule(5, 3)
+    for p in members:
+        rule.at(p)
+    assert condorcet_winner.cache_info().currsize < len(members) == 7_236
+
+
 def margin_winner(profile):
     """The majority winner read off :func:`majority_margin`."""
     others = range(profile.m)

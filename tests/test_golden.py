@@ -28,6 +28,8 @@ TWO_CYCLES = str(GOLDEN / "two-cycles.txt")
 M4_CYCLE_PAIR = str(GOLDEN / "m4-cycle-pair.txt")
 TB = "tb-condorcet:a>b>c"
 MIX = "mix:1/2*cond+1/2*rd:1/3,1/3,1/3"
+# one of the schemes the n=5 benchmark workload draws from
+MIX5 = "mix:2/5*cond+3/5*rd:1/10,3/10,1/5,3/10,1/10"
 
 CASES = {
     "check-all-cond-condorcet": (0, ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--axiom", "all"]),
@@ -47,6 +49,9 @@ CASES = {
         2, ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--axiom", "gsp", "--max-coalition", "0"],
     ),
     "gamma-mix": (0, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", MIX]),
+    # the two reports of the benchmark's n=5 SP and dictatorial-weight jobs
+    "check-sp-n5-mix": (0, ["check", "--n", "5", "--domain", "condorcet", "--sds", MIX5, "--axiom", "sp"]),
+    "gamma-n5-mix": (0, ["gamma", "--n", "5", "--domain", "condorcet", "--sds", MIX5]),
     "gamma-borda": (1, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", "borda"]),
     "extend-cond-cycle": (1, ["extend", "--n", "3", "--base", "condorcet", "--sds", "cond", "--extras", CYCLE3]),
     "extend-cond-six-extras": (
