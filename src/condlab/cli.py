@@ -230,7 +230,6 @@ def _cmd_theorems(args) -> Tuple[int, Dict]:
         m=args.m,
         tiebreakers=tiebreakers,
         step=parse_rational(args.grid_step),
-        seed=args.seed,
     )
     all_ok = all(r["ok"] for r in results)
     payload = {"battery": args.which, "all_ok": all_ok, "results": results}
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tie-breaking order (repeatable)",
     )
     p.add_argument("--grid-step", default="1/4", help="grid resolution, e.g. 1/4")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_theorems)
 
     return parser

@@ -127,14 +127,29 @@ def test_proper_mixture_is_group_manipulable():
 
 
 def test_group_check_with_singleton_bound_matches_strategyproofness():
-    dom = CondorcetDomain(3, 3)
-    for name, sds in catalog(3, 3):
+    # criterion 8 rests on this step: on the majority domain extended by the
+    # cycle, the majority rule with any lottery at the cycle is manipulable by
+    # one voter, so it is group manipulable too
+    base = CondorcetDomain(3, 3)
+    cycle = majority_cycle_profile(3, 3)
+    extended = ExtendedDomain(base, [cycle])
+    table = {profile: CondorcetRule(3, 3).at(profile) for profile in base.members()}
+    at_cycle = [Lottery.point(x, 3) for x in range(3)] + [Lottery.uniform(3)]
+    cases = [(name, sds, base) for name, sds in catalog(3, 3)]
+    cases += [
+        (f"cond+{lot.to_json_dict()}", TableSDS({**table, cycle: lot}, valid_domain=extended), extended)
+        for lot in at_cycle
+    ]
+    for name, sds, dom in cases:
         sp = check_strategyproof(sds, dom)
         gsp = check_group_strategyproof(sds, dom, max_coalition=1)
         assert sp.holds == gsp.holds, name
+        assert dom is base or not sp.holds, name
         if not sp.holds:
             assert gsp.witness.profile == sp.witness.profile
             assert gsp.witness.coalition == (sp.witness.voter,)
+            assert gsp.witness.deviation == sp.witness.deviation
+            assert gsp.witness.cuts == ((sp.witness.voter, sp.witness.cut),)
 
 
 def test_group_witness_stable_when_bound_grows():

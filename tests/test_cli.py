@@ -438,6 +438,13 @@ def test_theorems_rejects_wrong_parity(capsys):
     assert code == 2 and "odd" in data["error"]
 
 
+def test_theorems_takes_no_seed():
+    # no battery draws random numbers, so a seed is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["theorems", "--which", "3", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_usage_errors(capsys):
     code, data = run_json(
         capsys, ["check", "--n", "3", "--domain", "condorcet", "--sds", "nosuch"]

@@ -117,12 +117,14 @@ def test_report_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-# one report per command family: the axiom table, the FM solve, the LP, merged enumeration
+# one report per command family: the axiom table, the FM solve, the LP, merged
+# enumeration, and the battery whose criterion 8 reports an FM conflict
 HASH_SEED_CASES = [
     "check-all-borda-full",
     "extend-cond-six-extras",
     "gamma-borda",
     "enumerate-cond-for-two-cycles",
+    "theorems-3",
 ]
 
 

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from condlab.analysis import MixtureCoefficients
+from condlab.analysis import MixtureCoefficients, _extension_rows, extension_feasibility
 from condlab.core import CapExceededError, capped_enumeration
-from condlab.sds import Dictatorship, RandomDictatorship
-from condlab.theorems import coefficient_grid, pattern_is_group_violation
+from condlab.domains import CondorcetDomain, ExtendedDomain, majority_cycle_profile
+from condlab.sds import CondorcetRule, Dictatorship, RandomDictatorship
+from condlab.theorems import coefficient_grid, criterion_8, pattern_is_group_violation
+from test_ratlp import reference_fm_feasible
 
 F = Fraction
 
@@ -51,3 +53,27 @@ def test_proof_pattern_replays_as_a_group_manipulation():
     assert pattern_is_group_violation(blend, 0, 3)
     # the lone voter's dictatorship keeps its favorite when truthful
     assert not pattern_is_group_violation(Dictatorship(0, 3, 3), 0, 3)
+
+
+def test_criterion_8_reports_the_extension_conflict():
+    cycle = majority_cycle_profile(3, 3)
+    certificate = extension_feasibility(CondorcetRule(3, 3), CondorcetDomain(3, 3), [cycle])
+    assert criterion_8()["details"]["conflict"] == list(certificate.conflict)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (5, 3), (3, 4)])
+def test_criterion_8_conflict_rows_are_infeasible_on_their_own(n, m):
+    # the certificate behind criterion 8: the model rows tagged by the reported
+    # conflict admit no lottery at the cycle, by the fixed-order reference FM,
+    # and dropping any one tag's rows leaves a feasible set
+    rule, base, cycle = CondorcetRule(n, m), CondorcetDomain(n, m), majority_cycle_profile(n, m)
+    certificate = extension_feasibility(rule, base, [cycle])
+    assert not certificate.feasible and certificate.conflict
+    rows, num_vars = _extension_rows(rule, ExtendedDomain(base, [cycle]))
+    conflict = set(certificate.conflict)
+    core = [row for row in rows if row[2] <= conflict]
+    assert 0 < len(core) < len(rows)
+    assert not reference_fm_feasible(core, num_vars)[0]
+    for tag in conflict:
+        rest = [row for row in core if tag not in row[2]]
+        assert reference_fm_feasible(rest, num_vars)[0], tag
