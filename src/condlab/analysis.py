@@ -314,16 +314,6 @@ def _extension_rows(base_sds, extended: ExtendedDomain):
     return rows, num_vars
 
 
-def _point_from_reduced(point: Sequence[Fraction], extras: Sequence[Profile]):
-    reduced = extras[0].m - 1
-    assignment = {}
-    for e, extra in enumerate(extras):
-        head = list(point[e * reduced : (e + 1) * reduced])
-        head.append(1 - sum(head, Fraction(0)))
-        assignment[extra] = Lottery(head)
-    return assignment
-
-
 def verify_extension_witness(
     base_sds, base: Domain, extras: Sequence[Profile], assignment: Mapping[Profile, Lottery]
 ) -> bool:
@@ -338,23 +328,6 @@ def verify_extension_witness(
     table = {profile: base_sds.at(profile) for profile in base.members()}
     table.update((extra, assignment[extra]) for extra in extended.extras)
     return check_strategyproof(TableSDS(table, extended, "extended"), extended).holds
-
-
-def _solve_extension(rows, num_vars: int, extras, forced: Mapping[Profile, Lottery]):
-    """Solve the extension model ``rows`` with the ``forced`` lotteries pinned."""
-    pinned = []
-    reduced = extras[0].m - 1
-    offsets = {extra: e * reduced for e, extra in enumerate(extras)}
-    for extra, lot in forced.items():
-        tag = frozenset([f"pinned lottery at {extra.to_text()!r}"])
-        for x in range(reduced):
-            unit = tuple(int(v == offsets[extra] + x) for v in range(num_vars))
-            pinned.append((unit, lot.probs[x], tag))
-            pinned.append((tuple(-u for u in unit), -lot.probs[x], tag))
-    ok, point, conflict = fm_feasible(rows + pinned, num_vars)
-    if not ok:
-        return None, conflict
-    return _point_from_reduced(point, extras), None
 
 
 def extension_feasibility(
@@ -415,13 +388,25 @@ def extension_feasibility(
     ):
         return FeasibilityResult(True, candidate, None)
 
-    # There is at least one pinning: with nothing uncovered, the one empty
-    # pinning is the unpinned solve, and a failure keeps the last conflict.
-    for chosen in itertools.permutations(extras, len(uncovered)):
-        forced = {
-            extra: Lottery.point(x, base.m) for x, extra in zip(uncovered, chosen)
-        }
-        assignment, conflict = _solve_extension(rows, num_vars, extras, forced)
-        if assignment is not None:
-            return FeasibilityResult(True, assignment, None)
+    # Extra e's first m - 1 probabilities are variables e*(m-1) onward and its
+    # last is one minus their sum, so pinning the point lottery of x at extra
+    # e fixes variable e*(m-1) + y to [y == x]. There is at least one pinning:
+    # with nothing uncovered, the one empty pinning is the unpinned solve, and
+    # a failure keeps the last conflict.
+    reduced = base.m - 1
+    for chosen in itertools.permutations(range(len(extras)), len(uncovered)):
+        pins = []
+        for x, e in zip(uncovered, chosen):
+            tag = frozenset([f"pinned lottery at {extras[e].to_text()!r}"])
+            for y in range(reduced):
+                unit = tuple(int(v == e * reduced + y) for v in range(num_vars))
+                pins.append((unit, int(y == x), tag))
+                pins.append((tuple(-u for u in unit), -int(y == x), tag))
+        ok, point, conflict = fm_feasible(rows + pins, num_vars)
+        if ok:
+            witness = {}
+            for e, extra in enumerate(extras):
+                head = point[e * reduced : (e + 1) * reduced]
+                witness[extra] = Lottery(head + [1 - sum(head)])
+            return FeasibilityResult(True, witness, None)
     return FeasibilityResult(False, None, tuple(sorted(conflict)))

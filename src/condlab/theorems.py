@@ -624,9 +624,9 @@ def run_battery(
     """Run one of the three check batteries and return the criterion results.
 
     Battery 1 covers the mixture characterization on odd electorates (plus
-    the fixed even-electorate signed mixture), battery 2 the tie-breaking
-    variant on even electorates, battery 3 the group-strategyproofness
-    separation.
+    the signed mixture, whose counterexample is fixed at n=4, m=3), battery
+    2 the tie-breaking variant on even electorates, battery 3 the
+    group-strategyproofness separation.
     """
     if which not in (1, 2, 3):
         raise ValueError(f"unknown battery {which}, expected 1, 2 or 3")
@@ -637,7 +637,7 @@ def run_battery(
             raise ValueError("battery 1 needs an odd number of voters")
         results.append(criterion_1(odd_n, m, step))
         results.append(criterion_2(odd_n, m))
-        results.append(criterion_3(4, m))
+        results.append(criterion_3(4, 3))
         results.append(criterion_5(odd_n, m, step))
     elif which == 2:
         even_n = 4 if n is None else n

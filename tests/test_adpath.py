@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -153,6 +154,32 @@ def test_sampled_pairs_five_voters():
         path = build_adpath(dom, start, goal)
         assert path.start == start and path.end == goal
         assert validate_adpath(dom, path).holds
+
+
+def test_five_voter_paths_commute_with_relabelling_but_not_with_voter_permutations():
+    # orbits of pairs under relabelling the alternatives would suffice to
+    # validate every n=5 path, but orbits under voter permutations would not
+    dom = CondorcetDomain(5, 3)
+    members = dom.members()
+
+    def relabel(profile, image):
+        return Profile([PreferenceRelation(tuple(image[x] for x in r.order)) for r in profile.relations])
+
+    rng = random.Random(5)
+    for _ in range(10):
+        start, goal = rng.choice(members), rng.choice(members)
+        steps = build_adpath(dom, start, goal).steps
+        for image in itertools.permutations(range(3)):
+            mapped = build_adpath(dom, relabel(start, image), relabel(goal, image)).steps
+            assert mapped == tuple(relabel(step, image) for step in steps)
+
+    # voters 3 and 4 agree at both ends, so swapping them fixes the pair,
+    # yet the path moves them at different steps
+    start = prof("c>b>a\nc>a>b\nb>a>c\nc>a>b\nc>a>b")
+    goal = prof("b>a>c\nb>c>a\nb>c>a\nc>b>a\nc>b>a")
+    steps = build_adpath(dom, start, goal).steps
+    swapped = tuple(Profile([p[0], p[1], p[2], p[4], p[3]]) for p in steps)
+    assert swapped != steps
 
 
 def test_sampled_pairs_tiebreaking_domain():

@@ -21,7 +21,7 @@ from condlab.analysis import (
     verify_extension_witness,
     verify_mixture,
 )
-from condlab.axioms import check_strategyproof
+from condlab.axioms import check_strategyproof, sure_winners
 from condlab.cli import build_parser
 from condlab.core import PreferenceRelation, Profile, alternative_name, condorcet_winner, parse_profiles
 from condlab.domains import (
@@ -561,6 +561,22 @@ def test_own_lotteries_returned_exactly_when_the_witness_check_accepts_them():
         verdicts.append(accepted)
     # rejected: both natural-fail tables, and cond's point(b) at the near-winner extras
     assert verdicts.count(True) == 17 and verdicts.count(False) == 3
+
+
+def test_every_extension_witness_is_strategyproof_and_non_imposing():
+    # own lotteries, unpinned FM points and pinned FM points alike
+    feasible = non_imposing = 0
+    for scheme, base, extras, flag in differential_inputs():
+        result = extension_feasibility(scheme, base, extras, require_non_imposition=flag)
+        if not result.feasible:
+            continue
+        feasible += 1
+        assert verify_extension_witness(scheme, base, extras, result.witness)
+        if flag:
+            non_imposing += 1
+            reached = {lot.is_point() for lot in result.witness.values()}
+            assert set(range(base.m)) - sure_winners(scheme, base) <= reached
+    assert feasible == 21 and non_imposing == 1
 
 
 # -- value-keyed memos -------------------------------------------------------------

@@ -122,6 +122,9 @@ def test_report_matches_golden(name, capsys):
 HASH_SEED_CASES = [
     "check-all-borda-full",
     "extend-cond-six-extras",
+    # two pins, and a pinned conflict: the pinning loop's order and tags
+    "extend-cond-for-two-cycles-non-imposing",
+    "extend-cond-for-near-winner-non-imposing",
     "gamma-borda",
     "enumerate-cond-for-two-cycles",
     "theorems-3",

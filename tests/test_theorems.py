@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import condlab.theorems as theorems
 from condlab.analysis import MixtureCoefficients, _extension_rows, extension_feasibility
 from condlab.core import CapExceededError, capped_enumeration
 from condlab.domains import CondorcetDomain, ExtendedDomain, majority_cycle_profile
@@ -77,3 +78,17 @@ def test_criterion_8_conflict_rows_are_infeasible_on_their_own(n, m):
     for tag in conflict:
         rest = [row for row in core if tag not in row[2]]
         assert reference_fm_feasible(rest, num_vars)[0], tag
+
+
+def test_battery_1_runs_criterion_3_at_its_fixed_size(monkeypatch):
+    # the signed-mixture counterexample exists only at (4, 3), whatever --m is
+    calls = []
+    for name in ("criterion_1", "criterion_2", "criterion_3", "criterion_5"):
+        monkeypatch.setattr(theorems, name, lambda *args, name=name: calls.append((name, args)) or {})
+    theorems.run_battery(1, m=4)
+    assert calls == [
+        ("criterion_1", (3, 4, F(1, 4))),
+        ("criterion_2", (3, 4)),
+        ("criterion_3", (4, 3)),
+        ("criterion_5", (3, 4, F(1, 4))),
+    ]
