@@ -221,14 +221,13 @@ def _cmd_extend(args) -> Tuple[int, Dict]:
 
 
 def _cmd_theorems(args) -> Tuple[int, Dict]:
-    from .theorems import DEFAULT_TIEBREAKERS, run_battery
+    from .theorems import run_battery
 
-    tiebreakers = tuple(args.tiebreak) if args.tiebreak else DEFAULT_TIEBREAKERS
     results = run_battery(
         args.which,
         n=args.n,
         m=args.m,
-        tiebreakers=tiebreakers,
+        tiebreakers=args.tiebreak,
         step=parse_rational(args.grid_step),
     )
     all_ok = all(r["ok"] for r in results)
@@ -249,7 +248,7 @@ def _add_common(parser, need_n: bool = True) -> None:
         "--max-profiles",
         type=int,
         default=None,
-        help="enumeration cap for this invocation (overrides CONDLAB_MAX_PROFILES)",
+        help="enumeration cap for this invocation",
     )
 
 

@@ -12,7 +12,6 @@ rationals elsewhere in the package.
 from __future__ import annotations
 
 import itertools
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -33,18 +32,9 @@ _cap_override: ContextVar[Optional[int]] = ContextVar("enumeration_cap", default
 
 
 def enumeration_cap() -> int:
-    """Active enumeration cap: a :func:`capped_enumeration` override, then the
-    CONDLAB_MAX_PROFILES env var, then the default."""
+    """Active enumeration cap: a :func:`capped_enumeration` override, else the default."""
     override = _cap_override.get()
-    if override is not None:
-        return override
-    raw = os.environ.get("CONDLAB_MAX_PROFILES")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"CONDLAB_MAX_PROFILES must be an integer, got {raw!r}") from None
-    return DEFAULT_ENUM_CAP
+    return DEFAULT_ENUM_CAP if override is None else override
 
 
 @contextmanager

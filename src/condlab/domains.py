@@ -136,15 +136,19 @@ class Domain:
         """Upper bound on the work needed to enumerate this domain."""
         return full_profile_count(self.n, self.m)
 
-    def members(self) -> tuple:
-        """Every member in canonical order. The enumeration cap is checked on
-        every call, so a table built under a larger cap is still refused."""
+    def _check_cap(self) -> None:
+        """Refuse to enumerate this domain when its size bound exceeds the cap."""
         cap = enumeration_cap()
         if self.size_bound() > cap:
             raise CapExceededError(
                 f"enumerating {self.describe()} needs {self.size_bound()} profiles, "
                 f"cap is {cap}"
             )
+
+    def members(self) -> tuple:
+        """Every member in canonical order. The enumeration cap is checked on
+        every call, so a table built under a larger cap is still refused."""
+        self._check_cap()
         if self._members is None:
             found = (self._member_at(p.code, p) for p in self._candidates())
             self._members = tuple(p for p in found if p is not None)
@@ -443,12 +447,10 @@ def beyond_unilateral_reach(profile: Profile, base: Domain) -> bool:
 
 def find_profiles_beyond_unilateral_reach(base: Domain) -> list:
     """Exhaustively search the full domain, in canonical order, for profiles at
-    unilateral distance >= 2 from ``base``."""
-    return [
-        profile
-        for profile in FullDomain(base.n, base.m).members()
-        if beyond_unilateral_reach(profile, base)
-    ]
+    unilateral distance >= 2 from ``base``. Only ``base``'s table records the
+    profiles; the full domain is consulted for its cap check alone."""
+    FullDomain(base.n, base.m)._check_cap()
+    return [p for p in all_profiles(base.n, base.m) if beyond_unilateral_reach(p, base)]
 
 
 # -- textual domain specifications ------------------------------------------

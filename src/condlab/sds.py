@@ -273,22 +273,20 @@ class TableSDS(SDS):
             ) from None
 
 
-def signed_mixture_counterexample(n: int, m: int = 3) -> SignedMixture:
+def signed_mixture_counterexample(n: int) -> SignedMixture:
     """Equal positive weight on every dictatorship, compensating negative
-    weight on the majority-winner rule.
+    weight on the majority-winner rule, over three alternatives.
 
-    For an even electorate over three alternatives this is a well-defined
-    scheme on the majority-winner domain: with only three alternatives the
-    winner is somebody's favorite, so the negative weight is always covered.
+    For an even electorate this is a well-defined scheme on the
+    majority-winner domain: with only three alternatives the winner is
+    somebody's favorite, so the negative weight is always covered.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError("the counterexample needs an even electorate of at least 4")
-    if m != 3:
-        raise ValueError("the counterexample is specific to three alternatives")
     w = Fraction(1, n - 1)
-    parts = [(w, Dictatorship(i, n, m)) for i in range(n)]
-    parts.append((-w, CondorcetRule(n, m)))
-    return SignedMixture(parts, valid_domain=CondorcetDomain(n, m))
+    parts = [(w, Dictatorship(i, n, 3)) for i in range(n)]
+    parts.append((-w, CondorcetRule(n, 3)))
+    return SignedMixture(parts)
 
 
 # -- textual scheme specifications -------------------------------------------

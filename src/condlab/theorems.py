@@ -56,10 +56,13 @@ from .sds import (
     signed_mixture_counterexample,
 )
 
-DEFAULT_TIEBREAKERS = ("a>b>c", "c>b>a")
-
-
 # -- building blocks ----------------------------------------------------------
+
+
+def default_tiebreakers(m: int) -> Tuple[str, str]:
+    """The alphabetical order over ``m`` alternatives and its reverse."""
+    forward = PreferenceRelation(range(m))
+    return forward.to_text(), PreferenceRelation(reversed(forward.order)).to_text()
 
 
 def coefficient_grid(n: int, step: Fraction = Fraction(1, 4)) -> List[MixtureCoefficients]:
@@ -272,11 +275,13 @@ def criterion_2(n: int = 3, m: int = 3) -> Dict:
     )
 
 
-def criterion_3(n: int = 4, m: int = 3) -> Dict:
+def criterion_3(n: int = 4) -> Dict:
     """The even-electorate signed mixture is a well-defined strategyproof and
-    non-imposing scheme whose probed majority weight is negative."""
+    non-imposing scheme whose probed majority weight is negative; like the
+    counterexample, it runs at three alternatives."""
+    m = 3
     dom = CondorcetDomain(n, m)
-    sds = signed_mixture_counterexample(n, m)
+    sds = signed_mixture_counterexample(n)
     negatives: List[str] = []
     for profile in dom.members():
         try:
@@ -307,15 +312,16 @@ def criterion_3(n: int = 4, m: int = 3) -> Dict:
 def criterion_4(
     n: int = 4,
     m: int = 3,
-    tiebreakers: Sequence[str] = DEFAULT_TIEBREAKERS,
+    tiebreakers: Optional[Sequence[str]] = None,
     step: Fraction = Fraction(1, 4),
 ) -> Dict:
     """Grid mixtures of the tie-breaking majority rule and dictatorships are
     strategyproof and non-imposing on the tie-breaking domain, and probing
-    recovers the exact coefficients at every anchor."""
+    recovers the exact coefficients at every anchor. The tie-breakers default
+    to :func:`default_tiebreakers`."""
     per_tb: Dict[str, Dict] = {}
     ok = True
-    for tb_text in tiebreakers:
+    for tb_text in tiebreakers or default_tiebreakers(m):
         tb = PreferenceRelation.from_text(tb_text)
         dom = TieBreakingCondorcetDomain(tb, n, m)
         reference = TieBreakingCondorcetRule(tb, n)
@@ -352,7 +358,7 @@ def criterion_5(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
     rd_witness_uniform = (
         rd_res.feasible
         and rd_res.witness is not None
-        and rd_res.witness[cycle] == Lottery.uniform(m)
+        and rd_res.witness[cycle] == uniform.evaluate(cycle)
     )
 
     mismatches: List[str] = []
@@ -397,12 +403,12 @@ def criterion_6(n: int = 3, m: int = 3) -> Dict:
     return _result(6, "profile beyond unilateral reach", ok, details)
 
 
-def criterion_7(
-    ns: Sequence[int] = (3, 4), m: int = 3, step: Fraction = Fraction(1, 4)
-) -> Dict:
+def criterion_7(ns: Sequence[int] = (3, 4), step: Fraction = Fraction(1, 4)) -> Dict:
     """Group strategyproofness separates the pure schemes from proper
     mixtures, and the canonical witness is claimed to be the whole-electorate
-    pattern."""
+    pattern, which is stated over three alternatives, so the criterion runs
+    at three."""
+    m = 3
     pure_failures: List[str] = []
     mixture_passes: List[str] = []
     pattern_mismatches: List[Dict] = []
@@ -514,7 +520,7 @@ def criterion_9(seed: int = 0, samples: int = 500) -> Dict:
     checks["condorcet_n4_not_weakly_connected"] = not is_weakly_connected(
         CondorcetDomain(4, 3)
     )
-    for tb_text in DEFAULT_TIEBREAKERS:
+    for tb_text in default_tiebreakers(3):
         tb = PreferenceRelation.from_text(tb_text)
         checks[f"tb_n4_connected[{tb_text}]"] = is_connected(
             TieBreakingCondorcetDomain(tb, 4, 3)
@@ -618,15 +624,17 @@ def run_battery(
     which: int,
     n: Optional[int] = None,
     m: int = 3,
-    tiebreakers: Sequence[str] = DEFAULT_TIEBREAKERS,
+    tiebreakers: Optional[Sequence[str]] = None,
     step: Fraction = Fraction(1, 4),
 ) -> List[Dict]:
     """Run one of the three check batteries and return the criterion results.
 
     Battery 1 covers the mixture characterization on odd electorates (plus
     the signed mixture, whose counterexample is fixed at n=4, m=3), battery
-    2 the tie-breaking variant on even electorates, battery 3 the
-    group-strategyproofness separation.
+    2 the tie-breaking variant on even electorates (tie-breakers default to
+    :func:`default_tiebreakers` of ``m``), battery 3 the
+    group-strategyproofness separation (criterion 7 at three alternatives,
+    criterion 8 at ``m``).
     """
     if which not in (1, 2, 3):
         raise ValueError(f"unknown battery {which}, expected 1, 2 or 3")
@@ -637,17 +645,17 @@ def run_battery(
             raise ValueError("battery 1 needs an odd number of voters")
         results.append(criterion_1(odd_n, m, step))
         results.append(criterion_2(odd_n, m))
-        results.append(criterion_3(4, 3))
+        results.append(criterion_3(4))
         results.append(criterion_5(odd_n, m, step))
     elif which == 2:
         even_n = 4 if n is None else n
         if even_n % 2 == 1:
             raise ValueError("battery 2 needs an even number of voters")
-        results.append(criterion_4(even_n, m, tiebreakers, step))
+        results.append(criterion_4(even_n, m, tiebreakers or default_tiebreakers(m), step))
     else:
         odd_n = 3 if n is None else n
         if odd_n % 2 == 0:
             raise ValueError("battery 3 needs an odd number of voters")
-        results.append(criterion_7((odd_n,), m, step))
+        results.append(criterion_7((odd_n,), step))
         results.append(criterion_8(odd_n, m))
     return results

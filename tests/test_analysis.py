@@ -129,7 +129,7 @@ def test_probe_coefficients_blend_and_anchor_independence():
 
 
 def test_probe_coefficients_signed_counterexample():
-    sds = signed_mixture_counterexample(4, 3)
+    sds = signed_mixture_counterexample(4)
     for anchor in range(3):
         got = probe_coefficients(sds, anchor)
         assert got.condorcet_weight == F(-1, 3)

@@ -177,7 +177,7 @@ def test_condorcet_rule_non_imposing():
 
 
 def test_counterexample_non_imposing():
-    sds = signed_mixture_counterexample(4, 3)
+    sds = signed_mixture_counterexample(4)
     assert check_non_imposition(sds, CondorcetDomain(4, 3)).holds
 
 

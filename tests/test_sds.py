@@ -169,14 +169,14 @@ def test_mixture_rejects_mismatched_component_domains():
 
 
 def test_counterexample_hand_value():
-    sds = signed_mixture_counterexample(4, 3)
+    sds = signed_mixture_counterexample(4)
     p = prof("a>b>c\na>b>c\nb>a>c\nc>a>b")
     # dictators put 1/3 on a, a, b, c; the majority winner a gets -1/3
     assert sds.evaluate(p) == Lottery([F(1, 3), F(1, 3), F(1, 3)])
 
 
 def test_counterexample_well_defined_everywhere():
-    sds = signed_mixture_counterexample(4, 3)
+    sds = signed_mixture_counterexample(4)
     for member in CondorcetDomain(4, 3).members():
         lot = sds.evaluate(member)
         assert sum(lot.probs) == 1
@@ -184,9 +184,7 @@ def test_counterexample_well_defined_everywhere():
 
 def test_counterexample_parameter_validation():
     with pytest.raises(ValueError):
-        signed_mixture_counterexample(3, 3)
-    with pytest.raises(ValueError):
-        signed_mixture_counterexample(4, 4)
+        signed_mixture_counterexample(3)
 
 
 def test_signed_mixture_flags_negative_mass():

@@ -4,6 +4,7 @@ import pytest
 
 import condlab.theorems as theorems
 from condlab.analysis import MixtureCoefficients, _extension_rows, extension_feasibility
+from condlab.cli import main
 from condlab.core import CapExceededError, capped_enumeration
 from condlab.domains import CondorcetDomain, ExtendedDomain, majority_cycle_profile
 from condlab.sds import CondorcetRule, Dictatorship, RandomDictatorship
@@ -89,6 +90,32 @@ def test_battery_1_runs_criterion_3_at_its_fixed_size(monkeypatch):
     assert calls == [
         ("criterion_1", (3, 4, F(1, 4))),
         ("criterion_2", (3, 4)),
-        ("criterion_3", (4, 3)),
+        ("criterion_3", (4,)),
         ("criterion_5", (3, 4, F(1, 4))),
     ]
+
+
+def test_battery_2_derives_its_tiebreakers_from_m(monkeypatch, capsys):
+    # without --tiebreak: the alphabetical order over the slate and its reverse
+    calls = []
+    monkeypatch.setattr(theorems, "criterion_4", lambda *args: calls.append(args) or {"ok": True})
+    assert main(["theorems", "--which", "2", "--m", "4"]) == 0
+    assert main(["theorems", "--which", "2", "--m", "4", "--tiebreak", "b>a>c>d"]) == 0
+    assert calls == [(4, 4, ("a>b>c>d", "d>c>b>a"), F(1, 4)), (4, 4, ["b>a>c>d"], F(1, 4))]
+
+
+def test_battery_3_runs_criterion_7_at_three_alternatives(monkeypatch):
+    # the whole-electorate pattern is stated over three alternatives; criterion 8 takes --m
+    calls = []
+    for name in ("criterion_7", "criterion_8"):
+        monkeypatch.setattr(theorems, name, lambda *args, name=name: calls.append((name, args)) or {})
+    theorems.run_battery(3, m=4)
+    assert calls == [("criterion_7", ((3,), F(1, 4))), ("criterion_8", (3, 4))]
+
+
+def test_criterion_5_expects_the_random_dictatorship_lottery_at_five_voters():
+    # the n=5 cycle's tops are a, b, c, a, c, so the uniform random dictatorship
+    # puts (2/5, 1/5, 2/5) there, not the uniform lottery
+    result = theorems.criterion_5(5, 3, step=F(1))
+    assert result["ok"], result["details"]
+    assert result["details"]["rd_witness_uniform"]
