@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .core import PreferenceRelation, Profile, alternative_name
 from .axioms import ManipulationWitness, Verdict, check_strategyproof, sure_winners
 from .domains import Domain, ExtendedDomain, OutOfDomainError
-from .lottery import Lottery, sd_margins
+from .lottery import Lottery, failing_cut, sd_margins
 from .ratlp import fm_feasible, satisfies, simplex_maximize
 from .sds import TableMissError, TableSDS
 
@@ -148,9 +148,9 @@ def _deviation_bound(
     ``(None, (num, den))``, the least margin over the cuts above ``new_top``.
     """
     margins, den = sd_margins(order, truthful, deviated)
-    for cut, margin in zip(order, margins):
-        if margin < 0:
-            return cut, None
+    cut = failing_cut(order, margins)
+    if cut is not None:
+        return cut, None
     # the cuts above the deviation's top are those leaving it out
     reach = order.index(new_top)
     if not reach:

@@ -248,7 +248,7 @@ def _add_common(parser, need_n: bool = True) -> None:
         "--max-profiles",
         type=int,
         default=None,
-        help="enumeration cap for this invocation",
+        help="enumeration cap for this invocation (at least 1)",
     )
 
 
@@ -334,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_profiles is not None and args.max_profiles < 1:
+        parser.error(f"argument --max-profiles: must be at least 1, got {args.max_profiles}")
     try:
         with capped_enumeration(args.max_profiles):
             code, payload = args.handler(args)

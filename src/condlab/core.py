@@ -252,19 +252,15 @@ class Profile:
 
 
 def parse_profiles(text: str) -> list:
-    """Parse a file of profiles: blocks of preference lines separated by blank lines."""
-    blocks: list = []
-    current: list = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            if current:
-                blocks.append(Profile(current))
-                current = []
-            continue
-        current.append(PreferenceRelation.from_text(stripped))
-    if current:
-        blocks.append(Profile(current))
+    """Parse a file of profiles: blocks of preference lines separated by blank
+    lines (a comment-only line is blank), each read by :meth:`Profile.from_text`."""
+    blocks = [
+        Profile.from_text("\n".join(lines))
+        for filled, lines in itertools.groupby(
+            text.splitlines(), key=lambda line: bool(line.split("#", 1)[0].strip())
+        )
+        if filled
+    ]
     if not blocks:
         raise ProfileParseError("no profiles found")
     return blocks

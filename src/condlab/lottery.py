@@ -20,6 +20,7 @@ lotteries share an entry however they were built. Every
 stochastic-dominance decision and row walks the cuts through
 :func:`sd_margins`, the one kernel: the comparison here, and the
 dictatorial-weight bound and the extension model's rows in ``analysis``.
+:func:`failing_cut` reads the losing cut off the margins for the first two.
 """
 
 from __future__ import annotations
@@ -201,6 +202,12 @@ def sd_margins(
     return tuple([a * q_den - b * p_den for a, b in zip(cp[:-1], cq[:-1])]), p_den * q_den
 
 
+def failing_cut(order: Tuple[int, ...], margins: Sequence[int]) -> Optional[int]:
+    """The first cut of ``order``, top-down, whose :func:`sd_margins` margin
+    is negative: where the first lottery loses. None when there is none."""
+    return next((x for x, d in zip(order, margins) if d < 0), None)
+
+
 # Bounded: a scan over a strategyproof scheme meets few distinct values (the
 # n=5 benchmark domain 4,170 of 169,560), and an all-distinct scan only
 # evicts. An exception is never cached, so a bad call raises every time.
@@ -208,8 +215,7 @@ def sd_margins(
 def _sd_verdict(
     order: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...]
 ) -> Optional[int]:
-    margins, _ = sd_margins(order, p, q)
-    return next((x for x, d in zip(order, margins) if d < 0), None)
+    return failing_cut(order, sd_margins(order, p, q)[0])
 
 
 def mix(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:

@@ -219,14 +219,9 @@ def fm_feasible(
         hi = None if hi is None else Fraction(*hi)
         if lo is not None and hi is not None and lo > hi:
             raise RuntimeError(f"Fourier-Motzkin found no value for variable {var}")
-        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
-            value = Fraction(0)
-        elif lo is None or hi is None:
-            value = lo if hi is None else hi
-        else:
-            value = (lo + hi) / 2
-        point[var] = value
-        current = _substitute(current, var, value)
+        # 0 failed the test above, so it lies outside [lo, hi]
+        point[var] = lo if hi is None else hi if lo is None else (lo + hi) / 2
+        current = _substitute(current, var, point[var])
     if not satisfies(rows, point):
         raise RuntimeError("Fourier-Motzkin point violates an input row")
     return True, point, None

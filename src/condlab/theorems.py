@@ -129,7 +129,10 @@ def perturbed_condorcet_table(n: int, m: int) -> TableSDS:
 def catalog(n: int, m: int) -> List[Tuple[str, object]]:
     """A spread of schemes on the majority-winner domain: the rule itself,
     dictatorships, random dictatorships, two positional rules and a
-    deliberately broken table."""
+    deliberately broken table. The skewed random dictatorship weighs three
+    voters, so ``n`` must be at least 3."""
+    if n < 3:
+        raise ValueError(f"the scheme catalog needs at least 3 voters, got {n}")
     uniform = [Fraction(1, n)] * n
     lopsided = [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (n - 2)
     skewed = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)] + [Fraction(0)] * (n - 3)
@@ -144,15 +147,6 @@ def catalog(n: int, m: int) -> List[Tuple[str, object]]:
         ("cond-perturbed", perturbed_condorcet_table(n, m)),
     ]
     return entries
-
-
-def full_domain_catalog(n: int, m: int) -> List[Tuple[str, object]]:
-    """The catalog entries that are defined on every profile."""
-    return [
-        (name, sds)
-        for name, sds in catalog(n, m)
-        if isinstance(sds.valid_domain, FullDomain)
-    ]
 
 
 # -- the whole-electorate manipulation pattern --------------------------------
@@ -173,31 +167,27 @@ def proof_pattern_profile(voter: int, n: int) -> Tuple[Profile, Profile]:
 
 
 def matches_proof_pattern(witness: Dict) -> bool:
-    """Whether a group-manipulation witness (in JSON form) is a relabeling of
-    the whole-electorate pattern above."""
+    """Whether a group-manipulation witness (in JSON form) is the
+    whole-electorate pattern above, around some voter, under one of the six
+    relabelings of the three alternatives. With fewer than three voters the
+    lone voter and the rest are no pattern, so the answer is False."""
     coalition = witness.get("coalition")
     profile_text = witness.get("profile")
     deviation_text = witness.get("deviation")
     if coalition is None or profile_text is None or deviation_text is None:
         return False
-    truth = Profile.from_text(profile_text)
-    lie = Profile.from_text(deviation_text)
-    n = truth.n
-    if tuple(coalition) != tuple(range(n)):
+    seen = [
+        [rel.order for rel in Profile.from_text(text).relations]
+        for text in (profile_text, deviation_text)
+    ]
+    n = len(seen[0])
+    if n < 3 or len(seen[0][0]) != 3 or tuple(coalition) != tuple(range(n)):
         return False
-    if truth.m != 3 or len(set(lie.relations)) != 1:
-        return False
-    counts: Dict[PreferenceRelation, int] = {}
-    for rel in truth.relations:
-        counts[rel] = counts.get(rel, 0) + 1
-    if sorted(counts.values()) != [1, n - 1]:
-        return False
-    lone = next(rel for rel, k in counts.items() if k == 1)
-    rest = next(rel for rel, k in counts.items() if k == n - 1)
-    c, a, b = lone.order
-    if rest.order != (b, a, c):
-        return False
-    return lie.relations[0].order == (a, b, c)
+    return any(
+        seen == [[tuple(label[x] for x in rel.order) for rel in p.relations] for p in pattern]
+        for pattern in (proof_pattern_profile(voter, n) for voter in range(n))
+        for label in itertools.permutations(range(3))
+    )
 
 
 def pattern_is_group_violation(sds, voter: int, n: int) -> bool:
@@ -275,11 +265,12 @@ def criterion_2(n: int = 3, m: int = 3) -> Dict:
     )
 
 
-def criterion_3(n: int = 4) -> Dict:
+def criterion_3() -> Dict:
     """The even-electorate signed mixture is a well-defined strategyproof and
-    non-imposing scheme whose probed majority weight is negative; like the
-    counterexample, it runs at three alternatives."""
-    m = 3
+    non-imposing scheme whose probed majority weight is negative; it runs at
+    four voters and three alternatives, the size its counterexample is
+    stated for."""
+    n, m = 4, 3
     dom = CondorcetDomain(n, m)
     sds = signed_mixture_counterexample(n)
     negatives: List[str] = []
@@ -419,7 +410,7 @@ def criterion_7(ns: Sequence[int] = (3, 4), step: Fraction = Fraction(1, 4)) -> 
         pure = [("cond", CondorcetRule(n, m))]
         pure += [(f"dict:{i}", Dictatorship(i, n, m)) for i in range(n)]
         for name, sds in pure:
-            verdict = check_group_strategyproof(sds, dom, max_coalition=n)
+            verdict = check_group_strategyproof(sds, dom)
             if not verdict.holds:
                 pure_failures.append(f"n={n} {name}")
         for coeffs in coefficient_grid(n, step):
@@ -427,12 +418,12 @@ def criterion_7(ns: Sequence[int] = (3, 4), step: Fraction = Fraction(1, 4)) -> 
             if len(positive) < 2:
                 continue
             sds = mixture_sds(coeffs, n, m)
-            verdict = check_group_strategyproof(sds, dom, max_coalition=n)
+            verdict = check_group_strategyproof(sds, dom)
             if verdict.holds:
                 mixture_passes.append(f"n={n} {coeffs.to_json_dict()}")
                 continue
-            fractional = [w for w in coeffs.voter_weights if 0 < w < 1]
-            if not fractional:
+            voter = next((i for i, w in enumerate(coeffs.voter_weights) if 0 < w < 1), None)
+            if voter is None:
                 continue
             pattern_checked += 1
             if not matches_proof_pattern(verdict.witness.to_json_dict()):
@@ -443,9 +434,6 @@ def criterion_7(ns: Sequence[int] = (3, 4), step: Fraction = Fraction(1, 4)) -> 
                         "witness": verdict.witness.to_json_dict(),
                     }
                 )
-            voter = next(
-                i for i, w in enumerate(coeffs.voter_weights) if 0 < w < 1
-            )
             if not pattern_is_group_violation(sds, voter, n):
                 pattern_control_failures.append(f"n={n} {coeffs.to_json_dict()}")
     ok = (
@@ -497,7 +485,7 @@ def criterion_8(n: int = 3, m: int = 3) -> Dict:
 
     dictator_failures: List[str] = []
     for i in range(n):
-        verdict = check_group_strategyproof(Dictatorship(i, n, m), dom, max_coalition=n)
+        verdict = check_group_strategyproof(Dictatorship(i, n, m), dom)
         if not verdict.holds:
             dictator_failures.append(f"dict:{i}")
 
@@ -510,10 +498,16 @@ def criterion_8(n: int = 3, m: int = 3) -> Dict:
     return _result(8, "no group-strategyproof extension of the majority rule", ok, details)
 
 
-def criterion_9(seed: int = 0, samples: int = 500) -> Dict:
+def _paths_valid(dom: CondorcetDomain, pairs) -> bool:
+    """Whether the built swap path between each (start, goal) pair validates."""
+    return all(validate_adpath(dom, build_adpath(dom, start, goal)).holds for start, goal in pairs)
+
+
+def criterion_9() -> Dict:
     """Connectivity of the majority domains and validity of the constructed
-    swap paths: every n=3 pair, and a seeded sample of ``samples`` of the
-    ``n5_pairs`` n=5 pairs."""
+    swap paths: every n=3 pair, and 500 pairs of the ``n5_pairs`` n=5 pairs
+    drawn from a generator seeded with 0, start before goal."""
+    samples = 500
     checks: Dict[str, bool] = {}
     checks["condorcet_n3_connected"] = is_connected(CondorcetDomain(3, 3))
     checks["condorcet_n5_connected"] = is_connected(CondorcetDomain(5, 3))
@@ -528,25 +522,16 @@ def criterion_9(seed: int = 0, samples: int = 500) -> Dict:
 
     dom3 = CondorcetDomain(3, 3)
     members3 = dom3.members()
-    build_failures: List[str] = []
-    for start in members3:
-        for goal in members3:
-            path = build_adpath(dom3, start, goal)
-            if not validate_adpath(dom3, path).holds:
-                build_failures.append(f"n=3 {start.to_text()!r} -> {goal.to_text()!r}")
-    checks["all_pairs_n3_valid"] = not build_failures
+    checks["all_pairs_n3_valid"] = _paths_valid(dom3, itertools.product(members3, repeat=2))
 
     dom5 = CondorcetDomain(5, 3)
     members5 = dom5.members()
-    rng = random.Random(seed)
-    sampled_failures: List[str] = []
-    for _ in range(samples):
-        start = members5[rng.randrange(len(members5))]
-        goal = members5[rng.randrange(len(members5))]
-        path = build_adpath(dom5, start, goal)
-        if not validate_adpath(dom5, path).holds:
-            sampled_failures.append(f"n=5 {start.to_text()!r} -> {goal.to_text()!r}")
-    checks["sampled_n5_valid"] = not sampled_failures
+    rng = random.Random(0)
+    sampled = (
+        (members5[rng.randrange(len(members5))], members5[rng.randrange(len(members5))])
+        for _ in range(samples)
+    )
+    checks["sampled_n5_valid"] = _paths_valid(dom5, sampled)
 
     ok = all(checks.values())
     details = {
@@ -558,13 +543,16 @@ def criterion_9(seed: int = 0, samples: int = 500) -> Dict:
     return _result(9, "connectivity and constructed paths", ok, details)
 
 
-def criterion_10(n: int = 3, m: int = 3) -> Dict:
-    """On the full domain, strategyproofness coincides with localized plus
-    non-perverse for every full-domain scheme in the catalog."""
-    dom = FullDomain(n, m)
+def criterion_10() -> Dict:
+    """On the full domain of three voters over three alternatives,
+    strategyproofness coincides with localized plus non-perverse for every
+    catalog scheme defined on every profile."""
+    dom = FullDomain(3, 3)
     per_scheme: Dict[str, Dict] = {}
     discrepancies: List[str] = []
-    for name, sds in full_domain_catalog(n, m):
+    for name, sds in catalog(3, 3):
+        if not isinstance(sds.valid_domain, FullDomain):
+            continue
         report = implication_suite(sds, dom)
         per_scheme[name] = {
             "strategyproof": report.strategyproof.holds,
@@ -583,29 +571,19 @@ def criterion_10(n: int = 3, m: int = 3) -> Dict:
     )
 
 
-def criterion_11(n: int = 3, m: int = 3) -> Dict:
-    """The maximum total dictatorial weight is zero for the majority rule,
-    one for random dictatorships, and matches the mixing weight for
+def criterion_11() -> Dict:
+    """On the majority domain of three voters over three alternatives, the
+    maximum total dictatorial weight is zero for the majority rule, one for
+    random dictatorships, and matches the mixing weight for
     majority-dictatorship blends."""
-    dom = CondorcetDomain(n, m)
+    dom = CondorcetDomain(3, 3)
+    schemes = dict(catalog(3, 3))
     cases: List[Tuple[str, object, Fraction]] = [
-        ("cond", CondorcetRule(n, m), Fraction(0)),
-        ("rd-uniform", RandomDictatorship([Fraction(1, n)] * n, m), Fraction(1)),
-        (
-            "rd-skewed",
-            RandomDictatorship(
-                [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)] + [Fraction(0)] * (n - 3), m
-            ),
-            Fraction(1),
-        ),
+        (name, schemes[name], Fraction(expected))
+        for name, expected in (("cond", 0), ("rd-uniform", 1), ("rd-skewed", 1))
     ]
     for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        blend = Mixture(
-            [
-                (lam, RandomDictatorship([Fraction(1, n)] * n, m)),
-                (1 - lam, CondorcetRule(n, m)),
-            ]
-        )
+        blend = Mixture([(lam, schemes["rd-uniform"]), (1 - lam, schemes["cond"])])
         cases.append((f"blend:{lam}", blend, lam))
     wrong: List[str] = []
     values: Dict[str, str] = {}
@@ -634,28 +612,26 @@ def run_battery(
     2 the tie-breaking variant on even electorates (tie-breakers default to
     :func:`default_tiebreakers` of ``m``), battery 3 the
     group-strategyproofness separation (criterion 7 at three alternatives,
-    criterion 8 at ``m``).
+    criterion 8 at ``m``). Batteries 1 and 3 need at least three voters: the
+    scheme catalog and the majority cycle are built for three or more.
     """
     if which not in (1, 2, 3):
         raise ValueError(f"unknown battery {which}, expected 1, 2 or 3")
-    results: List[Dict] = []
-    if which == 1:
-        odd_n = 3 if n is None else n
-        if odd_n % 2 == 0:
-            raise ValueError("battery 1 needs an odd number of voters")
-        results.append(criterion_1(odd_n, m, step))
-        results.append(criterion_2(odd_n, m))
-        results.append(criterion_3(4))
-        results.append(criterion_5(odd_n, m, step))
-    elif which == 2:
+    if which == 2:
         even_n = 4 if n is None else n
         if even_n % 2 == 1:
             raise ValueError("battery 2 needs an even number of voters")
-        results.append(criterion_4(even_n, m, tiebreakers or default_tiebreakers(m), step))
-    else:
-        odd_n = 3 if n is None else n
-        if odd_n % 2 == 0:
-            raise ValueError("battery 3 needs an odd number of voters")
-        results.append(criterion_7((odd_n,), step))
-        results.append(criterion_8(odd_n, m))
-    return results
+        return [criterion_4(even_n, m, tiebreakers or default_tiebreakers(m), step)]
+    odd_n = 3 if n is None else n
+    if odd_n % 2 == 0:
+        raise ValueError(f"battery {which} needs an odd number of voters")
+    if odd_n < 3:
+        raise ValueError(f"battery {which} needs at least 3 voters, got {odd_n}")
+    if which == 1:
+        return [
+            criterion_1(odd_n, m, step),
+            criterion_2(odd_n, m),
+            criterion_3(),
+            criterion_5(odd_n, m, step),
+        ]
+    return [criterion_7((odd_n,), step), criterion_8(odd_n, m)]

@@ -274,3 +274,17 @@ def test_fixing_path_every_qualifying_pair():
                 for step in path.steps:
                     assert tuple(step[v].upper_contour(fixed) for v in range(3)) == contours
     assert pairs == 2136
+
+
+def test_fixing_path_hands_over_the_winner_at_four_alternatives():
+    # at m=4 the handover midpoint has a fourth alternative, c, to place:
+    # below the fixed b for voter 0 and above it for voters 1 and 2
+    dom = CondorcetDomain(3, 4)
+    start = prof("b>c>d>a\na>d>c>b\na>c>d>b")
+    goal = prof("b>d>c>a\na>c>d>b\nd>a>c>b")
+    assert (dom.majority_winner(start), dom.majority_winner(goal)) == (0, 3)
+    path = build_adpath_fixing(dom, start, goal, 1)
+    assert validate_adpath(dom, path, fixed=1).holds
+    assert path.start == start and path.end == goal
+    assert all("b" not in (record["x"], record["y"]) for record in path.swaps)
+    assert len(path) == 11

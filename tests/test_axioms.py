@@ -334,6 +334,32 @@ def test_replay_requires_witness():
         )
 
 
+@pytest.mark.parametrize(
+    "checker, field",
+    [
+        (check_ex_post_efficient, "dominated"),
+        (check_localized, "watched"),
+        (check_non_perverse, "watched"),
+    ],
+    ids=["ex-post-efficient", "localized", "non-perverse"],
+)
+def test_replay_reproduces_each_failing_verdict_end_to_end(checker, field):
+    # ex post: the table of test_expost_detects_mass_on_dominated_alternative;
+    # the swap axioms: the perturbed majority table. A reported violation
+    # replays, and with one field moved to b it no longer does.
+    if checker is check_ex_post_efficient:
+        unanimous = prof("a>b>c\na>b>c\na>b>c")
+        sds = TableSDS({unanimous: Lottery([F(1, 2), F(0), F(1, 2)])})
+        dom = ExplicitDomain([unanimous])
+    else:
+        sds, dom = perturbed_condorcet_table(3, 3), CondorcetDomain(3, 3)
+    verdict = checker(sds, dom).to_json_dict()
+    assert not verdict["holds"] and verdict["witness"][field] != "b"
+    assert replay_witness(sds, dom, verdict)
+    changed = dict(verdict, witness=dict(verdict["witness"], **{field: "b"}))
+    assert not replay_witness(sds, dom, changed)
+
+
 def test_replay_rejects_witness_for_other_scheme():
     table = perturbed_condorcet_table(3, 3)
     verdict = check_strategyproof(table, CondorcetDomain(3, 3))

@@ -436,6 +436,25 @@ def test_theorems_rejects_wrong_parity(capsys):
     assert code == 2 and "odd" in data["error"]
 
 
+@pytest.mark.parametrize("which", ["1", "3"])
+def test_theorems_refuses_fewer_than_three_voters(capsys, which):
+    code, data = run_json(capsys, ["theorems", "--which", which, "--n", "1"])
+    assert code == 2 and data == {"error": f"battery {which} needs at least 3 voters, got 1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--n", "4", "--m", "4", "--domain", "tb-condorcet:a>b>c", "--sds", "cond"],
+        ["theorems", "--which", "2", "--m", "4", "--tiebreak", "a>b>c"],
+    ],
+    ids=["check", "theorems"],
+)
+def test_tiebreaker_over_another_slate_is_a_usage_error(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 2 and data == {"error": "tie-breaker ranks a different slate"}
+
+
 def test_theorems_takes_no_seed():
     # no battery draws random numbers, so a seed is a usage error
     with pytest.raises(SystemExit) as exc:
@@ -465,6 +484,16 @@ def test_enumeration_cap(capsys):
         ],
     )
     assert code == 2 and data["kind"] == "cap-exceeded"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_refused_when_parsed(capsys, cap):
+    argv = ["enumerate", "--n", "3", "--domain", "condorcet", "--count-only"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-profiles", cap])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert f"argument --max-profiles: must be at least 1, got {cap}" in captured.err
 
 
 def test_cap_ignores_the_environment(capsys, monkeypatch):

@@ -147,6 +147,11 @@ def test_parse_profiles_blocks_and_comments():
         parse_profiles("   \n# nothing here\n")
 
 
+def test_parse_profiles_splits_at_a_comment_only_line():
+    # a line that is blank once its comment is gone separates two profiles
+    assert parse_profiles("a>b>c\n  # split\nb>a>c\n") == [prof("a>b>c"), prof("b>a>c")]
+
+
 def test_all_profiles_count_and_canonical_order():
     profiles = list(all_profiles(2, 3))
     assert len(profiles) == full_profile_count(2, 3) == 36

@@ -12,6 +12,7 @@ from condlab.lottery import (
     NegativeProbabilityError,
     _sd_verdict,
     affine_combine,
+    failing_cut,
     mix,
     sd_compare,
     sd_margins,
@@ -328,6 +329,12 @@ def test_sd_margins_over_unequal_denominators():
     assert sd_margins((3, 2, 1, 0), p.numerators, q.numerators) == ((-4, -2, 1), 12)
     with pytest.raises(ValueError, match="mismatched alternative counts"):
         sd_margins((0, 1, 2), third.numerators, half.numerators)
+
+
+def test_failing_cut_is_the_first_negative_margin_top_down():
+    assert failing_cut((3, 2, 1, 0), (-4, -2, 1)) == 3
+    assert failing_cut((2, 0, 1), (0, -1)) == 0
+    assert failing_cut((0, 1, 2), (0, 3)) is None
 
 
 def test_equal_lotteries_built_two_ways_share_one_entry():

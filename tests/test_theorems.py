@@ -1,14 +1,28 @@
 from fractions import Fraction
 
+import itertools
+
 import pytest
 
 import condlab.theorems as theorems
 from condlab.analysis import MixtureCoefficients, _extension_rows, extension_feasibility
 from condlab.cli import main
-from condlab.core import CapExceededError, capped_enumeration
+from condlab.core import (
+    CapExceededError,
+    PreferenceRelation,
+    Profile,
+    all_profiles,
+    capped_enumeration,
+)
 from condlab.domains import CondorcetDomain, ExtendedDomain, majority_cycle_profile
 from condlab.sds import CondorcetRule, Dictatorship, RandomDictatorship
-from condlab.theorems import coefficient_grid, criterion_8, pattern_is_group_violation
+from condlab.theorems import (
+    catalog,
+    coefficient_grid,
+    criterion_8,
+    matches_proof_pattern,
+    pattern_is_group_violation,
+)
 from test_ratlp import reference_fm_feasible
 
 F = Fraction
@@ -57,6 +71,55 @@ def test_proof_pattern_replays_as_a_group_manipulation():
     assert not pattern_is_group_violation(Dictatorship(0, 3, 3), 0, 3)
 
 
+def counting_pattern_recogniser(witness):
+    """The whole-electorate pattern recognised by counting relations: one
+    lone voter (c, a, b), the rest (b, a, c), a unanimous lie (a, b, c)."""
+    coalition = witness.get("coalition")
+    profile_text = witness.get("profile")
+    deviation_text = witness.get("deviation")
+    if coalition is None or profile_text is None or deviation_text is None:
+        return False
+    truth = Profile.from_text(profile_text)
+    lie = Profile.from_text(deviation_text)
+    n = truth.n
+    if tuple(coalition) != tuple(range(n)):
+        return False
+    if truth.m != 3 or len(set(lie.relations)) != 1:
+        return False
+    counts = {}
+    for rel in truth.relations:
+        counts[rel] = counts.get(rel, 0) + 1
+    if sorted(counts.values()) != [1, n - 1]:
+        return False
+    lone = next(rel for rel, k in counts.items() if k == 1)
+    rest = next(rel for rel, k in counts.items() if k == n - 1)
+    c, a, b = lone.order
+    if rest.order != (b, a, c):
+        return False
+    return lie.relations[0].order == (a, b, c)
+
+
+def test_pattern_recogniser_matches_the_counting_one():
+    # every truth for n = 1..4 against each unanimous lie, with the full
+    # coalition and with the last voter dropped
+    cases, matches = 0, 0
+    for n in range(1, 5):
+        lies = [Profile([PreferenceRelation(o)] * n) for o in itertools.permutations(range(3))]
+        for truth, lie in itertools.product(all_profiles(n, 3), lies):
+            for coalition in (list(range(n)), list(range(n - 1))):
+                witness = {
+                    "profile": truth.to_text(),
+                    "coalition": coalition,
+                    "deviation": lie.to_text(),
+                }
+                expected = counting_pattern_recogniser(witness)
+                assert matches_proof_pattern(witness) == expected, witness
+                cases += 1
+                matches += expected
+    # the lone voter's seat (3 + 4) times the six relabelings
+    assert (cases, matches) == (18_648, 42)
+
+
 def test_criterion_8_reports_the_extension_conflict():
     cycle = majority_cycle_profile(3, 3)
     certificate = extension_feasibility(CondorcetRule(3, 3), CondorcetDomain(3, 3), [cycle])
@@ -90,7 +153,7 @@ def test_battery_1_runs_criterion_3_at_its_fixed_size(monkeypatch):
     assert calls == [
         ("criterion_1", (3, 4, F(1, 4))),
         ("criterion_2", (3, 4)),
-        ("criterion_3", (4,)),
+        ("criterion_3", ()),
         ("criterion_5", (3, 4, F(1, 4))),
     ]
 
@@ -119,3 +182,18 @@ def test_criterion_5_expects_the_random_dictatorship_lottery_at_five_voters():
     result = theorems.criterion_5(5, 3, step=F(1))
     assert result["ok"], result["details"]
     assert result["details"]["rd_witness_uniform"]
+
+
+@pytest.mark.parametrize("which", [1, 3])
+def test_batteries_1_and_3_refuse_fewer_than_three_voters(monkeypatch, which):
+    # refused before any criterion runs
+    for name in ("criterion_1", "criterion_2", "criterion_3", "criterion_5", "criterion_7"):
+        monkeypatch.setattr(theorems, name, lambda *args: pytest.fail("a criterion ran"))
+    with pytest.raises(ValueError, match=f"battery {which} needs at least 3 voters, got 1"):
+        theorems.run_battery(which, n=1)
+
+
+def test_catalog_refuses_fewer_than_three_voters():
+    with pytest.raises(ValueError, match="at least 3 voters"):
+        catalog(2, 3)
+    assert len(catalog(3, 3)) == 10
