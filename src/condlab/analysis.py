@@ -181,7 +181,7 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     """
     members = dom.members()
     n = dom.n
-    f = sds.at
+    f, evaluated = sds.at, sds.evaluated
     # Right-hand sides are kept as (numerator, denominator) integer pairs and
     # compared by cross-multiplication.
     bounds: List[Optional[Tuple[int, int]]] = [None] * n
@@ -189,21 +189,21 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
 
     for profile in members:
         lot = f(profile)
-        den = lot.denominator
+        den, numerators = lot.denominator, lot.numerators
         voters_by_top: Dict[int, List[int]] = {}
         for voter, rel in enumerate(profile.relations):
             voters_by_top.setdefault(rel.order[0], []).append(voter)
         for top, voters in voters_by_top.items():
-            key, rhs = tuple(voters), lot.numerators[top]
+            key, rhs = tuple(voters), numerators[top]
             kept = shares.get(key)
             if kept is None or rhs * kept[1] < kept[0] * den:
                 shares[key] = (rhs, den)
-        for voter in range(n):
-            order = profile.relations[voter].order
+        for voter, rel in enumerate(profile.relations):
+            order = rel.order
             for deviation in dom.unilateral_deviations(profile, voter):
-                other = f(deviation)
+                other = evaluated(deviation) or f(deviation)
                 cut, bound = _deviation_bound(
-                    order, deviation.relations[voter].order[0], lot.numerators, other.numerators
+                    order, deviation.relations[voter].order[0], numerators, other.numerators
                 )
                 if cut is not None:
                     raise InfeasibleModelError(

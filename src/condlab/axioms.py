@@ -133,14 +133,13 @@ class Verdict(NamedTuple):
 def check_strategyproof(sds, dom: Domain) -> Verdict:
     """Exhaustive stochastic-dominance strategyproofness check."""
     members = dom.members()
-    f = sds.at
+    f, evaluated = sds.at, sds.evaluated
     comparisons = 0
     for index, profile in enumerate(members):
         truthful = f(profile)
-        for voter in range(dom.n):
-            pref = profile[voter]
+        for voter, pref in enumerate(profile.relations):
             for deviation in dom.unilateral_deviations(profile, voter):
-                cut = sd_compare(pref, truthful, f(deviation))
+                cut = sd_compare(pref, truthful, evaluated(deviation) or f(deviation))
                 comparisons += 1
                 if cut is not None:
                     witness = ManipulationWitness(

@@ -267,9 +267,14 @@ def parse_profiles(text: str) -> list:
 
 
 def all_profiles(n: int, m: int) -> Iterator[Profile]:
-    """All profiles for ``n`` voters over ``m`` alternatives, canonically ordered."""
-    for combo in itertools.product(all_relations(m), repeat=n):
-        yield Profile(combo)
+    """All profiles for ``n`` voters over ``m`` alternatives, canonically ordered.
+
+    Each profile's ``code`` is its enumeration index, so none is recomputed."""
+    new = Profile.__new__
+    for code, combo in enumerate(itertools.product(all_relations(m), repeat=n)):
+        profile = new(Profile)
+        profile.relations, profile.code = combo, code
+        yield profile
 
 
 def full_profile_count(n: int, m: int) -> int:
@@ -288,12 +293,18 @@ def majority_margin(profile: Profile, x: int, y: int) -> int:
     return margin
 
 
-@lru_cache(maxsize=1 << 12)  # one entry per relation order and field width: all up to m = 6
 def _packed(order: Tuple[int, ...], width: int) -> int:
     """``order``'s pairwise preferences in one integer: field ``x * m + y``,
     ``width`` bits wide, holds 1 when ``order`` ranks ``x`` above ``y``."""
     m = len(order)
     return sum(1 << width * (x * m + y) for i, x in enumerate(order) for y in order[i + 1:])
+
+
+# width -> {order: _packed(order, width)}. A winner reads each voter's row with
+# one dict lookup on the order, hashed in C. A width's rows start over once
+# they hold _PACKED_MAX orders (all of m = 7 is 5,040), so the memo stays bounded.
+_PACKED_MAX = 1 << 14
+_packed_rows: dict = {}
 
 
 # Keyed by value: at m = 3 a tally has three free counts, so scans repeat a few hundred.
@@ -314,7 +325,18 @@ def _tally_winner(tally: int, n: int, m: int) -> Optional[int]:
 def _majority_winner(relations: Tuple[PreferenceRelation, ...]) -> Optional[int]:
     n = len(relations)
     # n.bit_length() bits count up to n voters, so no field carries into the next
-    tally = sum([_packed(rel.order, n.bit_length()) for rel in relations])
+    width = n.bit_length()
+    rows = _packed_rows.get(width)
+    if rows is None:
+        rows = _packed_rows[width] = {}
+    tally = 0
+    for rel in relations:
+        row = rows.get(rel.order)
+        if row is None:
+            if len(rows) >= _PACKED_MAX:
+                rows.clear()
+            row = rows[rel.order] = _packed(rel.order, width)
+        tally += row
     return _tally_winner(tally, n, len(relations[0].order))
 
 
@@ -329,13 +351,6 @@ def condorcet_winner(profile: Profile, tiebreaker: Optional[TieBreaker] = None) 
     if tiebreaker.m != profile.m:
         raise ValueError("tie-breaker ranks a different slate")
     return _majority_winner(profile.relations + (tiebreaker,))
-
-
-def augment(profile: Profile, tiebreaker: TieBreaker) -> Profile:
-    """Profile extended by the tie-breaking order as one extra voter."""
-    if tiebreaker.m != profile.m:
-        raise ValueError("tie-breaker ranks a different slate")
-    return Profile(profile.relations + (tiebreaker,))
 
 
 def swap(profile: Profile, voter: int, x: int, y: int) -> Profile:

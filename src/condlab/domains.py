@@ -9,6 +9,9 @@ One member table per domain, shared by enumeration, ``contains`` and the
 neighbour walks, records membership. An explicit domain seeds it with its
 profiles; an extended domain records only its extras there and leaves every
 other profile to its base, whose member objects it enumerates and walks.
+A walk reads its code shifts from one row per voter, indexed by relation
+index and filled slot by slot as relations are met, so no ``m! x m!`` table
+of shifts is ever built.
 Every enumeration here (members, connectivity, the reach search) is bounded
 by the one cap of :func:`enumeration_cap`; no function takes its own.
 
@@ -61,8 +64,12 @@ class Domain:
         self._members: Optional[tuple] = None
         # code -> member, or None outside the domain: the only membership record
         self._table: dict = {}
-        # (voter, relation index) -> walk shifts; (voter, relation index, slot) -> swap shift
-        self._shift_table: dict = {}
+        # One shift row per voter, None until the voter's first walk: a list
+        # indexed by relation index whose slot holds, once that relation is met,
+        # the code shifts onto every other relation (see _shifts)
+        self._shift_rows: list = [None] * n
+        # (voter, relation index, slot) -> the code shift of that adjacent swap
+        self._swap_shifts: dict = {}
         self._voters = frozenset(range(n))
 
     # -- identity ---------------------------------------------------------
@@ -158,23 +165,25 @@ class Domain:
 
     def _shifts(self, voter: int, rel: PreferenceRelation) -> Tuple[int, ...]:
         """The code shifts moving ``voter`` off ``rel`` onto every other relation,
-        in relation order, built on first use and kept."""
-        key = (voter, rel.index)
-        shifts = self._shift_table.get(key)
+        in relation order, built on first use and kept in the voter's shift row."""
+        row = self._shift_rows[voter]
+        if row is None:
+            row = self._shift_rows[voter] = [None] * factorial(self.m)
+        own = rel.index
+        shifts = row[own]
         if shifts is None:
-            own, place = rel.index, factorial(self.m) ** (self.n - 1 - voter)
-            shifts = tuple([(r - own) * place for r in range(factorial(self.m)) if r != own])
-            self._shift_table[key] = shifts
+            place = len(row) ** (self.n - 1 - voter)
+            shifts = row[own] = tuple([(r - own) * place for r in range(len(row)) if r != own])
         return shifts
 
     def _swap_shift(self, voter: int, rel: PreferenceRelation, slot: int) -> int:
-        """The code shift swapping ``voter``'s adjacent pair at ``slot``, kept like ``_shifts``."""
+        """The code shift swapping ``voter``'s adjacent pair at ``slot``, built on first use and kept."""
         key = (voter, rel.index, slot)
-        shift = self._shift_table.get(key)
+        shift = self._swap_shifts.get(key)
         if shift is None:
             place = factorial(self.m) ** (self.n - 1 - voter)
             shift = (rel.swapped(*rel.order[slot:slot + 2]).index - rel.index) * place
-            self._shift_table[key] = shift
+            self._swap_shifts[key] = shift
         return shift
 
     def _walk(self, code: int, shifts: Iterable[int]) -> Iterator[Profile]:
@@ -200,10 +209,15 @@ class Domain:
 
     def unilateral_deviations(self, profile: Profile, voter: int) -> Iterator[Profile]:
         """In-domain profiles obtained by replacing one voter's relation."""
-        code = self._member_code(profile, "deviations")
+        code = profile.code
+        # the object the table holds at its own code is a member of this shape
+        if self._table.get(code) is not profile:
+            code = self._member_code(profile, "deviations")
         if not 0 <= voter < self.n:
             raise ValueError(f"voter must be one of 0..{self.n - 1}")
-        return self._walk(code, self._shifts(voter, profile.relations[voter]))
+        rel = profile.relations[voter]
+        row = self._shift_rows[voter]  # read the filled slot here; _shifts fills an empty one
+        return self._walk(code, row and row[rel.index] or self._shifts(voter, rel))
 
     def adjacent_swaps(
         self, profile: Profile, fixed: Optional[int] = None

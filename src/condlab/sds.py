@@ -11,9 +11,9 @@ combination.
 
 ``SDS.evaluate`` is the single checked evaluation. ``SDS.at`` memoises it in
 the object's one evaluation cache, keyed by the profile itself and holding
-the lottery alone, which every scan reads, so scans over one scheme object
-evaluate each profile at most once. The cache lives as long as the object
-and keeps no failed evaluation.
+the lottery alone, which every scan reads (``SDS.evaluated`` reads it without
+evaluating), so scans over one scheme object evaluate each profile at most
+once. The cache lives as long as the object and keeps no failed evaluation.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ class SDS:
         # profile -> lottery: a profile hashes by its code and a lookup tries identity,
         # then equality, so another shape's profile with the same code never hits
         self._evaluations: dict = {}
+        # the kept lottery of a profile, else None; per triple, ``evaluated(p) or at(p)``
+        # spares a scan the call to ``at`` (a lottery is never falsy)
+        self.evaluated = self._evaluations.get
 
     @property
     def n(self) -> int:
@@ -187,7 +190,7 @@ class Mixture(SDS):
 
     def _lottery(self, profile: Profile) -> Lottery:
         return _combine(
-            self._weights, tuple(part.evaluate(profile).numerators for _, part in self.parts)
+            self._weights, tuple([part.evaluate(profile).numerators for _, part in self.parts])
         )
 
 

@@ -614,6 +614,8 @@ def run_battery(
     group-strategyproofness separation (criterion 7 at three alternatives,
     criterion 8 at ``m``). Batteries 1 and 3 need at least three voters: the
     scheme catalog and the majority cycle are built for three or more.
+    Battery 2 needs at least four: at two, a coefficient probe profile lies
+    outside the tie-breaking domain.
     """
     if which not in (1, 2, 3):
         raise ValueError(f"unknown battery {which}, expected 1, 2 or 3")
@@ -621,6 +623,8 @@ def run_battery(
         even_n = 4 if n is None else n
         if even_n % 2 == 1:
             raise ValueError("battery 2 needs an even number of voters")
+        if even_n < 4:
+            raise ValueError(f"battery 2 needs at least 4 voters, got {even_n}")
         return [criterion_4(even_n, m, tiebreakers or default_tiebreakers(m), step)]
     odd_n = 3 if n is None else n
     if odd_n % 2 == 0:

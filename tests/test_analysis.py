@@ -638,6 +638,9 @@ def test_every_value_cache_is_bounded():
     for name, cached in caches.items():
         maxsize = cached.cache_info().maxsize
         assert name == unbounded or (maxsize is not None and 0 < maxsize <= 1 << 14), name
+    # the winner's packed rows sit in a dict per field width, not a functools
+    # cache; tests/test_core.py shows each width's rows start over at this bound
+    assert 0 < condlab.core._PACKED_MAX <= 1 << 14
 
 
 def frozen_deviation_bound(order, new_top, truthful, deviated):

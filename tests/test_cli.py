@@ -442,6 +442,11 @@ def test_theorems_refuses_fewer_than_three_voters(capsys, which):
     assert code == 2 and data == {"error": f"battery {which} needs at least 3 voters, got 1"}
 
 
+def test_theorems_refuses_battery_2_below_four_voters(capsys):
+    code, data = run_json(capsys, ["theorems", "--which", "2", "--n", "2"])
+    assert code == 2 and data == {"error": "battery 2 needs at least 4 voters, got 2"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

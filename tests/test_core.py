@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from condlab import core
 from condlab.core import (
     InvalidSwapError,
     PreferenceRelation,
@@ -15,7 +16,6 @@ from condlab.core import (
     all_relations,
     alternative_index,
     alternative_name,
-    augment,
     condorcet_winner,
     full_profile_count,
     majority_margin,
@@ -34,6 +34,13 @@ def rel(text):
 
 def prof(text):
     return Profile.from_text(text)
+
+
+def augment(profile, tiebreaker):
+    """The tie-break oracle: ``profile`` with ``tiebreaker`` voting as one extra voter."""
+    if tiebreaker.m != profile.m:
+        raise ValueError("tie-breaker ranks a different slate")
+    return Profile(profile.relations + (tiebreaker,))
 
 
 # -- names --------------------------------------------------------------------
@@ -248,6 +255,18 @@ def test_derived_profiles_get_the_canonical_code():
     assert [p.code for p in parsed] == list(range(0, 216, 7))
 
 
+@pytest.mark.parametrize("n, m", [(n, 3) for n in range(1, 5)] + [(n, 4) for n in range(1, 4)])
+def test_enumerated_profiles_equal_constructed_ones(n, m):
+    # all_profiles sets each code to the enumeration index instead of computing it
+    count = 0
+    for index, p in enumerate(all_profiles(n, m)):
+        built = Profile(p.relations)
+        assert p == built and p.code == built.code == index
+        assert p.relations == Profile.from_code(index, n, m).relations
+        count += 1
+    assert count == full_profile_count(n, m)
+
+
 def test_full_profile_count_frozen_values():
     assert full_profile_count(3, 3) == 216
     assert full_profile_count(4, 3) == 1296
@@ -385,6 +404,19 @@ def margin_winner(profile):
         if all(majority_margin(profile, x, y) > 0 for y in others if y != x):
             return x
     return None
+
+
+def test_packed_row_memo_is_bounded(monkeypatch):
+    # each width's rows start over at _PACKED_MAX orders; a small bound shows it
+    monkeypatch.setattr(core, "_PACKED_MAX", 5)
+    monkeypatch.setattr(core, "_packed_rows", {})
+    rng = random.Random(5)
+    rels = all_relations(4)
+    for _ in range(300):
+        p = Profile([rels[rng.randrange(24)] for _ in range(rng.choice((3, 4, 5)))])
+        assert condorcet_winner.__wrapped__(p) == margin_winner(p), p
+        assert all(len(rows) <= 5 for rows in core._packed_rows.values())
+    assert set(core._packed_rows) == {2, 3}
 
 
 @pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32])

@@ -445,6 +445,9 @@ def test_relation_table_refused_over_the_cap():
     with capped_enumeration(100):
         # single-profile work never needs the table
         assert CondorcetDomain(3, 7).contains(profile)
+        assert condorcet_winner(profile) == 0
+        backwards = PreferenceRelation(range(6, -1, -1))
+        assert condorcet_winner(Profile([backwards] * 2), PreferenceRelation(range(7))) == 6
         assert all_relations.cache_info().misses == misses
         with pytest.raises(CapExceededError):
             all_relations(7)
@@ -519,6 +522,72 @@ def test_deviations_match_brute_force(data):
     # an equal profile that is not the table's member object walks to the same objects
     copy = Profile.from_text(profile.to_text())
     assert [id(q) for q in dom.deviations(copy, coalition)] == [id(q) for q in found]
+
+
+def brute_force_deviations(reference, profile, coalition):
+    """In-domain profiles where every coalition member reports another relation,
+    in the members' lexicographic product order, found by trying each relation."""
+    choices = [[r for r in all_relations(reference.m) if r != profile[v]] for v in coalition]
+    found = []
+    for chosen in itertools.product(*choices):
+        reports = dict(zip(coalition, chosen))
+        other = Profile([reports.get(v, rel) for v, rel in enumerate(profile.relations)])
+        if reference.contains(other):
+            found.append(other)
+    return found
+
+
+@pytest.mark.parametrize("make_dom", IDENTITY_DOMAINS.values(), ids=IDENTITY_DOMAINS)
+def test_shift_row_walks_match_brute_force(make_dom):
+    reference = make_dom()
+    members = reference.members()
+    sample = range(0, len(members), max(1, len(members) // 10))
+    coalition = tuple(sorted({0, reference.n - 1}))
+    expected = {
+        i: (
+            [brute_force_deviations(reference, members[i], (v,)) for v in range(reference.n)],
+            brute_force_deviations(reference, members[i], coalition),
+        )
+        for i in sample
+    }
+    dom = make_dom()
+    # first from profiles the fresh domain does not hold, then from its own members
+    for starts in (members, dom.members()):
+        for i, (unilateral, joint) in expected.items():
+            walks = [list(dom.unilateral_deviations(starts[i], v)) for v in range(dom.n)]
+            assert walks == unilateral
+            assert list(dom.deviations(starts[i], coalition)) == joint
+    outside = itertools.islice(
+        (p for p in all_profiles(dom.n, dom.m) if not reference.contains(p)), 0, None, 7
+    )
+    for profile in itertools.islice(outside, 12):
+        near = any(brute_force_deviations(reference, profile, (v,)) for v in range(dom.n))
+        assert beyond_unilateral_reach(profile, dom) == (not near)
+
+
+def test_a_walk_fills_only_the_shift_rows_it_meets():
+    # n=3, m=6: eager rows would hold 720 x 719 shifts per voter, about 18 MB
+    profile = majority_cycle_profile(3, 6)
+    dom = ExplicitDomain([profile, Profile([PreferenceRelation(range(6))] * 3)])
+    tracemalloc.start()
+    try:
+        assert list(dom.unilateral_deviations(profile, 1)) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+
+    def filled():
+        return [row and [i for i, shifts in enumerate(row) if shifts] for row in dom._shift_rows]
+
+    assert filled() == [None, [profile[1].index], None]
+    # the deviation walk and the reach search read the same rows
+    assert list(dom.deviations(profile, (1,))) == []
+    assert filled() == [None, [profile[1].index], None]
+    backwards = PreferenceRelation(range(5, -1, -1))
+    assert beyond_unilateral_reach(Profile([backwards] * 3), dom)
+    last = backwards.index
+    assert filled() == [[last], [profile[1].index, last], [last]]
 
 
 def test_deviations_reject_malformed_coalitions():

@@ -205,6 +205,16 @@ def test_failed_evaluations_are_not_cached():
     for _ in range(2):
         with pytest.raises(NegativeProbabilityError):
             bad.at(victim)
+    assert bad.evaluated(victim) is None
+
+
+def test_evaluated_reads_only_what_at_kept():
+    rule = CondorcetRule(3, 3)
+    profile = prof("a>b>c\nb>a>c\nb>c>a")
+    assert rule.evaluated(profile) is None
+    lot = rule.at(profile)
+    assert rule.evaluated(profile) is lot and rule.evaluated(prof(profile.to_text())) is lot
+    assert rule.evaluated(Profile.from_code(profile.code, 4, 3)) is None
 
 
 def test_at_outside_the_domain_raises_as_evaluate_does():

@@ -193,6 +193,14 @@ def test_batteries_1_and_3_refuse_fewer_than_three_voters(monkeypatch, which):
         theorems.run_battery(which, n=1)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_battery_2_refuses_fewer_than_four_voters(monkeypatch, n):
+    # refused before criterion 4 runs; at n=2 a probe profile leaves the domain
+    monkeypatch.setattr(theorems, "criterion_4", lambda *args: pytest.fail("criterion 4 ran"))
+    with pytest.raises(ValueError, match=f"battery 2 needs at least 4 voters, got {n}"):
+        theorems.run_battery(2, n=n)
+
+
 def test_catalog_refuses_fewer_than_three_voters():
     with pytest.raises(ValueError, match="at least 3 voters"):
         catalog(2, 3)
