@@ -54,15 +54,16 @@ def simplex_maximize(
             raise ValueError("row width does not match objective")
     num_rows = len(rows)
     width = num_vars + num_rows + 1
-    # tableau rows: [A | I | b]; objective row keeps reduced costs.
+    # tableau rows: [A | I | b]; objective row keeps reduced costs. Fractions
+    # are immutable, so every zero is one object, and a pivot leaves zeros as
+    # they are: most of the tableau is slack columns that stay 0.
+    zero = Fraction(0)
     tableau = []
     for r, (coeffs, rhs) in enumerate(rows):
-        row = [Fraction(c) for c in coeffs]
-        row.extend(Fraction(1) if s == r else Fraction(0) for s in range(num_rows))
-        row.append(Fraction(rhs))
+        row = [Fraction(c) for c in coeffs] + [zero] * num_rows + [Fraction(rhs)]
+        row[num_vars + r] = Fraction(1)
         tableau.append(row)
-    cost = [-Fraction(c) for c in objective]
-    cost.extend(Fraction(0) for _ in range(num_rows + 1))
+    cost = [-Fraction(c) for c in objective] + [zero] * (num_rows + 1)
     basis = [num_vars + r for r in range(num_rows)]
 
     while True:
@@ -83,16 +84,14 @@ def simplex_maximize(
         if leaving is None:
             raise UnboundedModelError("objective is unbounded above")
         pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        tableau[leaving] = pivot_row = [v / pivot if v else v for v in tableau[leaving]]
         for r in range(num_rows):
-            if r != leaving and tableau[r][entering] != 0:
-                factor = tableau[r][entering]
-                tableau[r] = [
-                    v - factor * p for v, p in zip(tableau[r], tableau[leaving])
-                ]
-        if cost[entering] != 0:
-            factor = cost[entering]
-            cost = [v - factor * p for v, p in zip(cost, tableau[leaving])]
+            factor = tableau[r][entering]
+            if r != leaving and factor:
+                tableau[r] = [v - factor * p if p else v for v, p in zip(tableau[r], pivot_row)]
+        factor = cost[entering]
+        if factor:
+            cost = [v - factor * p if p else v for v, p in zip(cost, pivot_row)]
         basis[leaving] = entering
 
     solution = [Fraction(0)] * num_vars

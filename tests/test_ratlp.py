@@ -118,6 +118,78 @@ def bounded_models(draw):
     return objective, rows
 
 
+def frozen_simplex_maximize(objective, rows):
+    """``simplex_maximize`` as it read before pivots skipped zero entries."""
+    num_vars, num_rows = len(objective), len(rows)
+    width = num_vars + num_rows + 1
+    tableau = []
+    for r, (coeffs, rhs) in enumerate(rows):
+        row = [F(c) for c in coeffs]
+        row.extend(F(1) if s == r else F(0) for s in range(num_rows))
+        row.append(F(rhs))
+        tableau.append(row)
+    cost = [-F(c) for c in objective] + [F(0)] * (num_rows + 1)
+    basis = [num_vars + r for r in range(num_rows)]
+    while True:
+        entering = next((j for j in range(width - 1) if cost[j] < 0), None)
+        if entering is None:
+            break
+        leaving, best = None, None
+        for r in range(num_rows):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best, leaving = ratio, r
+        if leaving is None:
+            raise UnboundedModelError("objective is unbounded above")
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        for r in range(num_rows):
+            if r != leaving and tableau[r][entering] != 0:
+                factor = tableau[r][entering]
+                tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[leaving])]
+        if cost[entering] != 0:
+            factor = cost[entering]
+            cost = [v - factor * p for v, p in zip(cost, tableau[leaving])]
+        basis[leaving] = entering
+    solution = [F(0)] * num_vars
+    for r, b in enumerate(basis):
+        if b < num_vars:
+            solution[b] = tableau[r][-1]
+    return sum(c * x for c, x in zip(objective, solution)), solution
+
+
+@st.composite
+def sparse_models(draw):
+    """Up to 12 rows over up to 5 variables, most coefficients 0 or 1 as in the
+    dictatorial-weight program, some unbounded."""
+    num_vars = draw(st.integers(min_value=1, max_value=5))
+    entry = st.sampled_from([F(0), F(0), F(1), F(1), F(2, 3), F(-1)])
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(entry, min_size=num_vars, max_size=num_vars).map(tuple),
+                st.fractions(min_value=0, max_value=3, max_denominator=12),
+            ),
+            max_size=12,
+        )
+    )
+    return [F(1)] * num_vars, rows
+
+
+@given(st.one_of(bounded_models(), sparse_models()))
+def test_simplex_matches_frozen_body(model):
+    # the pivot skips zero entries; the pivots, value and point must not change
+    try:
+        want = frozen_simplex_maximize(*model)
+    except UnboundedModelError:
+        with pytest.raises(UnboundedModelError):
+            simplex_maximize(*model)
+        return
+    assert simplex_maximize(*model) == want
+
+
 @given(
     bounded_models(),
     st.fractions(min_value=0, max_value=2).filter(lambda e: e > 0),
