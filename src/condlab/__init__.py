@@ -13,7 +13,7 @@ _EXPORTS = {
     "core": (
         "PreferenceRelation", "Profile", "all_profiles", "all_relations",
         "alternative_index", "alternative_name", "condorcet_winner",
-        "majority_margin", "parse_profiles", "swap",
+        "parse_profiles", "swap",
     ),
     "lottery": (
         "Lottery", "NegativeProbabilityError", "affine_combine", "mix", "sd_compare",

@@ -218,7 +218,8 @@ def check_ex_post_efficient(sds, dom: Domain) -> Verdict:
                 if x == y:
                     continue
                 comparisons += 1
-                if pareto_dominates(profile, x, y) and lot[y] > 0:
+                # the cheap test first: only an alternative with mass can be a witness
+                if lot.numerators[y] and pareto_dominates(profile, x, y):
                     witness = ExPostWitness(profile, x, y, lot[y])
                     return Verdict(
                         "ex-post-efficient", False, witness, index + 1, comparisons

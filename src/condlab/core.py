@@ -5,8 +5,9 @@ Alternatives are dense integer indices ``0..m-1`` shown to users as letters
 profiles are fixed-length voter tuples of relations. Everything here is
 immutable and hashable so values can be cached, interned and used as
 dictionary keys; a relation hashes by its ``index`` and a profile by its
-``code``. All arithmetic on top of these types stays in exact
-rationals elsewhere in the package.
+``code``. Each relation keeps its pairwise row, built on first use; a
+profile's majority winner is read from the sum of its voters' rows. All
+arithmetic on top of these types stays in exact rationals elsewhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -86,7 +87,7 @@ class PreferenceRelation:
     ``index`` is the relation's position in :func:`all_relations`: its Lehmer
     code, each slot's digit counting the smaller alternatives not yet placed."""
 
-    __slots__ = ("order", "index", "_pos")
+    __slots__ = ("order", "index", "_pos", "_row")
 
     def __init__(self, order: Sequence[int]):
         order = tuple(order)
@@ -102,6 +103,7 @@ class PreferenceRelation:
         self.order = order
         self.index = index
         self._pos = tuple(pos)
+        self._row = None  # built by pairwise_row on first use
 
     @property
     def m(self) -> int:
@@ -116,6 +118,17 @@ class PreferenceRelation:
 
     def prefers(self, x: int, y: int) -> bool:
         return self._pos[x] < self._pos[y]
+
+    def pairwise_row(self) -> int:
+        """The relation's pairwise preferences in one integer, built on first use:
+        field ``x * m + y``, ``_FIELD_WIDTH`` bits wide, holds 1 when ``x`` is
+        ranked above ``y``, so a sum of rows counts the relations that do."""
+        if self._row is None:
+            order, m = self.order, len(self.order)
+            self._row = sum(
+                1 << _FIELD_WIDTH * (x * m + y) for i, x in enumerate(order) for y in order[i + 1:]
+            )
+        return self._row
 
     def upper_contour(self, x: int) -> frozenset:
         """Alternatives weakly preferred to ``x`` (always contains ``x``)."""
@@ -281,63 +294,24 @@ def full_profile_count(n: int, m: int) -> int:
     return factorial(m) ** n
 
 
-def majority_margin(profile: Profile, x: int, y: int) -> int:
-    """Voters preferring x to y minus voters preferring y to x."""
-    if x == y:
-        raise ValueError("margin needs two distinct alternatives")
-    if not (0 <= x < profile.m and 0 <= y < profile.m):
-        raise ValueError("alternative out of range")
-    margin = 0
-    for rel in profile.relations:
-        margin += 1 if rel.prefers(x, y) else -1
-    return margin
-
-
-def _packed(order: Tuple[int, ...], width: int) -> int:
-    """``order``'s pairwise preferences in one integer: field ``x * m + y``,
-    ``width`` bits wide, holds 1 when ``order`` ranks ``x`` above ``y``."""
-    m = len(order)
-    return sum(1 << width * (x * m + y) for i, x in enumerate(order) for y in order[i + 1:])
-
-
-# width -> {order: _packed(order, width)}. A winner reads each voter's row with
-# one dict lookup on the order, hashed in C. A width's rows start over once
-# they hold _PACKED_MAX orders (all of m = 7 is 5,040), so the memo stays bounded.
-_PACKED_MAX = 1 << 14
-_packed_rows: dict = {}
+# Bits per count field of a pairwise row: a tally counts up to 2**32 - 1 voters
+# (the tie-breaking order included) without carrying into the next field.
+_FIELD_WIDTH = 32
 
 
 # Keyed by value: at m = 3 a tally has three free counts, so scans repeat a few hundred.
 @lru_cache(maxsize=1 << 14)
 def _tally_winner(tally: int, n: int, m: int) -> Optional[int]:
-    """The majority winner among ``n`` voters whose tally, in fields
-    ``n.bit_length()`` bits wide, is ``tally``."""
-    width, half = n.bit_length(), n // 2
-    mask = (1 << width) - 1
+    """The majority winner among ``n`` voters whose rows sum to ``tally``."""
+    if n >> _FIELD_WIDTH:
+        raise ValueError(f"a pairwise tally counts fewer than 2**{_FIELD_WIDTH} voters, got {n}")
+    half, mask = n // 2, (1 << _FIELD_WIDTH) - 1
     for x in range(m):
-        row = tally >> (width * x * m)
+        row = tally >> (_FIELD_WIDTH * x * m)
         # x beats y by strict majority when more than half the voters say so
-        if all((row >> (width * y)) & mask > half for y in range(m) if y != x):
+        if all((row >> (_FIELD_WIDTH * y)) & mask > half for y in range(m) if y != x):
             return x
     return None
-
-
-def _majority_winner(relations: Tuple[PreferenceRelation, ...]) -> Optional[int]:
-    n = len(relations)
-    # n.bit_length() bits count up to n voters, so no field carries into the next
-    width = n.bit_length()
-    rows = _packed_rows.get(width)
-    if rows is None:
-        rows = _packed_rows[width] = {}
-    tally = 0
-    for rel in relations:
-        row = rows.get(rel.order)
-        if row is None:
-            if len(rows) >= _PACKED_MAX:
-                rows.clear()
-            row = rows[rel.order] = _packed(rel.order, width)
-        tally += row
-    return _tally_winner(tally, n, len(relations[0].order))
 
 
 # Holds a whole n<=3 domain (6^3 = 216 profiles), whose scans ask each winner
@@ -346,11 +320,14 @@ def _majority_winner(relations: Tuple[PreferenceRelation, ...]) -> Optional[int]
 def condorcet_winner(profile: Profile, tiebreaker: Optional[TieBreaker] = None) -> Optional[int]:
     """The alternative beating every other by strict majority, if one exists;
     with ``tiebreaker``, after that order votes as one extra voter."""
+    rels = profile.relations
+    # a kept row is read directly; a one-alternative row is 0 and rebuilt for nothing
+    tally = sum([rel._row or rel.pairwise_row() for rel in rels])
     if tiebreaker is None:
-        return _majority_winner(profile.relations)
+        return _tally_winner(tally, len(rels), len(rels[0].order))
     if tiebreaker.m != profile.m:
         raise ValueError("tie-breaker ranks a different slate")
-    return _majority_winner(profile.relations + (tiebreaker,))
+    return _tally_winner(tally + tiebreaker.pairwise_row(), len(rels) + 1, profile.m)
 
 
 def swap(profile: Profile, voter: int, x: int, y: int) -> Profile:

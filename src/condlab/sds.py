@@ -3,9 +3,10 @@
 Every scheme carries the domain it is defined on and refuses to evaluate
 outside it. Mixtures combine schemes with convex weights; signed mixtures
 allow negative weights and are only well defined when every profile still
-receives a proper lottery, which the evaluation checks exactly. A mixture
-evaluates each part through that part's ``SDS.evaluate``, so a part's
-membership test and errors stay its own; only the combination of the parts'
+receives a proper lottery, which the evaluation checks exactly. A mixture's
+parts share one shape and at most one domain narrower than the full one, the
+mixture's own, so its ``SDS.evaluate`` makes the one membership test and it
+reads each part's ``_lottery`` unchecked. Only the combination of the parts'
 lotteries is memoised, by value, in a bounded cache that keeps no failed
 combination.
 
@@ -153,16 +154,16 @@ class TieBreakingCondorcetRule(CondorcetRule):
 
 
 def _common_domain(parts: Sequence[Tuple[Fraction, SDS]]) -> Domain:
-    narrow = [part.valid_domain for _, part in parts if not isinstance(part.valid_domain, FullDomain)]
-    if not narrow:
-        return parts[0][1].valid_domain
-    first = narrow[0]
-    for dom in narrow[1:]:
-        if dom != first:
-            raise ValueError(
-                "component schemes live on different domains; pass valid_domain explicitly"
-            )
-    return first
+    """The one domain every part is defined on: the parts' narrow domain, else
+    their full domain. Parts of different shapes or narrow domains are refused."""
+    domains = [part.valid_domain for _, part in parts]
+    shapes = {(dom.n, dom.m) for dom in domains}
+    if len(shapes) > 1:
+        raise ValueError(f"component schemes have different shapes (n, m): {sorted(shapes)}")
+    narrow = [dom for dom in domains if not isinstance(dom, FullDomain)]
+    if any(dom != narrow[0] for dom in narrow[1:]):
+        raise ValueError("component schemes live on different domains")
+    return narrow[0] if narrow else domains[0]
 
 
 class Mixture(SDS):
@@ -172,25 +173,21 @@ class Mixture(SDS):
     noun = "mixture"
     allows_negative = False
 
-    def __init__(
-        self,
-        parts: Sequence[Tuple[Fraction, SDS]],
-        valid_domain: Optional[Domain] = None,
-    ):
+    def __init__(self, parts: Sequence[Tuple[Fraction, SDS]]):
         parts = tuple((Fraction(w), part) for w, part in parts)
         if not self.allows_negative and any(w < 0 for w, _ in parts):
             raise ValueError("mixture weights must be nonnegative")
         if sum(w for w, _ in parts) != 1:
             raise ValueError(f"{self.noun} weights must sum to 1")
-        dom = valid_domain if valid_domain is not None else _common_domain(parts)
         name = f"{self.label}:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
-        super().__init__(dom, name)
+        super().__init__(_common_domain(parts), name)
         self.parts = parts
         self._weights = tuple((w.numerator, w.denominator) for w, _ in parts)
 
     def _lottery(self, profile: Profile) -> Lottery:
+        # evaluate checked membership once; it holds for every part
         return _combine(
-            self._weights, tuple([part.evaluate(profile).numerators for _, part in self.parts])
+            self._weights, tuple([part._lottery(profile).numerators for _, part in self.parts])
         )
 
 

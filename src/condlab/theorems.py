@@ -87,19 +87,17 @@ def coefficient_grid(n: int, step: Fraction = Fraction(1, 4)) -> List[MixtureCoe
     return out
 
 
-def mixture_sds(coeffs: MixtureCoefficients, n: int, m: int, reference=None):
-    """Materialize the scheme described by mixture coefficients.
-
-    The reference part defaults to the majority-winner rule.  A vector with
-    zero majority weight yields a random dictatorship, which is defined on
-    every profile; negative entries yield a signed mixture.
+def mixture_sds(coeffs: MixtureCoefficients, reference):
+    """Materialize the scheme described by mixture coefficients over the voters
+    and alternatives of ``reference``, the majority part. A vector with zero
+    majority weight yields a random dictatorship, which is defined on every
+    profile; negative entries yield a signed mixture.
     """
+    n, m = reference.n, reference.m
     if len(coeffs.voter_weights) != n:
         raise ValueError(f"expected {n} voter weights, got {len(coeffs.voter_weights)}")
     if coeffs.condorcet_weight == 0 and all(w >= 0 for w in coeffs.voter_weights):
         return RandomDictatorship(list(coeffs.voter_weights), m)
-    if reference is None:
-        reference = CondorcetRule(n, m)
     parts: List[Tuple[Fraction, object]] = []
     if coeffs.condorcet_weight != 0:
         parts.append((coeffs.condorcet_weight, reference))
@@ -212,11 +210,12 @@ def criterion_1(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
     """Every nonnegative grid mixture of the majority rule and dictatorships
     is strategyproof, non-imposing and ex-post efficient on the majority
     domain."""
-    dom = CondorcetDomain(n, m)
+    rule = CondorcetRule(n, m)
+    dom = rule.valid_domain
     failures: List[str] = []
     grid = coefficient_grid(n, step)
     for coeffs in grid:
-        sds = mixture_sds(coeffs, n, m)
+        sds = mixture_sds(coeffs, rule)
         for verdict in (
             check_strategyproof(sds, dom),
             check_non_imposition(sds, dom),
@@ -313,13 +312,14 @@ def criterion_4(
     per_tb: Dict[str, Dict] = {}
     ok = True
     for tb_text in tiebreakers or default_tiebreakers(m):
-        tb = PreferenceRelation.from_text(tb_text)
-        dom = TieBreakingCondorcetDomain(tb, n, m)
-        reference = TieBreakingCondorcetRule(tb, n)
+        reference = TieBreakingCondorcetRule(PreferenceRelation.from_text(tb_text), n)
+        if reference.m != m:
+            raise ValueError("tie-breaker ranks a different slate")
+        dom = reference.valid_domain
         failures: List[str] = []
         grid = coefficient_grid(n, step)
         for coeffs in grid:
-            sds = mixture_sds(coeffs, n, m, reference=reference)
+            sds = mixture_sds(coeffs, reference)
             sp = check_strategyproof(sds, dom)
             ni = check_non_imposition(sds, dom)
             if not (sp.holds and ni.holds):
@@ -338,10 +338,10 @@ def criterion_5(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
     """Extending schemes from the majority domain to one extra cyclic profile:
     the majority rule cannot be extended, random dictatorships can, and
     feasibility of a grid mixture is decided by its majority weight."""
-    dom = CondorcetDomain(n, m)
+    cond = CondorcetRule(n, m)
+    dom = cond.valid_domain
     cycle = majority_cycle_profile(n, m)
 
-    cond = CondorcetRule(n, m)
     cond_res = extension_feasibility(cond, dom, [cycle])
 
     uniform = RandomDictatorship([Fraction(1, n)] * n, m)
@@ -354,7 +354,7 @@ def criterion_5(n: int = 3, m: int = 3, step: Fraction = Fraction(1, 4)) -> Dict
 
     mismatches: List[str] = []
     for coeffs in coefficient_grid(n, step):
-        sds = mixture_sds(coeffs, n, m)
+        sds = mixture_sds(coeffs, cond)
         res = extension_feasibility(sds, dom, [cycle])
         expected = coeffs.condorcet_weight == 0
         if res.feasible != expected:
@@ -406,8 +406,9 @@ def criterion_7(ns: Sequence[int] = (3, 4), step: Fraction = Fraction(1, 4)) -> 
     pattern_checked = 0
     pattern_control_failures: List[str] = []
     for n in ns:
-        dom = CondorcetDomain(n, m)
-        pure = [("cond", CondorcetRule(n, m))]
+        rule = CondorcetRule(n, m)
+        dom = rule.valid_domain
+        pure = [("cond", rule)]
         pure += [(f"dict:{i}", Dictatorship(i, n, m)) for i in range(n)]
         for name, sds in pure:
             verdict = check_group_strategyproof(sds, dom)
@@ -417,7 +418,7 @@ def criterion_7(ns: Sequence[int] = (3, 4), step: Fraction = Fraction(1, 4)) -> 
             positive = [w for w in [coeffs.condorcet_weight, *coeffs.voter_weights] if w > 0]
             if len(positive) < 2:
                 continue
-            sds = mixture_sds(coeffs, n, m)
+            sds = mixture_sds(coeffs, rule)
             verdict = check_group_strategyproof(sds, dom)
             if verdict.holds:
                 mixture_passes.append(f"n={n} {coeffs.to_json_dict()}")
@@ -598,6 +599,12 @@ def criterion_11() -> Dict:
 
 # -- batteries ----------------------------------------------------------------
 
+# which -> (parity of n, default n, least n, least m). Fewer voters break the
+# scheme catalog and majority cycle (1, 3) or put a probe profile outside the
+# tie-breaking domain (2); fewer alternatives break the probes and the cycle.
+_BATTERY_SIZES = {1: ("odd", 3, 3, 3), 2: ("even", 4, 4, 3), 3: ("odd", 3, 3, 3)}
+
+
 def run_battery(
     which: int,
     n: Optional[int] = None,
@@ -612,30 +619,21 @@ def run_battery(
     2 the tie-breaking variant on even electorates (tie-breakers default to
     :func:`default_tiebreakers` of ``m``), battery 3 the
     group-strategyproofness separation (criterion 7 at three alternatives,
-    criterion 8 at ``m``). Batteries 1 and 3 need at least three voters: the
-    scheme catalog and the majority cycle are built for three or more.
-    Battery 2 needs at least four: at two, a coefficient probe profile lies
-    outside the tie-breaking domain.
+    criterion 8 at ``m``). A size outside the battery's rules in
+    ``_BATTERY_SIZES`` is refused before any criterion runs.
     """
-    if which not in (1, 2, 3):
+    if which not in _BATTERY_SIZES:
         raise ValueError(f"unknown battery {which}, expected 1, 2 or 3")
-    if which == 2:
-        even_n = 4 if n is None else n
-        if even_n % 2 == 1:
-            raise ValueError("battery 2 needs an even number of voters")
-        if even_n < 4:
-            raise ValueError(f"battery 2 needs at least 4 voters, got {even_n}")
-        return [criterion_4(even_n, m, tiebreakers or default_tiebreakers(m), step)]
-    odd_n = 3 if n is None else n
-    if odd_n % 2 == 0:
-        raise ValueError(f"battery {which} needs an odd number of voters")
-    if odd_n < 3:
-        raise ValueError(f"battery {which} needs at least 3 voters, got {odd_n}")
+    parity, default_n, least_n, least_m = _BATTERY_SIZES[which]
+    n = default_n if n is None else n
+    if (n % 2 == 1) != (parity == "odd"):
+        raise ValueError(f"battery {which} needs an {parity} number of voters")
+    if n < least_n:
+        raise ValueError(f"battery {which} needs at least {least_n} voters, got {n}")
+    if m < least_m:
+        raise ValueError(f"battery {which} needs at least {least_m} alternatives, got {m}")
     if which == 1:
-        return [
-            criterion_1(odd_n, m, step),
-            criterion_2(odd_n, m),
-            criterion_3(),
-            criterion_5(odd_n, m, step),
-        ]
-    return [criterion_7((odd_n,), step), criterion_8(odd_n, m)]
+        return [criterion_1(n, m, step), criterion_2(n, m), criterion_3(), criterion_5(n, m, step)]
+    if which == 2:
+        return [criterion_4(n, m, tiebreakers or default_tiebreakers(m), step)]
+    return [criterion_7((n,), step), criterion_8(n, m)]

@@ -12,7 +12,7 @@ from condlab.adpath import (
     build_adpath_fixing,
     validate_adpath,
 )
-from condlab.core import PreferenceRelation, Profile, majority_margin, swap
+from condlab.core import PreferenceRelation, Profile, swap
 from condlab.domains import (
     CondorcetDomain,
     FullDomain,
@@ -20,6 +20,7 @@ from condlab.domains import (
     TieBreakingCondorcetDomain,
     majority_cycle_profile,
 )
+from test_core import majority_margin
 
 
 def rel(text):

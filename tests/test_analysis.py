@@ -540,7 +540,7 @@ def differential_inputs():
             yield scheme, parse_domain(args.base, args.n, args.m), extras, args.require_non_imposition
     cycle = [majority_cycle_profile(3, 3)]
     for coeffs in coefficient_grid(3):
-        yield mixture_sds(coeffs, 3, 3), CondorcetDomain(3, 3), cycle, False
+        yield mixture_sds(coeffs, CondorcetRule(3, 3)), CondorcetDomain(3, 3), cycle, False
     for rule in (CondorcetRule(3, 3), RandomDictatorship([F(1, 3)] * 3, 3)):
         yield cycle_table(rule), CondorcetDomain(3, 3), cycle, False
 
@@ -638,9 +638,6 @@ def test_every_value_cache_is_bounded():
     for name, cached in caches.items():
         maxsize = cached.cache_info().maxsize
         assert name == unbounded or (maxsize is not None and 0 < maxsize <= 1 << 14), name
-    # the winner's packed rows sit in a dict per field width, not a functools
-    # cache; tests/test_core.py shows each width's rows start over at this bound
-    assert 0 < condlab.core._PACKED_MAX <= 1 << 14
 
 
 def frozen_deviation_bound(order, new_top, truthful, deviated):

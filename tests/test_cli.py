@@ -428,7 +428,7 @@ def test_theorems_fine_grid_is_refused_before_it_is_built(capsys):
 
 def test_theorems_refuses_two_alternatives(capsys):
     code, data = run_json(capsys, ["theorems", "--which", "1", "--m", "2"])
-    assert code == 2 and data == {"error": "probes need at least three alternatives"}
+    assert code == 2 and data == {"error": "battery 1 needs at least 3 alternatives, got 2"}
 
 
 def test_theorems_rejects_wrong_parity(capsys):

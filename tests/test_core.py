@@ -18,7 +18,6 @@ from condlab.core import (
     alternative_name,
     condorcet_winner,
     full_profile_count,
-    majority_margin,
     pareto_dominates,
     parse_profiles,
     swap,
@@ -41,6 +40,15 @@ def augment(profile, tiebreaker):
     if tiebreaker.m != profile.m:
         raise ValueError("tie-breaker ranks a different slate")
     return Profile(profile.relations + (tiebreaker,))
+
+
+def majority_margin(profile, x, y):
+    """The winner oracle's margin: voters preferring x to y minus voters preferring y to x."""
+    if x == y:
+        raise ValueError("margin needs two distinct alternatives")
+    if not (0 <= x < profile.m and 0 <= y < profile.m):
+        raise ValueError("alternative out of range")
+    return sum(1 if rel.prefers(x, y) else -1 for rel in profile.relations)
 
 
 # -- names --------------------------------------------------------------------
@@ -406,17 +414,19 @@ def margin_winner(profile):
     return None
 
 
-def test_packed_row_memo_is_bounded(monkeypatch):
-    # each width's rows start over at _PACKED_MAX orders; a small bound shows it
-    monkeypatch.setattr(core, "_PACKED_MAX", 5)
-    monkeypatch.setattr(core, "_packed_rows", {})
-    rng = random.Random(5)
-    rels = all_relations(4)
-    for _ in range(300):
-        p = Profile([rels[rng.randrange(24)] for _ in range(rng.choice((3, 4, 5)))])
-        assert condorcet_winner.__wrapped__(p) == margin_winner(p), p
-        assert all(len(rows) <= 5 for rows in core._packed_rows.values())
-    assert set(core._packed_rows) == {2, 3}
+def test_pairwise_row_counts_each_ordered_pair_once():
+    # brute force: field x * m + y holds 1 exactly when x is ranked above y
+    width = core._FIELD_WIDTH
+    for m in range(1, 6):
+        for r in all_relations(m):
+            row = r.pairwise_row()
+            fields = [(row >> width * f) & ((1 << width) - 1) for f in range(m * m)]
+            expected = [
+                sum(1 for i, a in enumerate(r.order) for b in r.order[i + 1:] if (a, b) == (x, y))
+                for x in range(m)
+                for y in range(m)
+            ]
+            assert fields == expected and row >> width * m * m == 0, r
 
 
 @pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32])
@@ -431,6 +441,31 @@ def test_winner_counts_at_field_boundaries(n):
         assert condorcet_winner(p) == margin_winner(p), p
         assert condorcet_winner(p, tb) == margin_winner(augment(p, tb)), p
     assert condorcet_winner(profiles[0]) == 0
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 1])
+def test_winner_counts_beyond_sixteen_bits(n):
+    # a unanimous count reaches 2**16 with an agreeing tie-breaker at n = 2**16 - 1,
+    # and 2**16 + 1 without one: a 16-bit field would carry into the next
+    forward, backward = rel("a>b>c"), rel("c>b>a")
+    half = n // 2
+    # the forward voters first: a profile's code stays small while its digits are 0
+    profiles = [
+        Profile([forward] * n),
+        Profile([forward] * (half + 1) + [backward] * half),
+        Profile([forward] * half + [backward] * (half + 1)),
+    ]
+    assert [condorcet_winner(p) for p in profiles] == [0, 0, 2]
+    for p in profiles:
+        assert condorcet_winner(p) == margin_winner(p)
+        for tb in (forward, backward):
+            assert condorcet_winner(p, tb) == margin_winner(augment(p, tb))
+    condorcet_winner.cache_clear()
+
+
+def test_tally_refuses_more_voters_than_a_field_counts():
+    with pytest.raises(ValueError, match="fewer than 2"):
+        core._tally_winner(0, 1 << core._FIELD_WIDTH, 3)
 
 
 # -- swaps and Pareto ---------------------------------------------------------

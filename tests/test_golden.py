@@ -106,6 +106,7 @@ CASES = {
     ),
     # the batteries: the third carries the standing criterion 7 failure
     "theorems-1": (0, ["theorems", "--which", "1"]),
+    "theorems-2": (0, ["theorems", "--which", "2"]),
     "theorems-3": (1, ["theorems", "--which", "3"]),
 }
 

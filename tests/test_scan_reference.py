@@ -276,7 +276,7 @@ def blend(dom, draw):
     den = draw(st.integers(1, 6))
     alpha = F(draw(st.integers(0, den)), den)
     rd = random_dictatorship(dom, draw)
-    return Mixture([(alpha, majority_rule(dom, draw)), (1 - alpha, rd)], valid_domain=dom)
+    return Mixture([(alpha, majority_rule(dom, draw)), (1 - alpha, rd)])
 
 
 def signed(dom, draw):
@@ -290,7 +290,7 @@ def signed(dom, draw):
         (b, RandomDictatorship([F(1, dom.n)] * dom.n, dom.m)),
         (1 - a - b, Dictatorship(draw(st.integers(0, dom.n - 1)), dom.n, dom.m)),
     ]
-    return SignedMixture(parts, valid_domain=dom)
+    return SignedMixture(parts)
 
 
 def tie_blend(dom, draw):
@@ -299,7 +299,7 @@ def tie_blend(dom, draw):
     rule = draw(st.sampled_from((Plurality, Borda)))(dom.n, dom.m)
     alpha = F(draw(st.integers(0, 4)), 4)
     rd = random_dictatorship(dom, draw)
-    return Mixture([(alpha, rule), (1 - alpha, rd)], valid_domain=dom)
+    return Mixture([(alpha, rule), (1 - alpha, rd)])
 
 
 @st.composite
@@ -368,8 +368,8 @@ def named_cases():
         "signed-mid-scan": (
             SignedMixture([(F(3, 2), cond3), (F(-1, 2), Dictatorship(0, 3, 3))]), dom3
         ),
-        "plurality-blend": (Mixture([(F(1, 2), Plurality(3, 3)), (F(1, 2), rd3)], dom3), dom3),
-        "borda-blend": (Mixture([(F(1, 3), Borda(4, 3)), (F(2, 3), rd4)], dom4), dom4),
+        "plurality-blend": (Mixture([(F(1, 2), Plurality(3, 3)), (F(1, 2), rd3)]), dom3),
+        "borda-blend": (Mixture([(F(1, 3), Borda(4, 3)), (F(2, 3), rd4)]), dom4),
         "table-missing-entry": (TableSDS(table, valid_domain=dom3), dom3),
     }
 
@@ -422,7 +422,7 @@ def named_swap_cases():
         "borda-full": (Borda(3, 3), full),
         "plurality-full": (Plurality(3, 3), full),
         "cond-condorcet": (CondorcetRule(3, 3), cond),
-        "mix-condorcet": (Mixture([(F(1, 4), CondorcetRule(3, 3)), (F(3, 4), rd)], cond), cond),
+        "mix-condorcet": (Mixture([(F(1, 4), CondorcetRule(3, 3)), (F(3, 4), rd)]), cond),
         "cond-perturbed": (perturbed_condorcet_table(3, 3), cond),
     }
 

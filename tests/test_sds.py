@@ -8,6 +8,7 @@ import pytest
 from condlab.core import PreferenceRelation, Profile, all_relations, condorcet_winner
 from condlab.domains import (
     CondorcetDomain,
+    ExtendedDomain,
     FullDomain,
     OutOfDomainError,
     TieBreakingCondorcetDomain,
@@ -139,19 +140,6 @@ def test_mixture_narrows_to_common_domain():
         blend.evaluate(majority_cycle_profile(3, 3))
 
 
-def test_mixture_part_keeps_its_own_domain_error():
-    # Declared on the full domain, the mixture reaches the cycle; its
-    # majority-rule part must still refuse it in its own words.
-    blend = Mixture(
-        [(F(1, 2), CondorcetRule(3, 3)), (F(1, 2), Dictatorship(0, 3, 3))],
-        valid_domain=FullDomain(3, 3),
-    )
-    cycle = majority_cycle_profile(3, 3)
-    with pytest.raises(OutOfDomainError) as caught:
-        blend.evaluate(cycle)
-    assert str(caught.value) == f"cond is undefined at:\n{cycle.to_text()}"
-
-
 def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         Mixture([(F(3, 4), Dictatorship(0, 3, 3)), (F(1, 2), Dictatorship(1, 3, 3))])
@@ -161,8 +149,71 @@ def test_mixture_weight_validation():
 
 def test_mixture_rejects_mismatched_component_domains():
     tb_rule = TieBreakingCondorcetRule(rel("a>b>c"), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different domains"):
         Mixture([(F(1, 2), CondorcetRule(4, 3)), (F(1, 2), tb_rule)])
+    with pytest.raises(ValueError, match="different domains"):
+        SignedMixture([(F(2), tb_rule), (F(-1), TieBreakingCondorcetRule(rel("c>b>a"), 4))])
+
+
+@pytest.mark.parametrize(
+    "other",
+    [Dictatorship(0, 4, 3), Dictatorship(0, 3, 4), CondorcetRule(4, 3), Plurality(3, 4)],
+    ids=lambda sds: f"{sds.describe()}@{sds.n},{sds.m}",
+)
+def test_mixture_rejects_components_of_different_shapes(other):
+    # refused when built, not at the first evaluation
+    with pytest.raises(ValueError, match="different shapes"):
+        Mixture([(F(1, 2), Dictatorship(0, 3, 3)), (F(1, 2), other)])
+    with pytest.raises(ValueError, match="different shapes"):
+        Mixture([(F(1, 2), CondorcetRule(3, 3)), (F(1, 2), other)])
+
+
+def mixture_parts():
+    """Every kind of part a mixture takes: the catalog rules at (3, 3), tables on
+    explicit, majority and extended domains, nested mixtures, and rules of
+    other shapes."""
+    cond = CondorcetRule(3, 3)
+    members = CondorcetDomain(3, 3).members()
+    cycle = majority_cycle_profile(3, 3)
+    extended = ExtendedDomain(CondorcetDomain(3, 3), [cycle])
+    return [
+        cond,
+        TieBreakingCondorcetRule(rel("a>b>c"), 3),
+        TieBreakingCondorcetRule(rel("c>b>a"), 3),
+        Dictatorship(0, 3, 3),
+        Dictatorship(2, 3, 3),
+        RandomDictatorship([F(1, 2), F(1, 4), F(1, 4)], 3),
+        Plurality(3, 3),
+        Borda(3, 3),
+        TableSDS({p: Lottery.uniform(3) for p in members[:5]}),
+        TableSDS({p: cond.evaluate(p) for p in members}, valid_domain=CondorcetDomain(3, 3)),
+        TableSDS({cycle: Lottery.uniform(3), **{p: cond.evaluate(p) for p in members}}, valid_domain=extended),
+        Mixture([(F(1, 2), cond), (F(1, 2), Dictatorship(1, 3, 3))]),
+        Mixture([(F(1, 3), Plurality(3, 3)), (F(2, 3), Borda(3, 3))]),
+        SignedMixture([(F(3, 2), Dictatorship(0, 3, 3)), (F(-1, 2), Dictatorship(1, 3, 3))]),
+        Dictatorship(0, 4, 3),
+        CondorcetRule(3, 4),
+    ]
+
+
+def test_every_member_of_a_mixture_domain_is_a_member_of_each_part():
+    # the mixture's one membership test stands for its parts'
+    built = 0
+    for first, second in itertools.combinations_with_replacement(mixture_parts(), 2):
+        parts = [(F(1, 2), first), (F(1, 2), second)]
+        shapes = {(first.n, first.m), (second.n, second.m)}
+        narrow = {
+            sds.valid_domain for sds in (first, second) if not isinstance(sds.valid_domain, FullDomain)
+        }
+        if len(shapes) > 1 or len(narrow) > 1:
+            with pytest.raises(ValueError):
+                Mixture(parts)
+            continue
+        blend = Mixture(parts)
+        built += 1
+        for p in blend.valid_domain.members():
+            assert first.valid_domain.contains(p) and second.valid_domain.contains(p), (blend, p)
+    assert built == 89
 
 
 # -- the signed counterexample ---------------------------------------------------
@@ -355,7 +406,7 @@ def test_parse_table_file_refuses_a_profile_named_twice():
     assert member.to_text() in str(caught.value)
 
 
-def test_mixture_evaluates_every_part_through_evaluate(monkeypatch):
+def test_one_mixture_evaluation_makes_one_membership_check(monkeypatch):
     seen = []
     evaluate = SDS.evaluate
 
@@ -364,7 +415,8 @@ def test_mixture_evaluates_every_part_through_evaluate(monkeypatch):
         return evaluate(self, profile)
 
     monkeypatch.setattr(SDS, "evaluate", traced)
-    # the first part shares the mixture's domain, the second is defined everywhere
-    blend = Mixture([(F(1, 2), CondorcetRule(3, 3)), (F(1, 2), Dictatorship(0, 3, 3))])
-    blend.evaluate(prof("a>b>c\na>b>c\nb>a>c"))
-    assert seen == [blend.describe(), "cond", "dict:0"]
+    inner = Mixture([(F(1, 2), CondorcetRule(3, 3)), (F(1, 2), Dictatorship(0, 3, 3))])
+    blend = Mixture([(F(1, 2), inner), (F(1, 2), Plurality(3, 3))])
+    member = prof("a>b>c\na>b>c\nb>a>c")
+    assert blend.evaluate(member) == Lottery.point(0, 3)
+    assert seen == [blend.describe()]

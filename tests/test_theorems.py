@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import itertools
+import json
 
 import pytest
 
@@ -199,6 +200,18 @@ def test_battery_2_refuses_fewer_than_four_voters(monkeypatch, n):
     monkeypatch.setattr(theorems, "criterion_4", lambda *args: pytest.fail("criterion 4 ran"))
     with pytest.raises(ValueError, match=f"battery 2 needs at least 4 voters, got {n}"):
         theorems.run_battery(2, n=n)
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_batteries_refuse_fewer_than_three_alternatives(monkeypatch, capsys, which):
+    # refused before any criterion runs, naming the minimum
+    for name in ("criterion_1", "criterion_2", "criterion_3", "criterion_4", "criterion_5",
+                 "criterion_7", "criterion_8"):
+        monkeypatch.setattr(theorems, name, lambda *args: pytest.fail("a criterion ran"))
+    assert main(["theorems", "--which", str(which), "--m", "2"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"battery {which} needs at least 3 alternatives, got 2"
+    }
 
 
 def test_catalog_refuses_fewer_than_three_voters():
