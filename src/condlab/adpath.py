@@ -183,6 +183,16 @@ def build_adpath(dom: Domain, start: Profile, goal: Profile) -> AdPath:
     return AdPath(tuple(walk.steps))
 
 
+def _split(rel: PreferenceRelation, fixed: int, skip: Sequence[int] = ()) -> Tuple[list, list]:
+    """The alternatives outside ``skip`` that ``rel`` ranks above ``fixed``, and
+    those it ranks below, each in ``rel``'s order."""
+    slot = rel.rank(fixed) - 1
+    return (
+        [y for y in rel.order[:slot] if y not in skip],
+        [y for y in rel.order[slot + 1:] if y not in skip],
+    )
+
+
 def _same_winner_steps(walk: _Walk, goal: Profile, fixed: int, winner: int) -> None:
     """Extend the walk to ``goal`` without touching ``fixed``, assuming the
     current profile and the goal share the winner and agree on every voter's
@@ -197,15 +207,7 @@ def _same_winner_steps(walk: _Walk, goal: Profile, fixed: int, winner: int) -> N
     for voter in range(n):
         rel = walk.current[voter]
         slot_x = rel.rank(fixed) - 1
-        goal_rel = goal[voter]
-        above = [
-            y for y in goal_rel.order if y != winner and goal_rel.prefers(y, fixed)
-        ]
-        below = [
-            y
-            for y in goal_rel.order
-            if y != winner and y != fixed and goal_rel.prefers(fixed, y)
-        ]
+        above, below = _split(goal[voter], fixed, (winner,))
         if rel.prefers(winner, fixed):
             walk.reorder_slots(voter, above, 1, slot_x - 1)
             walk.reorder_slots(voter, below, slot_x + 1, m - 1)
@@ -243,11 +245,8 @@ def build_adpath_fixing(dom: Domain, start: Profile, goal: Profile, fixed: int) 
     walk = _Walk(start)
     if c == c2 == fixed:
         for voter in range(n):
-            rel = walk.current[voter]
-            slot_x = rel.rank(fixed) - 1
-            goal_rel = goal[voter]
-            above = [y for y in goal_rel.order if goal_rel.prefers(y, fixed)]
-            below = [y for y in goal_rel.order if y != fixed and goal_rel.prefers(fixed, y)]
+            above, below = _split(goal[voter], fixed)
+            slot_x = len(above)  # the endpoints agree on every voter's slot of fixed
             walk.reorder_slots(voter, above, 0, slot_x - 1)
             walk.reorder_slots(voter, below, slot_x + 1, start.m - 1)
         return AdPath(tuple(walk.steps))
@@ -276,16 +275,7 @@ def _handover_profile(goal: Profile, fixed: int, c: int, c2: int) -> Profile:
     relations = []
     for voter in range(goal.n):
         goal_rel = goal[voter]
-        above = [
-            y
-            for y in goal_rel.order
-            if y not in (c, c2) and goal_rel.prefers(y, fixed)
-        ]
-        below = [
-            y
-            for y in goal_rel.order
-            if y not in (c, c2, fixed) and goal_rel.prefers(fixed, y)
-        ]
+        above, below = _split(goal_rel, fixed, (c, c2))
         c_up = goal_rel.prefers(c, fixed)
         c2_up = goal_rel.prefers(c2, fixed)
         if c_up and not c2_up:

@@ -215,9 +215,6 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
                     if kept is None or bound[0] * kept[1] < kept[0] * bound[1]:
                         bounds[voter] = bound
 
-    if not shares:
-        # Only an empty domain has no rows.
-        return Fraction(1)
     rows = [((v,), kept) for v, kept in enumerate(bounds) if kept is not None]
     rows += shares.items()
     value, _ = simplex_maximize(

@@ -5,8 +5,9 @@ Alternatives are dense integer indices ``0..m-1`` shown to users as letters
 profiles are fixed-length voter tuples of relations. Everything here is
 immutable and hashable so values can be cached, interned and used as
 dictionary keys; a relation hashes by its ``index`` and a profile by its
-``code``. Each relation keeps its pairwise row, built on first use; a
-profile's majority winner is read from the sum of its voters' rows. All
+``code``. Each relation keeps its pairwise row and its swap table, both
+built on first use; a profile's majority winner is read from the sum of its
+voters' rows, and its adjacent-swap neighbours from their swap tables. All
 arithmetic on top of these types stays in exact rationals elsewhere.
 """
 
@@ -87,7 +88,7 @@ class PreferenceRelation:
     ``index`` is the relation's position in :func:`all_relations`: its Lehmer
     code, each slot's digit counting the smaller alternatives not yet placed."""
 
-    __slots__ = ("order", "index", "_pos", "_row")
+    __slots__ = ("order", "index", "_pos", "_row", "_swaps")
 
     def __init__(self, order: Sequence[int]):
         order = tuple(order)
@@ -104,6 +105,7 @@ class PreferenceRelation:
         self.index = index
         self._pos = tuple(pos)
         self._row = None  # built by pairwise_row on first use
+        self._swaps = None  # built by swap_table on first use
 
     @property
     def m(self) -> int:
@@ -129,6 +131,14 @@ class PreferenceRelation:
                 1 << _FIELD_WIDTH * (x * m + y) for i, x in enumerate(order) for y in order[i + 1:]
             )
         return self._row
+
+    def swap_table(self) -> tuple:
+        """One ``(x, y, index)`` per slot top-down, built on first use: ``x`` sits
+        directly above ``y``, and ``index`` is the relation with the two exchanged."""
+        if self._swaps is None:
+            order = self.order
+            self._swaps = tuple((x, y, self.swapped(x, y).index) for x, y in zip(order, order[1:]))
+        return self._swaps
 
     def upper_contour(self, x: int) -> frozenset:
         """Alternatives weakly preferred to ``x`` (always contains ``x``)."""

@@ -9,9 +9,10 @@ One member table per domain, shared by enumeration, ``contains`` and the
 neighbour walks, records membership. An explicit domain seeds it with its
 profiles; an extended domain records only its extras there and leaves every
 other profile to its base, whose member objects it enumerates and walks.
-A walk reads its code shifts from one row per voter, indexed by relation
-index and filled slot by slot as relations are met, so no ``m! x m!`` table
-of shifts is ever built.
+A deviation walk reads its code shifts from one row per voter, indexed by
+relation index and filled slot by slot as relations are met, so no ``m! x m!``
+table of shifts is ever built. These rows are the domain's only neighbour
+structure; a swap walk scales each relation's own swap table by a code place.
 Every enumeration here (members, connectivity, the reach search) is bounded
 by the one cap of :func:`enumeration_cap`; no function takes its own.
 
@@ -68,8 +69,6 @@ class Domain:
         # indexed by relation index whose slot holds, once that relation is met,
         # the code shifts onto every other relation (see _shifts)
         self._shift_rows: list = [None] * n
-        # (voter, relation index, slot) -> the code shift of that adjacent swap
-        self._swap_shifts: dict = {}
         self._voters = frozenset(range(n))
 
     # -- identity ---------------------------------------------------------
@@ -176,16 +175,6 @@ class Domain:
             shifts = row[own] = tuple([(r - own) * place for r in range(len(row)) if r != own])
         return shifts
 
-    def _swap_shift(self, voter: int, rel: PreferenceRelation, slot: int) -> int:
-        """The code shift swapping ``voter``'s adjacent pair at ``slot``, built on first use and kept."""
-        key = (voter, rel.index, slot)
-        shift = self._swap_shifts.get(key)
-        if shift is None:
-            place = factorial(self.m) ** (self.n - 1 - voter)
-            shift = (rel.swapped(*rel.order[slot:slot + 2]).index - rel.index) * place
-            self._swap_shifts[key] = shift
-        return shift
-
     def _walk(self, code: int, shifts: Iterable[int]) -> Iterator[Profile]:
         """The members at ``code`` plus each shift, in shift order."""
         table, member_at = self._table, self._member_at
@@ -228,13 +217,14 @@ class Domain:
         in the voter's order; voters ascend, then slots top-down.
         """
         code = self._member_code(profile, "neighbors")
+        table, member_at, radix = self._table, self._member_at, factorial(self.m)
         for voter, rel in enumerate(profile.relations):
-            order = rel.order
-            for slot in range(self.m - 1):
-                x, y = order[slot], order[slot + 1]
+            place, own = radix ** (self.n - 1 - voter), rel.index
+            for x, y, index in rel.swap_table():
                 if fixed in (x, y):
                     continue
-                candidate = self._member_at(code + self._swap_shift(voter, rel, slot))
+                key = code + (index - own) * place
+                candidate = table[key] if key in table else member_at(key)
                 if candidate is not None:
                     yield voter, x, y, candidate
 
@@ -289,14 +279,12 @@ class TieBreakingCondorcetDomain(CondorcetDomain):
 
     kind = "tb-condorcet"
 
-    def __init__(self, tiebreaker: TieBreaker, n: int, m: Optional[int] = None):
-        super().__init__(n, tiebreaker.m if m is None else m)
-        if tiebreaker.m != self.m:
-            raise ValueError("tie-breaker ranks a different slate")
+    def __init__(self, tiebreaker: TieBreaker, n: int):
+        super().__init__(n, tiebreaker.m)
         self.tiebreaker = tiebreaker
 
     def _key(self) -> tuple:
-        return (self.kind, self.tiebreaker, self.n, self.m)
+        return (self.kind, self.tiebreaker, self.n)
 
     def describe(self) -> str:
         return f"tb-condorcet:{self.tiebreaker.to_text()}"
@@ -470,6 +458,15 @@ def find_profiles_beyond_unilateral_reach(base: Domain) -> list:
 # -- textual domain specifications ------------------------------------------
 
 
+def parse_tiebreaker(text: str, m: int) -> TieBreaker:
+    """A tie-breaking order read from text; it must rank the ``m`` alternatives
+    of the slate it breaks ties on."""
+    tiebreaker = PreferenceRelation.from_text(text)
+    if tiebreaker.m != m:
+        raise ValueError("tie-breaker ranks a different slate")
+    return tiebreaker
+
+
 def parse_domain(text: str, n: int, m: int) -> Domain:
     """Parse a domain specification string.
 
@@ -488,8 +485,7 @@ def parse_domain(text: str, n: int, m: int) -> Domain:
     elif base_text.startswith("condorcet-for:"):
         dom = CondorcetForDomain(alternative_index(base_text.split(":", 1)[1]), n, m)
     elif base_text.startswith("tb-condorcet:"):
-        tb = PreferenceRelation.from_text(base_text.split(":", 1)[1])
-        dom = TieBreakingCondorcetDomain(tb, n, m)
+        dom = TieBreakingCondorcetDomain(parse_tiebreaker(base_text.split(":", 1)[1], m), n)
     else:
         raise ValueError(f"unknown domain specification {text!r}")
     if extras_path is not None:

@@ -33,6 +33,7 @@ from .domains import (
     FullDomain,
     OutOfDomainError,
     TieBreakingCondorcetDomain,
+    parse_tiebreaker,
 )
 from .lottery import Lottery, affine_combine
 
@@ -336,7 +337,7 @@ def parse_sds(text: str, n: int, m: int) -> SDS:
     if text == "cond":
         return CondorcetRule(n, m)
     if text.startswith("tb-cond:"):
-        return TieBreakingCondorcetRule(PreferenceRelation.from_text(text.split(":", 1)[1]), n)
+        return TieBreakingCondorcetRule(parse_tiebreaker(text.split(":", 1)[1], m), n)
     if text.startswith("dict:"):
         return Dictatorship(int(text.split(":", 1)[1]), n, m)
     if text.startswith("rd:"):

@@ -40,6 +40,7 @@ from .domains import (
     is_connected,
     is_weakly_connected,
     majority_cycle_profile,
+    parse_tiebreaker,
 )
 from .adpath import build_adpath, validate_adpath
 from .lottery import Lottery, NegativeProbabilityError
@@ -270,8 +271,8 @@ def criterion_3() -> Dict:
     four voters and three alternatives, the size its counterexample is
     stated for."""
     n, m = 4, 3
-    dom = CondorcetDomain(n, m)
     sds = signed_mixture_counterexample(n)
+    dom, rule = sds.valid_domain, sds.parts[-1][1]  # the last part is the majority rule
     negatives: List[str] = []
     for profile in dom.members():
         try:
@@ -285,7 +286,7 @@ def criterion_3() -> Dict:
     )
     probes = {anchor: probe_coefficients(sds, anchor) for anchor in range(m)}
     probes_ok = all(c == expected for c in probes.values())
-    mixture = verify_mixture(sds, dom, expected, CondorcetRule(n, m))
+    mixture = verify_mixture(sds, dom, expected, rule)
     ok = not negatives and sp.holds and ni.holds and probes_ok and mixture.holds
     details = {
         "profiles": len(dom.members()),
@@ -312,9 +313,7 @@ def criterion_4(
     per_tb: Dict[str, Dict] = {}
     ok = True
     for tb_text in tiebreakers or default_tiebreakers(m):
-        reference = TieBreakingCondorcetRule(PreferenceRelation.from_text(tb_text), n)
-        if reference.m != m:
-            raise ValueError("tie-breaker ranks a different slate")
+        reference = TieBreakingCondorcetRule(parse_tiebreaker(tb_text, m), n)
         dom = reference.valid_domain
         failures: List[str] = []
         grid = coefficient_grid(n, step)
@@ -423,9 +422,8 @@ def criterion_7(ns: Sequence[int] = (3, 4), step: Fraction = Fraction(1, 4)) -> 
             if verdict.holds:
                 mixture_passes.append(f"n={n} {coeffs.to_json_dict()}")
                 continue
-            voter = next((i for i, w in enumerate(coeffs.voter_weights) if 0 < w < 1), None)
-            if voter is None:
-                continue
+            # two positive weights leave every one below 1
+            voter = next(i for i, w in enumerate(coeffs.voter_weights) if 0 < w < 1)
             pattern_checked += 1
             if not matches_proof_pattern(verdict.witness.to_json_dict()):
                 pattern_mismatches.append(
@@ -509,23 +507,21 @@ def criterion_9() -> Dict:
     swap paths: every n=3 pair, and 500 pairs of the ``n5_pairs`` n=5 pairs
     drawn from a generator seeded with 0, start before goal."""
     samples = 500
+    dom3, dom5 = CondorcetDomain(3, 3), CondorcetDomain(5, 3)
     checks: Dict[str, bool] = {}
-    checks["condorcet_n3_connected"] = is_connected(CondorcetDomain(3, 3))
-    checks["condorcet_n5_connected"] = is_connected(CondorcetDomain(5, 3))
+    checks["condorcet_n3_connected"] = is_connected(dom3)
+    checks["condorcet_n5_connected"] = is_connected(dom5)
     checks["condorcet_n4_not_weakly_connected"] = not is_weakly_connected(
         CondorcetDomain(4, 3)
     )
     for tb_text in default_tiebreakers(3):
-        tb = PreferenceRelation.from_text(tb_text)
         checks[f"tb_n4_connected[{tb_text}]"] = is_connected(
-            TieBreakingCondorcetDomain(tb, 4, 3)
+            TieBreakingCondorcetDomain(parse_tiebreaker(tb_text, 3), 4)
         )
 
-    dom3 = CondorcetDomain(3, 3)
     members3 = dom3.members()
     checks["all_pairs_n3_valid"] = _paths_valid(dom3, itertools.product(members3, repeat=2))
 
-    dom5 = CondorcetDomain(5, 3)
     members5 = dom5.members()
     rng = random.Random(0)
     sampled = (

@@ -117,7 +117,7 @@ def test_builder_parity_and_kind_errors():
         build_adpath(CondorcetDomain(4, 3), even, even)
     odd = prof("a>b>c\na>b>c\na>b>c")
     with pytest.raises(ParityMismatchError):
-        build_adpath(TieBreakingCondorcetDomain(rel("a>b>c"), 3, 3), odd, odd)
+        build_adpath(TieBreakingCondorcetDomain(rel("a>b>c"), 3), odd, odd)
     with pytest.raises(ValueError):
         build_adpath(FullDomain(3, 3), odd, odd)
 
@@ -184,7 +184,7 @@ def test_five_voter_paths_commute_with_relabelling_but_not_with_voter_permutatio
 
 
 def test_sampled_pairs_tiebreaking_domain():
-    dom = TieBreakingCondorcetDomain(rel("b>c>a"), 4, 3)
+    dom = TieBreakingCondorcetDomain(rel("b>c>a"), 4)
     members = dom.members()
     rng = random.Random(13)
     for _ in range(25):
@@ -209,7 +209,7 @@ def test_every_pair_in_small_domain():
 
 @pytest.mark.slow
 def test_every_pair_in_tiebreaking_domain():
-    dom = TieBreakingCondorcetDomain(rel("a>b>c"), 4, 3)
+    dom = TieBreakingCondorcetDomain(rel("a>b>c"), 4)
     members = dom.members()
     assert len(members) == 1206
     for start in members:

@@ -166,7 +166,7 @@ def test_verify_mixture_rejects_wrong_coefficients():
 
 def test_verify_mixture_tiebreaking_reference():
     tb = rel("a>b>c")
-    dom = TieBreakingCondorcetDomain(tb, 4, 3)
+    dom = TieBreakingCondorcetDomain(tb, 4)
     rule = TieBreakingCondorcetRule(tb, 4)
     coeffs = MixtureCoefficients(F(1), (F(0),) * 4)
     assert verify_mixture(rule, dom, coeffs, rule).holds

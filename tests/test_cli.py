@@ -452,8 +452,9 @@ def test_theorems_refuses_battery_2_below_four_voters(capsys):
     [
         ["check", "--n", "4", "--m", "4", "--domain", "tb-condorcet:a>b>c", "--sds", "cond"],
         ["theorems", "--which", "2", "--m", "4", "--tiebreak", "a>b>c"],
+        ["check", "--n", "4", "--m", "4", "--domain", "condorcet", "--sds", "tb-cond:a>b>c"],
     ],
-    ids=["check", "theorems"],
+    ids=["check", "theorems", "sds"],
 )
 def test_tiebreaker_over_another_slate_is_a_usage_error(capsys, argv):
     code, data = run_json(capsys, argv)

@@ -115,6 +115,22 @@ def test_swapped_adjacent_pair_only():
         r.swapped(1, 0)  # wrong orientation
 
 
+@pytest.mark.parametrize("m", range(2, 6))
+def test_swap_table_matches_brute_force(m):
+    # brute force over the adjacent slots: exchange the pair by hand and look
+    # the result up by position in the enumeration
+    rels = all_relations(m)
+    for r in rels:
+        expected = []
+        for slot in range(m - 1):
+            order = list(r.order)
+            order[slot], order[slot + 1] = order[slot + 1], order[slot]
+            index = rels.index(PreferenceRelation(order))
+            expected.append((r.order[slot], r.order[slot + 1], index))
+        assert list(r.swap_table()) == expected, r
+        assert r.swap_table() is r.swap_table()  # built once
+
+
 def test_all_relations_enumeration():
     rels = all_relations(3)
     assert len(rels) == 6

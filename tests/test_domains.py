@@ -121,14 +121,14 @@ def test_condorcet_domain_size_n5():
 
 def test_tiebreaking_domain_sizes_n4():
     for tb_text in ("a>b>c", "c>b>a"):
-        dom = TieBreakingCondorcetDomain(rel(tb_text), 4, 3)
+        dom = TieBreakingCondorcetDomain(rel(tb_text), 4)
         assert len(dom.members()) == 1206
     assert _oracle_count_tiebroken(4, 3, (0, 1, 2)) == 1206
 
 
 def test_tiebreaking_domain_contains_condorcet_domain():
     base = frozenset(CondorcetDomain(4, 3).members())
-    tb_dom = frozenset(TieBreakingCondorcetDomain(rel("b>a>c"), 4, 3).members())
+    tb_dom = frozenset(TieBreakingCondorcetDomain(rel("b>a>c"), 4).members())
     assert base < tb_dom
 
 
@@ -195,7 +195,7 @@ def test_full_connectivity_n3():
 
 def test_tiebreaking_domains_connected_n4():
     for tb_text in ("a>b>c", "c>b>a"):
-        assert is_connected(TieBreakingCondorcetDomain(rel(tb_text), 4, 3))
+        assert is_connected(TieBreakingCondorcetDomain(rel(tb_text), 4))
 
 
 # -- cycle profile and unilateral reach ------------------------------------------
@@ -463,7 +463,7 @@ def test_parse_domain_kinds():
     assert parse_domain("condorcet", 3, 3) == CondorcetDomain(3, 3)
     assert parse_domain("condorcet-for:b", 3, 3) == CondorcetForDomain(1, 3, 3)
     tb_dom = parse_domain("tb-condorcet:c>b>a", 4, 3)
-    assert tb_dom == TieBreakingCondorcetDomain(rel("c>b>a"), 4, 3)
+    assert tb_dom == TieBreakingCondorcetDomain(rel("c>b>a"), 4)
     with pytest.raises(ValueError):
         parse_domain("mystery", 3, 3)
 
@@ -494,7 +494,7 @@ def reference_deviations(dom, profile, coalition):
 NEIGHBOURHOOD_DOMAINS = (
     lambda: CondorcetDomain(3, 3),
     lambda: CondorcetDomain(2, 4),
-    lambda: TieBreakingCondorcetDomain(rel("b>a>c"), 4, 3),
+    lambda: TieBreakingCondorcetDomain(rel("b>a>c"), 4),
     lambda: ExtendedDomain(CondorcetDomain(3, 3), [majority_cycle_profile(3, 3)]),
 )
 

@@ -240,7 +240,7 @@ SMALL = (
     CondorcetDomain(2, 4),
     CondorcetDomain(3, 3),
     CondorcetDomain(4, 3),
-    TieBreakingCondorcetDomain(TIEBREAKER, 4, 3),
+    TieBreakingCondorcetDomain(TIEBREAKER, 4),
     ExtendedDomain(CondorcetDomain(3, 3), [CYCLE]),
 )
 # Too large for a full Fraction scan in a unit test: tables only, which are

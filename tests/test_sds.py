@@ -364,6 +364,8 @@ def test_parse_sds_grammar():
     tb = parse_sds("tb-cond:b>a>c", 4, 3)
     assert isinstance(tb, TieBreakingCondorcetRule)
     assert tb.tiebreaker == rel("b>a>c")
+    with pytest.raises(ValueError, match="tie-breaker ranks a different slate"):
+        parse_sds("tb-cond:a>b>c", 4, 4)
 
 
 def test_parse_sds_mixtures():

@@ -7,16 +7,18 @@ import pytest
 
 import condlab.theorems as theorems
 from condlab.analysis import MixtureCoefficients, _extension_rows, extension_feasibility
+from condlab.axioms import check_strategyproof
 from condlab.cli import main
 from condlab.core import (
     CapExceededError,
     PreferenceRelation,
     Profile,
     all_profiles,
+    all_relations,
     capped_enumeration,
 )
 from condlab.domains import CondorcetDomain, ExtendedDomain, majority_cycle_profile
-from condlab.sds import CondorcetRule, Dictatorship, RandomDictatorship
+from condlab.sds import CondorcetRule, Dictatorship, RandomDictatorship, parse_sds
 from condlab.theorems import (
     catalog,
     coefficient_grid,
@@ -166,6 +168,24 @@ def test_battery_2_derives_its_tiebreakers_from_m(monkeypatch, capsys):
     assert main(["theorems", "--which", "2", "--m", "4"]) == 0
     assert main(["theorems", "--which", "2", "--m", "4", "--tiebreak", "b>a>c>d"]) == 0
     assert calls == [(4, 4, ("a>b>c>d", "d>c>b>a"), F(1, 4)), (4, 4, ["b>a>c>d"], F(1, 4))]
+
+
+ALL_TIEBREAKERS_3 = [rel.to_text() for rel in all_relations(3)]
+
+
+def test_criterion_4_holds_for_every_tiebreaker():
+    result = theorems.criterion_4(4, 3, ALL_TIEBREAKERS_3, F(1, 2))
+    assert result["ok"]
+    assert result["details"]["tiebreakers"] == {
+        tb: {"mixtures": 15, "failures": []} for tb in ALL_TIEBREAKERS_3
+    }
+
+
+@pytest.mark.parametrize("tb", ALL_TIEBREAKERS_3)
+def test_every_tiebreaking_rule_is_strategyproof_on_its_own_domain(tb):
+    rule = parse_sds(f"tb-cond:{tb}", 4, 3)
+    verdict = check_strategyproof(rule, rule.valid_domain)
+    assert (verdict.holds, verdict.profiles_checked, verdict.comparisons) == (True, 1206, 22608)
 
 
 def test_battery_3_runs_criterion_7_at_three_alternatives(monkeypatch):
