@@ -34,14 +34,10 @@ class PreconditionViolatedError(ValueError):
 class PathFlawWitness(NamedTuple):
     step: int
     reason: str
-    profile: Optional[Profile] = None
+    profile: Profile
 
     def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "reason": self.reason,
-            "profile": None if self.profile is None else self.profile.to_text(),
-        }
+        return {"step": self.step, "reason": self.reason, "profile": self.profile.to_text()}
 
 
 def _transition(before: Profile, after: Profile) -> Tuple[int, int, int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, alternative_name
@@ -133,9 +132,6 @@ def verify_mixture(
     return Verdict("mixture-representation", True, None, len(members), comparisons)
 
 
-# Bounded like the comparison cache in ``lottery``: the key is a value, and a
-# strategyproof scheme on a majority domain repeats few of them.
-@lru_cache(maxsize=1 << 14)
 def _deviation_bound(
     order: Tuple[int, ...], new_top: int, truthful: Tuple[int, ...], deviated: Tuple[int, ...]
 ) -> Tuple[Optional[int], Optional[Tuple[int, int]]]:
@@ -171,8 +167,8 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     reads ``w_v * [top'_v not in U] <= f(P)(U) - f(P')(U)``: every row is
     one-sparse. The program therefore keeps one bound per voter (the least
     such right-hand side) and one nonnegativity row per set of voters
-    sharing a top. Each deviation's bound is decided once per distinct
-    value of the voter's order, the new top and the two lotteries.
+    sharing a top. Within one scan, each deviation's bound is decided once
+    per distinct value of the voter's order, the new top and the two lotteries.
 
     A negative right-hand side means the scheme itself is manipulable; the
     scan stops at the first such deviation and raises
@@ -186,6 +182,7 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     # compared by cross-multiplication.
     bounds: List[Optional[Tuple[int, int]]] = [None] * n
     shares: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    decided: Dict[tuple, tuple] = {}
 
     for profile in members:
         lot = f(profile)
@@ -202,9 +199,10 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
             order = rel.order
             for deviation in dom.unilateral_deviations(profile, voter):
                 other = evaluated(deviation) or f(deviation)
-                cut, bound = _deviation_bound(
-                    order, deviation.relations[voter].order[0], numerators, other.numerators
-                )
+                key = (order, deviation.relations[voter].order[0], numerators, other.numerators)
+                if key not in decided:
+                    decided[key] = _deviation_bound(*key)
+                cut, bound = decided[key]
                 if cut is not None:
                     raise InfeasibleModelError(
                         f"scheme is manipulable at {profile!r} by voter {voter}",

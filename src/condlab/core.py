@@ -6,9 +6,10 @@ profiles are fixed-length voter tuples of relations. Everything here is
 immutable and hashable so values can be cached, interned and used as
 dictionary keys; a relation hashes by its ``index`` and a profile by its
 ``code``. Each relation keeps its pairwise row and its swap table, both
-built on first use; a profile's majority winner is read from the sum of its
-voters' rows, and its adjacent-swap neighbours from their swap tables. All
-arithmetic on top of these types stays in exact rationals elsewhere.
+built on first use; a profile keeps its majority winner, read on first use
+from the sum of its voters' rows, and finds its adjacent-swap neighbours in
+their swap tables. All arithmetic on top of these types stays in exact
+rationals elsewhere.
 """
 
 from __future__ import annotations
@@ -169,9 +170,6 @@ class PreferenceRelation:
     def __eq__(self, other) -> bool:
         return isinstance(other, PreferenceRelation) and self.order == other.order
 
-    def __lt__(self, other) -> bool:
-        return self.order < other.order
-
     def __hash__(self) -> int:
         return self.index
 
@@ -197,27 +195,56 @@ def all_relations(m: int) -> tuple:
     return tuple(PreferenceRelation(p) for p in itertools.permutations(range(m)))
 
 
+def _encode(digits: list, radix: int) -> int:
+    """The integer whose base-``radix`` digits are ``digits``, most significant
+    first. Long lists are coded as two halves joined by one product, so the
+    cost stays subquadratic in ``len(digits)``."""
+    if len(digits) <= 32:
+        code = 0
+        for digit in digits:
+            code = code * radix + digit
+        return code
+    low = len(digits) // 2
+    return _encode(digits[:-low], radix) * radix ** low + _encode(digits[-low:], radix)
+
+
+def _decode(code: int, n: int, radix: int) -> list:
+    """The ``n`` base-``radix`` digits of ``code``, most significant first: the
+    inverse of :func:`_encode`, splitting on the same powers of the radix."""
+    if n <= 32:
+        digits = [0] * n
+        for slot in range(n - 1, -1, -1):
+            code, digits[slot] = divmod(code, radix)
+        return digits
+    low = n // 2
+    high, code = divmod(code, radix ** low)
+    return _decode(high, n - low, radix) + _decode(code, low, radix)
+
+
+# A profile's ``_winner`` until :func:`condorcet_winner` decides it.
+_UNDECIDED = -1
+
+
 class Profile:
     """An ordered tuple of voter preference relations over one slate.
 
     ``code`` is the profile's position in :func:`all_profiles`: the voters'
-    relation indices as digits in base m!, the first voter most significant."""
+    relation indices as digits in base m!, the first voter most significant.
+    ``_winner`` is its majority winner, once :func:`condorcet_winner` decides it."""
 
-    __slots__ = ("relations", "code")
+    __slots__ = ("relations", "code", "_winner")
 
     def __init__(self, relations: Sequence[PreferenceRelation]):
         relations = tuple(relations)
         if not relations:
             raise ValueError("a profile needs at least one voter")
         m = len(relations[0].order)
-        radix = factorial(m)
-        code = 0
-        for rel in relations:
-            if len(rel.order) != m:
-                raise ValueError("voters rank different numbers of alternatives")
-            code = code * radix + rel.index
+        digits = [rel.index for rel in relations if len(rel.order) == m]
+        if len(digits) != len(relations):
+            raise ValueError("voters rank different numbers of alternatives")
         self.relations = relations
-        self.code = code
+        self.code = _encode(digits, factorial(m))
+        self._winner = _UNDECIDED
 
     @classmethod
     def from_code(cls, code: int, n: int, m: int) -> "Profile":
@@ -226,7 +253,10 @@ class Profile:
         radix = len(rels)
         if not 0 <= code < radix ** n:
             raise ValueError(f"profile code {code} is outside 0..{radix ** n - 1} for n={n}, m={m}")
-        return cls([rels[code // radix ** (n - 1 - v) % radix] for v in range(n)])
+        profile = cls.__new__(cls)
+        profile.relations = tuple([rels[digit] for digit in _decode(code, n, radix)])
+        profile.code, profile._winner = code, _UNDECIDED
+        return profile
 
     @property
     def n(self) -> int:
@@ -296,7 +326,7 @@ def all_profiles(n: int, m: int) -> Iterator[Profile]:
     new = Profile.__new__
     for code, combo in enumerate(itertools.product(all_relations(m), repeat=n)):
         profile = new(Profile)
-        profile.relations, profile.code = combo, code
+        profile.relations, profile.code, profile._winner = combo, code, _UNDECIDED
         yield profile
 
 
@@ -324,17 +354,20 @@ def _tally_winner(tally: int, n: int, m: int) -> Optional[int]:
     return None
 
 
-# Holds a whole n<=3 domain (6^3 = 216 profiles), whose scans ask each winner
-# again, but no copy of a larger one. It stays for the tracer's cache_info().
-@lru_cache(maxsize=1 << 8)
+# Stores nothing, since each profile keeps its own winner; the wrapper stays
+# for the call counter that ``cache_info()`` reports to the tracer.
+@lru_cache(maxsize=0)
 def condorcet_winner(profile: Profile, tiebreaker: Optional[TieBreaker] = None) -> Optional[int]:
     """The alternative beating every other by strict majority, if one exists;
     with ``tiebreaker``, after that order votes as one extra voter."""
+    if tiebreaker is None and profile._winner != _UNDECIDED:
+        return profile._winner
     rels = profile.relations
     # a kept row is read directly; a one-alternative row is 0 and rebuilt for nothing
     tally = sum([rel._row or rel.pairwise_row() for rel in rels])
     if tiebreaker is None:
-        return _tally_winner(tally, len(rels), len(rels[0].order))
+        profile._winner = _tally_winner(tally, len(rels), len(rels[0].order))
+        return profile._winner
     if tiebreaker.m != profile.m:
         raise ValueError("tie-breaker ranks a different slate")
     return _tally_winner(tally + tiebreaker.pairwise_row(), len(rels) + 1, profile.m)

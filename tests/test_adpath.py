@@ -231,6 +231,13 @@ def test_fixing_requires_contour_agreement():
         build_adpath_fixing(DOM3, start, goal, 5)
 
 
+def test_fixing_path_between_equal_endpoints_is_the_start_alone():
+    start = prof("a>b>c\na>b>c\nb>a>c")
+    path = build_adpath_fixing(DOM3, start, prof("a>b>c\na>b>c\nb>a>c"), 1)
+    assert path.steps == (start,)
+    assert validate_adpath(DOM3, path, fixed=1).holds
+
+
 def test_fixing_path_with_fixed_winner():
     start = prof("a>b>c\na>b>c\na>b>c")
     goal = prof("a>c>b\na>c>b\na>c>b")

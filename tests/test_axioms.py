@@ -252,6 +252,22 @@ def test_implication_suite_consistent_for_catalog():
         ), name
 
 
+@pytest.mark.parametrize(
+    "failing, message",
+    [
+        ("localized", "strategyproof scheme fails localizedness or non-perversity"),
+        ("strategyproof", "localized and non-perverse scheme is manipulable on the full domain"),
+    ],
+)
+def test_implication_suite_reports_a_checker_that_breaks_the_implication(monkeypatch, failing, message):
+    # a checker made to fail where the others hold must show up as a discrepancy
+    import condlab.axioms as axioms
+
+    monkeypatch.setattr(axioms, f"check_{failing}", lambda sds, dom: Verdict(failing, False, None, 0, 0))
+    report = implication_suite(Dictatorship(0, 3, 3), FullDomain(3, 3))
+    assert report.full_domain and report.discrepancies == (message,)
+
+
 def count_mixture_evaluations(monkeypatch):
     evaluated = []
     evaluate = SDS.evaluate
@@ -358,6 +374,26 @@ def test_replay_reproduces_each_failing_verdict_end_to_end(checker, field):
     assert replay_witness(sds, dom, verdict)
     changed = dict(verdict, witness=dict(verdict["witness"], **{field: "b"}))
     assert not replay_witness(sds, dom, changed)
+
+
+@pytest.mark.parametrize(
+    "profile, deviation",
+    [
+        # the truthful profile is the majority cycle; only voter 0 moves
+        ("a>b>c\nb>c>a\nc>a>b", "b>a>c\nb>c>a\nc>a>b"),
+        # the deviation is the majority cycle; only voter 0 moves
+        ("b>a>c\nb>c>a\nc>a>b", "a>b>c\nb>c>a\nc>a>b"),
+        # both are members, but passive voter 1 moves too
+        ("a>b>c\na>b>c\nb>a>c", "a>c>b\na>c>b\nb>a>c"),
+    ],
+    ids=["profile-outside", "deviation-outside", "passive-voter-moves"],
+)
+def test_replay_refuses_a_manipulation_it_cannot_reproduce(profile, deviation):
+    sds, dom = perturbed_condorcet_table(3, 3), CondorcetDomain(3, 3)
+    verdict = check_strategyproof(sds, dom).to_json_dict()
+    assert verdict["witness"]["voter"] == 0 and replay_witness(sds, dom, verdict)
+    moved = dict(verdict, witness=dict(verdict["witness"], profile=profile, deviation=deviation))
+    assert replay_witness(sds, dom, moved) is False
 
 
 def test_replay_rejects_witness_for_other_scheme():

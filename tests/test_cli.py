@@ -291,6 +291,16 @@ def test_decompose_anchor_by_name(capsys):
     assert data["coefficients"]["gamma_C"] == "1"
 
 
+def test_decompose_reports_the_first_mismatch(capsys):
+    # Borda is no mixture of the majority rule and dictatorships: the probes
+    # read gamma_C = 1, and the first member that disagrees is the witness
+    code, data = run_json(capsys, ["decompose", "--n", "3", "--domain", "condorcet", "--sds", "borda"])
+    assert code == 1 and data["verification"]["holds"] is False
+    assert data["verification"]["witness"] == {
+        "profile": "a>b>c\na>b>c\nb>c>a", "alternative": "a", "actual": "1/2", "expected": "1",
+    }
+
+
 def test_decompose_refuses_two_alternatives(capsys):
     code, data = run_json(
         capsys, ["decompose", "--n", "3", "--m", "2", "--domain", "condorcet", "--sds", "cond"]

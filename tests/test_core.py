@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -201,6 +202,40 @@ def test_profile_code_is_position_in_all_profiles():
         for position, p in enumerate(all_profiles(n, m)):
             assert p.code == position
             assert Profile.from_code(position, n, m) == p
+
+
+def digitwise_code(relations):
+    """A profile's code folded one voter at a time, first voter most significant."""
+    code = 0
+    for r in relations:
+        code = code * factorial(r.m) + r.index
+    return code
+
+
+def digitwise_relations(code, n, m):
+    """The relations coded by ``code``, peeled off one voter at a time from the last."""
+    rels, found = all_relations(m), []
+    for _ in range(n):
+        code, digit = divmod(code, len(rels))
+        found.append(rels[digit])
+    return tuple(reversed(found))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 32, 33, 65, 2**13])
+def test_profile_code_matches_digitwise_oracle(n):
+    # every profile up to n = 4; past 32 voters the code is built from halves
+    rels = all_relations(3)
+    if n <= 4:
+        combos = itertools.product(rels, repeat=n)
+    else:
+        rng = random.Random(n)
+        combos = [[rels[rng.randrange(6)] for _ in range(n)]]
+    for combo in combos:
+        p = Profile(combo)
+        assert p.code == digitwise_code(combo)
+        q = Profile.from_code(p.code, n, 3)
+        assert q == p and q.relations == digitwise_relations(p.code, n, 3)
+        assert q.code is p.code  # the code it was given, not a rebuilt one
 
 
 @pytest.mark.parametrize(
@@ -409,16 +444,24 @@ def test_tiebroken_winner_matches_frozen_routine_on_augmented_profile(n, m):
             assert condorcet_winner(p, tb) == frozen_condorcet_winner(augment(p, tb)), (p, tb)
 
 
-def test_winner_memo_holds_no_domain():
+def test_winner_is_decided_once_per_profile(monkeypatch):
     from condlab.domains import CondorcetDomain
     from condlab.sds import CondorcetRule
 
-    condorcet_winner.cache_clear()
+    tallied = []
+    tally_winner = core._tally_winner
+    monkeypatch.setattr(core, "_tally_winner", lambda *key: tallied.append(key) or tally_winner(*key))
     members = CondorcetDomain(5, 3).members()
     rule = CondorcetRule(5, 3)
     for p in members:
         rule.at(p)
-    assert condorcet_winner.cache_info().currsize < len(members) == 7_236
+    # one per enumerated profile: the rule's own membership test and its lottery
+    # read the winner each member keeps, and the wrapper stores nothing
+    assert len(tallied) == 6**5 == 7_776 and len(members) == 7_236
+    assert condorcet_winner.cache_info().currsize == 0
+    # a tie-broken winner is summed again on every call
+    tb, p = rel("a>b>c"), members[0]
+    assert condorcet_winner(p, tb) == condorcet_winner(p, tb) and len(tallied) == 7_778
 
 
 def margin_winner(profile):
@@ -465,7 +508,6 @@ def test_winner_counts_beyond_sixteen_bits(n):
     # and 2**16 + 1 without one: a 16-bit field would carry into the next
     forward, backward = rel("a>b>c"), rel("c>b>a")
     half = n // 2
-    # the forward voters first: a profile's code stays small while its digits are 0
     profiles = [
         Profile([forward] * n),
         Profile([forward] * (half + 1) + [backward] * half),
@@ -476,7 +518,6 @@ def test_winner_counts_beyond_sixteen_bits(n):
         assert condorcet_winner(p) == margin_winner(p)
         for tb in (forward, backward):
             assert condorcet_winner(p, tb) == margin_winner(augment(p, tb))
-    condorcet_winner.cache_clear()
 
 
 def test_tally_refuses_more_voters_than_a_field_counts():
