@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .core import PreferenceRelation, Profile, alternative_name
 from .axioms import ManipulationWitness, Verdict, check_strategyproof, sure_winners
 from .domains import Domain, ExtendedDomain, OutOfDomainError
-from .lottery import Lottery, failing_cut, sd_margins
+from .lottery import Lottery, combine, failing_cut, integer_form, sd_margins
 from .ratlp import fm_feasible, satisfies, simplex_maximize
 from .sds import TableMissError, TableSDS
 
@@ -56,13 +56,6 @@ class MixtureCoefficients(_MixtureWeights):
             "gamma_C": str(self.condorcet_weight),
             "gamma": [str(w) for w in self.voter_weights],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MixtureCoefficients":
-        return cls(
-            Fraction(data["gamma_C"]),
-            tuple(Fraction(w) for w in data["gamma"]),
-        )
 
 
 class MixtureMismatchWitness(NamedTuple):
@@ -114,22 +107,21 @@ def verify_mixture(
     sds, dom: Domain, coeffs: MixtureCoefficients, reference
 ) -> Verdict:
     """Check exactly that ``sds`` equals the weighted combination of the
-    reference rule and the dictatorships, profile by profile over ``dom``."""
-    members = dom.members()
-    comparisons = 0
+    reference rule and the dictatorships, profile by profile over ``dom``: the
+    expected lottery from ``combine``, compared by integer cross-multiplication."""
+    members, m = dom.members(), dom.m
+    weights = integer_form((coeffs.condorcet_weight, *coeffs.voter_weights))[0]
+    points = [Lottery.point(x, m).numerators for x in range(m)]
     for index, profile in enumerate(members):
         actual = sds.at(profile)
-        ref = reference.at(profile)
-        for x in range(dom.m):
-            expected = coeffs.condorcet_weight * ref[x]
-            for voter, w in enumerate(coeffs.voter_weights):
-                if profile[voter].top() == x:
-                    expected += w
-            comparisons += 1
-            if expected != actual[x]:
-                witness = MixtureMismatchWitness(profile, x, actual[x], expected)
-                return Verdict("mixture-representation", False, witness, index + 1, comparisons)
-    return Verdict("mixture-representation", True, None, len(members), comparisons)
+        parts = [reference.at(profile).numerators]
+        parts += [points[profile[voter].top()] for voter in range(len(coeffs.voter_weights))]
+        expected, den = combine(weights, parts)
+        for x, (a, e) in enumerate(zip(actual.numerators, expected)):
+            if a * den != e * actual.denominator:
+                found = MixtureMismatchWitness(profile, x, actual[x], Fraction(e, den))
+                return Verdict("mixture-representation", False, found, index + 1, index * m + x + 1)
+    return Verdict("mixture-representation", True, None, len(members), len(members) * m)
 
 
 def _deviation_bound(

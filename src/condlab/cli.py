@@ -123,6 +123,8 @@ def _cmd_enumerate(args) -> Tuple[int, Dict]:
 def _cmd_check(args) -> Tuple[int, Dict]:
     from .axioms import checker_for, replay_witness
 
+    if args.max_coalition is not None and args.max_coalition < 1:
+        raise ValueError(f"max_coalition must be at least 1, got {args.max_coalition}")
     dom, sds = _domain_and_scheme(args.domain, args)
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as handle:

@@ -21,6 +21,8 @@ stochastic-dominance decision and row walks the cuts through
 :func:`sd_margins`, the one kernel: the comparison here, and the
 dictatorial-weight bound and the extension model's rows in ``analysis``.
 :func:`failing_cut` reads the losing cut off the margins for the first two.
+Likewise every weighted sum of lotteries is :func:`combine` on integer forms:
+``affine_combine``, the mixtures of ``sds`` and ``analysis.verify_mixture``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, alternative_index, alternative_name, parse_rational
 
@@ -56,8 +58,7 @@ class Lottery:
 
     def __init__(self, probs: Sequence[Fraction]):
         probs = tuple(Fraction(p) for p in probs)
-        den = lcm(*(p.denominator for p in probs))
-        self._set([p.numerator * (den // p.denominator) for p in probs], den)
+        self._set(*integer_form(probs))
         self._probs = probs
 
     @classmethod
@@ -218,6 +219,27 @@ def _sd_verdict(
     return failing_cut(order, sd_margins(order, p, q)[0])
 
 
+def integer_form(values: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """The values' numerators over their least common denominator, and that denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+
+
+def combine(weights: Sequence[int], parts: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
+    """The one weighted sum of lotteries: ``sum(w * part) / sum(weights)`` as
+    raw numerators over one denominator, unreduced and possibly negative. The
+    integer weights have a positive sum; each part is an integer form (a
+    lottery's ``numerators``, whose sum is its denominator)."""
+    dens = [sum(part) for part in parts]
+    den = lcm(*dens)
+    acc = [0] * len(parts[0])
+    for w, part, d in zip(weights, parts, dens):
+        scale = w * (den // d)
+        for x, a in enumerate(part):
+            acc[x] += scale * a
+    return acc, den * sum(weights)
+
+
 def mix(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:
     """Convex combination of lotteries; weights must be nonnegative and sum to 1."""
     for w, _ in parts:
@@ -236,17 +258,10 @@ def affine_combine(parts: Sequence[Tuple[Fraction, Lottery]]) -> Lottery:
     """
     if not parts:
         raise ValueError("nothing to combine")
-    parts = [(Fraction(w), lot) for w, lot in parts]
-    total = sum(w for w, _ in parts)
-    if total != 1:
-        raise ValueError(f"weights sum to {total}, not 1")
-    m = parts[0][1].m
-    den = lcm(*(w.denominator * lot.denominator for w, lot in parts))
-    acc = [0] * m
-    for w, lot in parts:
-        if lot.m != m:
-            raise ValueError("mismatched alternative counts")
-        scale = w.numerator * (den // (w.denominator * lot.denominator))
-        for x, a in enumerate(lot.numerators):
-            acc[x] += scale * a
-    return Lottery.from_integers(acc, den)
+    weights, den = integer_form([Fraction(w) for w, _ in parts])
+    if sum(weights) != den:
+        raise ValueError(f"weights sum to {Fraction(sum(weights), den)}, not 1")
+    lots = [lot.numerators for _, lot in parts]
+    if any(len(nums) != len(lots[0]) for nums in lots):
+        raise ValueError("mismatched alternative counts")
+    return Lottery.from_integers(*combine(weights, lots))

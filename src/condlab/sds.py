@@ -6,9 +6,9 @@ allow negative weights and are only well defined when every profile still
 receives a proper lottery, which the evaluation checks exactly. A mixture's
 parts share one shape and at most one domain narrower than the full one, the
 mixture's own, so its ``SDS.evaluate`` makes the one membership test and it
-reads each part's ``_lottery`` unchecked. Only the combination of the parts'
-lotteries is memoised, by value, in a bounded cache that keeps no failed
-combination.
+reads each part's ``_lottery`` unchecked. Only combining lotteries is memoised,
+by value, in one bounded cache that keeps no failed combination: a mixture's
+parts, or a random dictatorship's point lotteries on the voters' tops.
 
 ``SDS.evaluate`` is the single checked evaluation. ``SDS.at`` memoises it in
 the object's one evaluation cache, keyed by the profile itself and holding
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceRelation, Profile, TieBreaker, parse_rational
@@ -35,7 +34,7 @@ from .domains import (
     TieBreakingCondorcetDomain,
     parse_tiebreaker,
 )
-from .lottery import Lottery, affine_combine
+from .lottery import Lottery, combine, integer_form
 
 
 class TableMissError(LookupError):
@@ -114,22 +113,12 @@ class RandomDictatorship(SDS):
             "rd:" + ",".join(str(w) for w in weights),
         )
         self.weights = weights
-        den = lcm(*(w.denominator for w in weights))
-        self._numerators = tuple(w.numerator * (den // w.denominator) for w in weights)
+        self._weights = integer_form(weights)[0]
+        self._points = tuple(Lottery.point(x, m).numerators for x in range(m))
 
     def _lottery(self, profile: Profile) -> Lottery:
-        tops = tuple([rel.order[0] for rel in profile.relations])
-        return _dictators_lottery(tops, self._numerators, self.m)
-
-
-# Bounded and keyed by value, like ``_combine``: at most m ** n tops per weight vector.
-@lru_cache(maxsize=1 << 14)
-def _dictators_lottery(tops: Tuple[int, ...], numerators: Tuple[int, ...], m: int) -> Lottery:
-    """Each voter's top wins with probability ``numerators[voter] / sum(numerators)``."""
-    acc = [0] * m
-    for top, a in zip(tops, numerators):
-        acc[top] += a
-    return Lottery.from_integers(acc, sum(numerators))
+        points = self._points
+        return _combine(self._weights, tuple([points[rel.order[0]] for rel in profile.relations]))
 
 
 class CondorcetRule(SDS):
@@ -183,7 +172,7 @@ class Mixture(SDS):
         name = f"{self.label}:" + "+".join(f"{w}*{p.describe()}" for w, p in parts)
         super().__init__(_common_domain(parts), name)
         self.parts = parts
-        self._weights = tuple((w.numerator, w.denominator) for w, _ in parts)
+        self._weights = integer_form([w for w, _ in parts])[0]
 
     def _lottery(self, profile: Profile) -> Lottery:
         # evaluate checked membership once; it holds for every part
@@ -192,19 +181,12 @@ class Mixture(SDS):
         )
 
 
-# Bounded, and keyed by value: the weights as integer pairs and each part's
-# lottery as its integer form. A combination that raises (a signed mixture
-# leaving the simplex) is never cached, so it raises at every profile it meets.
+# The one combination memo, of mixtures and random dictatorships, bounded and
+# keyed by value: the integer weights and each part's integer form. A combination that raises (a signed mixture leaving the
+# simplex) is never cached, so it raises at every profile it meets.
 @lru_cache(maxsize=1 << 14)
-def _combine(
-    weights: Tuple[Tuple[int, int], ...], parts: Tuple[Tuple[int, ...], ...]
-) -> Lottery:
-    return affine_combine(
-        [
-            (Fraction(*w), Lottery.from_integers(nums, sum(nums)))
-            for w, nums in zip(weights, parts)
-        ]
-    )
+def _combine(weights: Tuple[int, ...], parts: Tuple[Tuple[int, ...], ...]) -> Lottery:
+    return Lottery.from_integers(*combine(weights, parts))
 
 
 class SignedMixture(Mixture):

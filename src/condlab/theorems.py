@@ -114,8 +114,8 @@ def perturbed_condorcet_table(n: int, m: int) -> TableSDS:
     """The majority-winner rule as an explicit table, with one entry replaced
     by a point lottery on a non-winner.  Useful as a scheme that is neither
     strategyproof nor a mixture."""
-    dom = CondorcetDomain(n, m)
     rule = CondorcetRule(n, m)
+    dom = rule.valid_domain
     mapping = {profile: rule.evaluate(profile) for profile in dom.members()}
     flaw = Profile(
         [PreferenceRelation(range(m))] * (n - 1)
@@ -236,11 +236,12 @@ def criterion_2(n: int = 3, m: int = 3) -> Dict:
     """On the majority domain, strategyproofness plus non-imposition holds
     exactly when the probed coefficients are nonnegative and reproduce the
     scheme."""
-    dom = CondorcetDomain(n, m)
-    reference = CondorcetRule(n, m)
+    schemes = catalog(n, m)
+    reference = dict(schemes)["cond"]
+    dom = reference.valid_domain
     per_scheme: Dict[str, Dict] = {}
     ok = True
-    for name, sds in catalog(n, m):
+    for name, sds in schemes:
         axioms_hold = (
             check_strategyproof(sds, dom).holds
             and check_non_imposition(sds, dom).holds
@@ -477,10 +478,11 @@ def criterion_8(n: int = 3, m: int = 3) -> Dict:
     that cannot hold together. So at every lottery some single voter
     manipulates, and group strategyproofness fails with it.
     """
-    base = CondorcetDomain(n, m)
+    rule = CondorcetRule(n, m)
+    base = rule.valid_domain
     cycle = majority_cycle_profile(n, m)
     dom = ExtendedDomain(base, [cycle])
-    certificate = extension_feasibility(CondorcetRule(n, m), base, [cycle])
+    certificate = extension_feasibility(rule, base, [cycle])
 
     dictator_failures: List[str] = []
     for i in range(n):
@@ -573,8 +575,8 @@ def criterion_11() -> Dict:
     maximum total dictatorial weight is zero for the majority rule, one for
     random dictatorships, and matches the mixing weight for
     majority-dictatorship blends."""
-    dom = CondorcetDomain(3, 3)
     schemes = dict(catalog(3, 3))
+    dom = schemes["cond"].valid_domain
     cases: List[Tuple[str, object, Fraction]] = [
         (name, schemes[name], Fraction(expected))
         for name, expected in (("cond", 0), ("rd-uniform", 1), ("rd-skewed", 1))
@@ -616,10 +618,13 @@ def run_battery(
     :func:`default_tiebreakers` of ``m``), battery 3 the
     group-strategyproofness separation (criterion 7 at three alternatives,
     criterion 8 at ``m``). A size outside the battery's rules in
-    ``_BATTERY_SIZES`` is refused before any criterion runs.
+    ``_BATTERY_SIZES``, or tie-breakers given to battery 1 or 3, are refused
+    before any criterion runs.
     """
     if which not in _BATTERY_SIZES:
         raise ValueError(f"unknown battery {which}, expected 1, 2 or 3")
+    if tiebreakers is not None and which != 2:
+        raise ValueError(f"battery {which} takes no tie-breakers")
     parity, default_n, least_n, least_m = _BATTERY_SIZES[which]
     n = default_n if n is None else n
     if (n % 2 == 1) != (parity == "odd"):

@@ -21,7 +21,7 @@ from condlab.analysis import (
     verify_extension_witness,
     verify_mixture,
 )
-from condlab.axioms import check_strategyproof, sure_winners
+from condlab.axioms import Verdict, check_strategyproof, sure_winners
 from condlab.cli import build_parser
 from condlab.core import PreferenceRelation, Profile, alternative_name, condorcet_winner, parse_profiles
 from condlab.domains import (
@@ -76,7 +76,8 @@ def test_coefficients_json_round_trip():
     coeffs = MixtureCoefficients(F(1, 4), (F(1, 2), F(1, 4), F(0)))
     data = coeffs.to_json_dict()
     assert data == {"gamma_C": "1/4", "gamma": ["1/2", "1/4", "0"]}
-    assert MixtureCoefficients.from_json_dict(data) == coeffs
+    # the report's strings read back as the same coefficients
+    assert MixtureCoefficients(F(data["gamma_C"]), tuple(F(w) for w in data["gamma"])) == coeffs
 
 
 # -- probing -----------------------------------------------------------------------
@@ -170,6 +171,103 @@ def test_verify_mixture_tiebreaking_reference():
     rule = TieBreakingCondorcetRule(tb, 4)
     coeffs = MixtureCoefficients(F(1), (F(0),) * 4)
     assert verify_mixture(rule, dom, coeffs, rule).holds
+
+
+def frozen_verify_mixture(sds, dom, coeffs, reference):
+    """``verify_mixture`` as it read before it took its expected lotteries from
+    ``lottery.combine``: per-alternative ``Fraction`` sums."""
+    members = dom.members()
+    comparisons = 0
+    for index, profile in enumerate(members):
+        actual = sds.at(profile)
+        ref = reference.at(profile)
+        for x in range(dom.m):
+            expected = coeffs.condorcet_weight * ref[x]
+            for voter, w in enumerate(coeffs.voter_weights):
+                if profile[voter].top() == x:
+                    expected += w
+            comparisons += 1
+            if expected != actual[x]:
+                witness = analysis.MixtureMismatchWitness(profile, x, actual[x], expected)
+                return Verdict("mixture-representation", False, witness, index + 1, comparisons)
+    return Verdict("mixture-representation", True, None, len(members), comparisons)
+
+
+def _signed_case(coeffs):
+    sds = signed_mixture_counterexample(4)
+    return sds, sds.valid_domain, coeffs, sds.parts[-1][1]
+
+
+def _goes_negative_case():
+    # Voter 0 weighs nothing and the majority -1/3, so a winner that neither
+    # voter 1 nor 2 tops (a at a>b>c, b>a>c, c>a>b) gets expected mass -1/3.
+    # The table is the expected lottery wherever that is one.
+    rule = CondorcetRule(3, 3)
+    table = {}
+    for profile in rule.valid_domain.members():
+        tops = [rel.top() for rel in profile.relations[1:]]
+        expected = [F(2, 3) * tops.count(x) - F(1, 3) * rule.at(profile)[x] for x in range(3)]
+        table[profile] = Lottery(expected) if min(expected) >= 0 else rule.at(profile)
+    coeffs = MixtureCoefficients(F(-1, 3), (F(0), F(2, 3), F(2, 3)))
+    return TableSDS(table, rule.valid_domain), rule.valid_domain, coeffs, rule
+
+
+def _tiebreak_case(coeffs):
+    rule = TieBreakingCondorcetRule(rel("b>c>a"), 4)
+    sds = Mixture([(F(1, 2), rule), (F(1, 4), Dictatorship(1, 4, 3)), (F(1, 4), Dictatorship(2, 4, 3))])
+    return sds, rule.valid_domain, coeffs, rule
+
+
+def _blend_case(coeffs, m=3):
+    rule = CondorcetRule(3, m)
+    sds = Mixture([(F(1, 3), rule), (F(2, 3), RandomDictatorship([F(1, 2), F(1, 3), F(1, 6)], m))])
+    return sds, rule.valid_domain, coeffs, rule
+
+
+BLEND_COEFFS = MixtureCoefficients(F(1, 3), (F(1, 3), F(2, 9), F(1, 9)))
+
+
+def _moved_mass_case():
+    # the blend's own table with half the b-mass moved to c at one member, so
+    # the mismatch lies past the first alternative
+    sds, dom, coeffs, rule = _blend_case(BLEND_COEFFS)
+    table = {profile: sds.at(profile) for profile in dom.members()}
+    moved = next(profile for profile in dom.members() if table[profile][1])
+    a, b, c = table[moved].probs
+    table[moved] = Lottery([a, b / 2, c + b / 2])
+    return TableSDS(table, dom), dom, coeffs, rule
+
+
+VERIFY_MIXTURE_CASES = {
+    "signed-true": lambda: _signed_case(MixtureCoefficients(F(-1, 3), (F(1, 3),) * 4)),
+    "signed-wrong": lambda: _signed_case(MixtureCoefficients(F(-1, 2), (F(3, 8),) * 4)),
+    "goes-negative": _goes_negative_case,
+    "tiebreak-true": lambda: _tiebreak_case(MixtureCoefficients(F(1, 2), (F(0), F(1, 4), F(1, 4), F(0)))),
+    "tiebreak-wrong": lambda: _tiebreak_case(MixtureCoefficients(F(1, 2), (F(1, 4), F(1, 4), F(0), F(0)))),
+    "blend-true": lambda: _blend_case(BLEND_COEFFS),
+    "blend-true-m4": lambda: _blend_case(BLEND_COEFFS, 4),
+    "blend-moved-mass": _moved_mass_case,
+    "blend-wrong": lambda: _blend_case(MixtureCoefficients(F(1, 3), (F(1, 3), F(1, 9), F(2, 9)))),
+    "borda-probed": lambda: (
+        Borda(3, 3), CondorcetDomain(3, 3), probe_coefficients(Borda(3, 3), 0), CondorcetRule(3, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_MIXTURE_CASES.values(), ids=VERIFY_MIXTURE_CASES)
+def test_verify_mixture_matches_frozen_body(case):
+    sds, dom, coeffs, reference = case()
+    got = verify_mixture(sds, dom, coeffs, reference)
+    want = frozen_verify_mixture(sds, dom, coeffs, reference)
+    assert got == want
+    assert got.witness is None or tuple(map(type, got.witness)) == tuple(map(type, want.witness))
+
+
+def test_verify_mixture_reports_a_negative_expected_mass():
+    verdict = verify_mixture(*_goes_negative_case())
+    assert not verdict.holds
+    assert verdict.witness.profile == prof("a>b>c\nb>a>c\nc>a>b")
+    assert (verdict.witness.alternative, verdict.witness.expected) == (0, F(-1, 3))
 
 
 # -- dictatorial weight ----------------------------------------------------------------
@@ -648,6 +746,13 @@ def test_every_value_cache_is_bounded():
 def test_analysis_keeps_no_functools_cache():
     # the gamma scan keeps the bounds it decided for itself
     assert [name for name in functools_caches() if name.startswith("condlab.analysis.")] == []
+
+
+def test_sds_keeps_one_functools_cache():
+    # every mixture and random dictatorship combines its lotteries in one memo
+    assert [name for name in functools_caches() if name.startswith("condlab.sds.")] == [
+        "condlab.sds._combine"
+    ]
 
 
 def frozen_deviation_bound(order, new_top, truthful, deviated):

@@ -471,6 +471,22 @@ def test_tiebreaker_over_another_slate_is_a_usage_error(capsys, argv):
     assert code == 2 and data == {"error": "tie-breaker ranks a different slate"}
 
 
+@pytest.mark.parametrize("which", ["1", "3"])
+def test_theorems_refuses_tiebreakers_outside_battery_2(capsys, monkeypatch, which):
+    # refused up front: the order is never parsed and no criterion runs
+    for name in ("criterion_1", "criterion_2", "criterion_3", "criterion_5", "criterion_7", "criterion_8"):
+        monkeypatch.setattr(f"condlab.theorems.{name}", lambda *args: pytest.fail("a criterion ran"))
+    code, data = run_json(capsys, ["theorems", "--which", which, "--tiebreak", "a>a>z"])
+    assert code == 2 and data == {"error": f"battery {which} takes no tie-breakers"}
+
+
+@pytest.mark.parametrize("axiom", ["sp", "gsp", "all", "expost"])
+def test_check_refuses_max_coalition_below_one_for_every_axiom(capsys, axiom):
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--axiom", axiom]
+    code, data = run_json(capsys, argv + ["--max-coalition", "0"])
+    assert code == 2 and data == {"error": "max_coalition must be at least 1, got 0"}
+
+
 def test_theorems_takes_no_seed():
     # no battery draws random numbers, so a seed is a usage error
     with pytest.raises(SystemExit) as exc:

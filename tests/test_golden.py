@@ -52,6 +52,8 @@ CASES = {
     # the two reports of the benchmark's n=5 SP and dictatorial-weight jobs
     "check-sp-n5-mix": (0, ["check", "--n", "5", "--domain", "condorcet", "--sds", MIX5, "--axiom", "sp"]),
     "gamma-n5-mix": (0, ["gamma", "--n", "5", "--domain", "condorcet", "--sds", MIX5]),
+    # every member's expected lottery through the weighted-sum kernel
+    "decompose-n5-mix": (0, ["decompose", "--n", "5", "--domain", "condorcet", "--sds", MIX5]),
     "gamma-borda": (1, ["gamma", "--n", "3", "--domain", "condorcet", "--sds", "borda"]),
     "extend-cond-cycle": (1, ["extend", "--n", "3", "--base", "condorcet", "--sds", "cond", "--extras", CYCLE3]),
     "extend-cond-six-extras": (

@@ -12,7 +12,9 @@ from condlab.lottery import (
     NegativeProbabilityError,
     _sd_verdict,
     affine_combine,
+    combine,
     failing_cut,
+    integer_form,
     mix,
     sd_compare,
     sd_margins,
@@ -261,6 +263,41 @@ def test_affine_combine_matches_fraction_arithmetic(case):
         return
     got = affine_combine([(w, p), (1 - w, q)])
     assert got == want and hash(got) == hash(want) and got.probs == want.probs
+
+
+@st.composite
+def signed_parts(draw):
+    """1..4 integer forms on one slate, each over its own denominator and
+    scaled by 1..3 so that some are not reduced, with signed integer weights
+    of positive sum."""
+    m, k = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    parts = [
+        tuple(a * draw(st.integers(1, 3)) for a in draw(lotteries(m)).numerators)
+        for _ in range(k)
+    ]
+    weights = draw(
+        st.lists(st.integers(-6, 6), min_size=k, max_size=k).filter(lambda ws: sum(ws) > 0)
+    )
+    return weights, parts
+
+
+@given(signed_parts())
+def test_combine_matches_fraction_arithmetic(case):
+    weights, parts = case
+    total = sum(weights)
+    want = [
+        sum(F(w, total) * F(part[x], sum(part)) for w, part in zip(weights, parts))
+        for x in range(len(parts[0]))
+    ]
+    got, den = combine(weights, parts)
+    assert den > 0 and [F(a, den) for a in got] == want
+    # the raw numerators keep negative entries and sum to the denominator
+    assert sum(got) == den
+
+
+def test_integer_form_over_the_least_common_denominator():
+    assert integer_form([F(1, 2), F(-1, 3), F(5, 6)]) == ((3, -2, 5), 6)
+    assert integer_form([F(2), F(0)]) == ((2, 0), 1)
 
 
 def test_integer_form_is_canonical():

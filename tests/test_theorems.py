@@ -238,3 +238,29 @@ def test_catalog_refuses_fewer_than_three_voters():
     with pytest.raises(ValueError, match="at least 3 voters"):
         catalog(2, 3)
     assert len(catalog(3, 3)) == 10
+
+
+def filled_majority_domains(monkeypatch, run):
+    """How many majority domains (not tie-breaking ones) fill their member
+    table while ``run()`` runs."""
+    made = []
+    init = CondorcetDomain.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(CondorcetDomain, "__init__", record)
+    run()
+    return sum(1 for dom in made if type(dom) is CondorcetDomain and dom._table)
+
+
+@pytest.mark.parametrize(
+    "criterion, count",
+    # criterion 2 and 11 scan the catalog's majority rule on its own domain;
+    # the perturbed table keeps its own, the domain of the rule it copies
+    [(lambda: theorems.criterion_2(3, 3), 2), (lambda: criterion_8(3, 3), 1), (theorems.criterion_11, 2)],
+    ids=["criterion-2", "criterion-8", "criterion-11"],
+)
+def test_criteria_fill_one_majority_domain_per_rule(monkeypatch, criterion, count):
+    assert filled_majority_domains(monkeypatch, criterion) == count
