@@ -160,7 +160,9 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     one-sparse. The program therefore keeps one bound per voter (the least
     such right-hand side) and one nonnegativity row per set of voters
     sharing a top. Within one scan, each deviation's bound is decided once
-    per distinct value of the voter's order, the new top and the two lotteries.
+    per distinct value of the voter's order, the new top and the two
+    lotteries, in one table per truthful lottery that marks, by bitmask, the
+    voters whose bound has taken each entry: a repeat is one lookup and bit test.
 
     A negative right-hand side means the scheme itself is manipulable; the
     scan stops at the first such deviation and raises
@@ -171,45 +173,53 @@ def max_dictatorial_weight(sds, dom: Domain) -> Fraction:
     n = dom.n
     f, evaluated = sds.at, sds.evaluated
     # Right-hand sides are kept as (numerator, denominator) integer pairs and
-    # compared by cross-multiplication.
+    # compared by cross-multiplication; sets of voters are bitmasks.
     bounds: List[Optional[Tuple[int, int]]] = [None] * n
-    shares: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    decided: Dict[tuple, tuple] = {}
+    shares: Dict[int, Tuple[int, int]] = {}
+    # truthful lottery -> (order, new top, deviated lottery) -> (bound, voters);
+    # a deviation that bounds nothing counts as taken by every voter
+    decided: Dict[Tuple[int, ...], Dict[tuple, tuple]] = {}
 
     for profile in members:
         lot = f(profile)
         den, numerators = lot.denominator, lot.numerators
-        voters_by_top: Dict[int, List[int]] = {}
+        sharing: Dict[int, int] = {}
         for voter, rel in enumerate(profile.relations):
-            voters_by_top.setdefault(rel.order[0], []).append(voter)
-        for top, voters in voters_by_top.items():
-            key, rhs = tuple(voters), numerators[top]
+            sharing[rel.order[0]] = sharing.get(rel.order[0], 0) | 1 << voter
+        for top, key in sharing.items():
+            rhs = numerators[top]
             kept = shares.get(key)
             if kept is None or rhs * kept[1] < kept[0] * den:
                 shares[key] = (rhs, den)
+        row = decided.setdefault(numerators, {})
         for voter, rel in enumerate(profile.relations):
-            order = rel.order
+            order, bit = rel.order, 1 << voter
             for deviation in dom.unilateral_deviations(profile, voter):
                 other = evaluated(deviation) or f(deviation)
-                key = (order, deviation.relations[voter].order[0], numerators, other.numerators)
-                if key not in decided:
-                    decided[key] = _deviation_bound(*key)
-                cut, bound = decided[key]
-                if cut is not None:
-                    raise InfeasibleModelError(
-                        f"scheme is manipulable at {profile!r} by voter {voter}",
-                        ManipulationWitness(profile, voter, deviation, cut, lot, other),
-                    )
-                if bound is not None:
-                    kept = bounds[voter]
-                    if kept is None or bound[0] * kept[1] < kept[0] * bound[1]:
-                        bounds[voter] = bound
+                outcome = (order, deviation.relations[voter].order[0], other.numerators)
+                seen = row.get(outcome)
+                if seen is None:
+                    cut, bound = _deviation_bound(order, outcome[1], numerators, outcome[2])
+                    if cut is not None:
+                        raise InfeasibleModelError(
+                            f"scheme is manipulable at {profile!r} by voter {voter}",
+                            ManipulationWitness(profile, voter, deviation, cut, lot, other),
+                        )
+                    voters = 0 if bound else -1
+                elif seen[1] & bit:
+                    continue
+                else:
+                    bound, voters = seen
+                row[outcome] = (bound, voters | bit)
+                kept = bounds[voter]
+                if bound and (kept is None or bound[0] * kept[1] < kept[0] * bound[1]):
+                    bounds[voter] = bound
 
-    rows = [((v,), kept) for v, kept in enumerate(bounds) if kept is not None]
+    rows = [(1 << v, kept) for v, kept in enumerate(bounds) if kept is not None]
     rows += shares.items()
     value, _ = simplex_maximize(
         [Fraction(1)] * n,
-        [(tuple(int(v in key) for v in range(n)), Fraction(*kept)) for key, kept in rows],
+        [(tuple(key >> v & 1 for v in range(n)), Fraction(*kept)) for key, kept in rows],
     )
     return value
 

@@ -129,16 +129,16 @@ def _cmd_check(args) -> Tuple[int, Dict]:
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as handle:
             verdict_json = json.load(handle)
+        claimed = verdict_json.get("axiom") if isinstance(verdict_json, dict) else None
+        if args.axiom and AXIOM_ALIASES.get(args.axiom) != claimed:
+            raise ValueError(f"--axiom {args.axiom} does not match the file's axiom {claimed!r}")
         reproduced = replay_witness(sds, dom, verdict_json)
-        payload = {
-            "axiom": verdict_json.get("axiom"),
-            "replayed": reproduced,
-        }
-        return (EXIT_OK if reproduced else EXIT_NEGATIVE), payload
+        code = EXIT_OK if reproduced else EXIT_NEGATIVE
+        return code, {"axiom": claimed, "replayed": reproduced}
     if args.axiom == "all":
         names = list(AXIOM_ALIASES.values())
     else:
-        names = [AXIOM_ALIASES[args.axiom]]
+        names = [AXIOM_ALIASES[args.axiom or "sp"]]
     verdicts: Dict[str, Dict] = {}
     all_hold = True
     for name in names:
@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--axiom",
         choices=tuple(AXIOM_ALIASES) + ("all",),
-        default="sp",
-        help="axiom to check",
+        default=None,
+        help="axiom to check (default sp, or the replayed file's)",
     )
     p.add_argument(
         "--max-coalition", type=int, default=None, help="coalition size bound for gsp"

@@ -63,6 +63,14 @@ def test_seven_voter_blend_strategyproof():
     assert (verdict.profiles_checked, verdict.comparisons) == (258_936, 8_516_760)
 
 
+@pytest.mark.slow
+def test_seven_voter_unequal_blend_dictatorial_weight():
+    # the gamma scan at the frontier, with every voter's bound different
+    weights = ",".join(f"{k}/28" for k in range(1, 8))
+    sds = parse_sds("mix:1/3*cond+2/3*rd:" + weights, 7, 3)
+    assert max_dictatorial_weight(sds, CondorcetDomain(7, 3)) == Fraction(2, 3)
+
+
 def test_dictatorship_strategyproof_on_full_domain():
     verdict = check_strategyproof(Dictatorship(1, 3, 3), FullDomain(3, 3))
     assert verdict.holds

@@ -94,6 +94,38 @@ def test_replay_under_a_cap_below_m_factorial(capsys, tmp_path):
     assert code == 0 and data == {"axiom": "strategyproof", "replayed": True}
 
 
+BORDA = ["check", "--n", "3", "--domain", "condorcet", "--sds", "borda"]
+
+
+def borda_sp_verdict(capsys, tmp_path):
+    code, data = run_json(capsys, BORDA + ["--axiom", "sp"])
+    assert code == 1 and data["axiom"] == "strategyproof"
+    witness_file = tmp_path / "verdict.json"
+    witness_file.write_text(json.dumps(data))
+    return str(witness_file)
+
+
+@pytest.mark.parametrize("axiom", ["expost", "gsp", "all"])
+def test_replay_refuses_an_axiom_other_than_the_files(capsys, tmp_path, axiom):
+    witness_file = borda_sp_verdict(capsys, tmp_path)
+    code, data = run_json(capsys, BORDA + ["--axiom", axiom, "--replay", witness_file])
+    assert code == 2
+    assert f"--axiom {axiom} " in data["error"] and "'strategyproof'" in data["error"]
+
+
+def test_replay_takes_the_files_own_axiom(capsys, tmp_path):
+    witness_file = borda_sp_verdict(capsys, tmp_path)
+    expected = {"axiom": "strategyproof", "replayed": True}
+    for named in (["--axiom", "sp"], []):
+        code, data = run_json(capsys, BORDA + named + ["--replay", witness_file])
+        assert code == 0 and data == expected
+
+
+def test_check_without_axiom_checks_strategyproofness(capsys):
+    named = run_json(capsys, BORDA + ["--axiom", "sp"])
+    assert run_json(capsys, BORDA) == named and named[1]["axiom"] == "strategyproof"
+
+
 def test_check_all_axioms(capsys):
     code, data = run_json(
         capsys,
