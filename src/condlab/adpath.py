@@ -96,22 +96,21 @@ class AdPath:
         return cls(tuple(Profile.from_text(text) for text in data["steps"]))
 
 
-def _check_buildable(dom: Domain) -> None:
+def _endpoint_winners(dom: Domain, start: Profile, goal: Profile) -> Tuple[int, int]:
+    """The majority winners of a path's endpoints, once ``dom`` is known to
+    have a path builder and to hold both endpoints."""
     if isinstance(dom, TieBreakingCondorcetDomain):
         if dom.n % 2 != 0:
-            raise ParityMismatchError(
-                "tie-breaking majority domains take an even electorate"
-            )
+            raise ParityMismatchError("tie-breaking majority domains take an even electorate")
     elif isinstance(dom, CondorcetDomain):
         if dom.n % 2 == 0:
             raise ParityMismatchError("majority domains take an odd electorate")
     else:
         raise ValueError(f"no path builder for domain {dom.describe()!r}")
-
-
-def _require_member(dom: Domain, profile: Profile, label: str) -> None:
-    if not dom.contains(profile):
-        raise OutOfDomainError(f"{label} profile is outside the domain")
+    for label, profile in (("start", start), ("goal", goal)):
+        if not dom.contains(profile):
+            raise OutOfDomainError(f"{label} profile is outside the domain")
+    return dom.majority_winner(start), dom.majority_winner(goal)
 
 
 class _Walk:
@@ -155,14 +154,10 @@ def build_adpath(dom: Domain, start: Profile, goal: Profile) -> AdPath:
     rebuilds everything below the top in the goal's order, and finally lets
     the winner sink to its goal ranks.
     """
-    _check_buildable(dom)
-    _require_member(dom, start, "start")
-    _require_member(dom, goal, "goal")
+    c, c2 = _endpoint_winners(dom, start, goal)
     if start == goal:
         return AdPath((start,))
     n, m = start.n, start.m
-    c = dom.majority_winner(start)
-    c2 = dom.majority_winner(goal)
     walk = _Walk(start)
     for voter in range(n):
         walk.move_to_rank(voter, c, 1)
@@ -222,9 +217,7 @@ def build_adpath_fixing(dom: Domain, start: Profile, goal: Profile, fixed: int) 
     set of ``fixed``; this pins all pairwise comparisons against ``fixed``,
     so its standing with the majority never changes along the path.
     """
-    _check_buildable(dom)
-    _require_member(dom, start, "start")
-    _require_member(dom, goal, "goal")
+    c, c2 = _endpoint_winners(dom, start, goal)
     if not 0 <= fixed < start.m:
         raise ValueError("fixed alternative out of range")
     for voter in range(start.n):
@@ -236,8 +229,6 @@ def build_adpath_fixing(dom: Domain, start: Profile, goal: Profile, fixed: int) 
     if start == goal:
         return AdPath((start,))
     n = start.n
-    c = dom.majority_winner(start)
-    c2 = dom.majority_winner(goal)
     walk = _Walk(start)
     if c == c2 == fixed:
         for voter in range(n):

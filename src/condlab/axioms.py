@@ -245,9 +245,11 @@ def _swap_scan(sds, dom: Domain, axiom: str) -> Verdict:
         before = f(profile)
         for voter, x, y, neighbor in dom.adjacent_swaps(profile):
             after = f(neighbor)
+            # before[z] and after[z] cross-multiplied, which keeps order: denominators are positive
+            p, q = before.numerators, after.numerators
             for z in watched(x, y, dom.m):
                 comparisons += 1
-                if fails(before[z], after[z]):
+                if fails(p[z] * after.denominator, q[z] * before.denominator):
                     witness = SwapEffectWitness(profile, voter, x, y, z, before[z], after[z])
                     return Verdict(axiom, False, witness, index + 1, comparisons)
     return Verdict(axiom, True, None, len(members), comparisons)

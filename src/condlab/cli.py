@@ -91,8 +91,6 @@ def _render_text(payload, indent: int = 0) -> List[str]:
                 lines.append(f"{pad}- {' | '.join(value.splitlines())}")
             else:
                 lines.append(f"{pad}- {value}")
-    else:
-        lines.append(f"{pad}{payload}")
     return lines
 
 

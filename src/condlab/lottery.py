@@ -3,10 +3,10 @@
 A lottery is stored as integer numerators over one common denominator (the
 least common multiple of its reduced denominators), so equal lotteries have
 equal integer forms however they were built. Equality, hashing, cumulative
-sums and stochastic-dominance comparison all run on those integers;
-:class:`fractions.Fraction` values come from ``probs`` and ``__getitem__``,
-which the reports, witnesses and the per-alternative checks in ``axioms``
-and ``analysis`` read. There are no floats and no tolerances anywhere. A
+sums and stochastic-dominance comparison all run on those integers, and a
+lottery keeps no other form: ``probs`` and ``__getitem__`` build
+:class:`fractions.Fraction` values on demand for the reports and witnesses.
+There are no floats and no tolerances anywhere. A
 lottery ``p`` stochastically dominates ``q`` under a preference order when
 ``p`` puts at least as much mass on every upper contour set (every prefix
 of the order) as ``q`` does.
@@ -54,12 +54,10 @@ class Lottery:
     ``denominator`` is the smallest that works.
     """
 
-    __slots__ = ("numerators", "denominator", "_probs")
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, probs: Sequence[Fraction]):
-        probs = tuple(Fraction(p) for p in probs)
-        self._set(*integer_form(probs))
-        self._probs = probs
+        self._set(*integer_form([Fraction(p) for p in probs]))
 
     @classmethod
     def from_integers(cls, numerators: Sequence[int], denominator: int) -> "Lottery":
@@ -80,7 +78,6 @@ class Lottery:
         g = gcd(denominator, *numerators)
         self.numerators = tuple(a // g for a in numerators)
         self.denominator = denominator // g
-        self._probs = None
 
     @classmethod
     @lru_cache(maxsize=1 << 10)  # interned: the same object for every call with (x, m)
@@ -105,17 +102,15 @@ class Lottery:
     @property
     def probs(self) -> Tuple[Fraction, ...]:
         """The probabilities as :class:`~fractions.Fraction` values."""
-        if self._probs is None:
-            den = self.denominator
-            self._probs = tuple(Fraction(a, den) for a in self.numerators)
-        return self._probs
+        den = self.denominator
+        return tuple(Fraction(a, den) for a in self.numerators)
 
     @property
     def m(self) -> int:
         return len(self.numerators)
 
     def __getitem__(self, x: int) -> Fraction:
-        return self.probs[x]
+        return Fraction(self.numerators[x], self.denominator)
 
     def mass(self, xs: Iterable[int]) -> Fraction:
         return Fraction(sum(self.numerators[x] for x in xs), self.denominator)

@@ -89,25 +89,17 @@ def coefficient_grid(n: int, step: Fraction = Fraction(1, 4)) -> List[MixtureCoe
 
 
 def mixture_sds(coeffs: MixtureCoefficients, reference):
-    """Materialize the scheme described by mixture coefficients over the voters
-    and alternatives of ``reference``, the majority part. A vector with zero
-    majority weight yields a random dictatorship, which is defined on every
-    profile; negative entries yield a signed mixture.
-    """
+    """The scheme of mixture coefficients over the voters and alternatives of
+    ``reference``, the majority part: a :class:`Mixture` of ``reference`` and
+    each voter's dictatorship at their nonzero weights, or a
+    :class:`SignedMixture` when some weight is negative."""
     n, m = reference.n, reference.m
     if len(coeffs.voter_weights) != n:
         raise ValueError(f"expected {n} voter weights, got {len(coeffs.voter_weights)}")
-    if coeffs.condorcet_weight == 0 and all(w >= 0 for w in coeffs.voter_weights):
-        return RandomDictatorship(list(coeffs.voter_weights), m)
-    parts: List[Tuple[Fraction, object]] = []
-    if coeffs.condorcet_weight != 0:
-        parts.append((coeffs.condorcet_weight, reference))
-    for i, w in enumerate(coeffs.voter_weights):
-        if w != 0:
-            parts.append((w, Dictatorship(i, n, m)))
-    if coeffs.nonnegative:
-        return Mixture(parts)
-    return SignedMixture(parts)
+    parts = [(coeffs.condorcet_weight, reference)]
+    parts += [(w, Dictatorship(i, n, m)) for i, w in enumerate(coeffs.voter_weights)]
+    kind = Mixture if coeffs.nonnegative else SignedMixture
+    return kind([(w, part) for w, part in parts if w != 0])
 
 
 def perturbed_condorcet_table(n: int, m: int) -> TableSDS:
@@ -310,11 +302,17 @@ def criterion_4(
     """Grid mixtures of the tie-breaking majority rule and dictatorships are
     strategyproof and non-imposing on the tie-breaking domain, and probing
     recovers the exact coefficients at every anchor. The tie-breakers default
-    to :func:`default_tiebreakers`."""
+    to :func:`default_tiebreakers`; all are parsed before the first scan, and
+    an order given twice, in any spelling, is refused."""
+    texts = tiebreakers or default_tiebreakers(m)
+    orders = [parse_tiebreaker(text, m) for text in texts]
+    for i, order in enumerate(orders):
+        if order in orders[:i]:
+            raise ValueError(f"tie-breaker {texts[i]!r} repeats {texts[orders.index(order)]!r}")
     per_tb: Dict[str, Dict] = {}
     ok = True
-    for tb_text in tiebreakers or default_tiebreakers(m):
-        reference = TieBreakingCondorcetRule(parse_tiebreaker(tb_text, m), n)
+    for tb_text, tiebreaker in zip(texts, orders):
+        reference = TieBreakingCondorcetRule(tiebreaker, n)
         dom = reference.valid_domain
         failures: List[str] = []
         grid = coefficient_grid(n, step)

@@ -246,6 +246,46 @@ def test_perturbed_table_fails_localizedness():
     assert w.before != w.after
 
 
+def count_probability_reads(monkeypatch):
+    reads = []
+    getitem = Lottery.__getitem__
+
+    def counting(self, x):
+        reads.append(x)
+        return getitem(self, x)
+
+    monkeypatch.setattr(Lottery, "__getitem__", counting)
+    return reads
+
+
+@pytest.mark.parametrize("check", [check_localized, check_non_perverse])
+def test_a_holding_swap_scan_reads_no_probability(monkeypatch, check):
+    # the scan compares integer forms; no Fraction is built
+    sds = parse_sds("mix:1/2*cond+1/2*rd:1/3,1/3,1/3", 3, 3)
+    reads = count_probability_reads(monkeypatch)
+    assert check(sds, CondorcetDomain(3, 3)).holds
+    assert reads == []
+
+
+def anti_dictatorship():
+    """Voter 0's last choice: localized, but never non-perverse."""
+    dom = FullDomain(2, 3)
+    return TableSDS({p: Lottery.point(p[0].order[-1], 3) for p in dom.members()}, dom), dom
+
+
+@pytest.mark.parametrize("check, make", [
+    (check_localized, lambda: (perturbed_condorcet_table(3, 3), CondorcetDomain(3, 3))),
+    (check_non_perverse, anti_dictatorship),
+])
+def test_a_failing_swap_scan_reads_only_its_witness(monkeypatch, check, make):
+    sds, dom = make()
+    reads = count_probability_reads(monkeypatch)
+    verdict = check(sds, dom)
+    assert not verdict.holds
+    assert reads == [verdict.witness.watched] * 2
+    assert replay_witness(sds, dom, verdict.to_json_dict())
+
+
 def test_implication_suite_consistent_for_catalog():
     dom = FullDomain(3, 3)
     for name, sds in catalog(3, 3):
@@ -323,8 +363,8 @@ def test_scans_over_one_scheme_share_its_evaluations(monkeypatch):
 def test_criterion_1_evaluates_each_member_once(monkeypatch):
     evaluated = count_mixture_evaluations(monkeypatch)
     assert criterion_1()["ok"]
-    # 20 of the 35 grid points give the majority rule positive weight
-    assert len(evaluated) == 20 * 204
+    # every one of the 35 grid points is a Mixture, the 15 without the majority rule too
+    assert len(evaluated) == 35 * 204
 
 
 # -- plumbing ----------------------------------------------------------------------------

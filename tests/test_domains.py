@@ -696,3 +696,40 @@ def test_neighbour_lookups_on_a_large_domain_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# (n, m) -> (triples whose deviation has another majority winner, in-domain
+# (member, voter, unilateral deviation) triples)
+WINNER_MOVES = {
+    (2, 3): (0, 24),
+    (4, 3): (0, 5_472),
+    (6, 3): (0, 419_760),
+    (2, 4): (0, 1_440),
+    (3, 3): (1_188, 2_880),
+    (5, 3): (51_300, 169_560),
+    (3, 4): (309_312, 760_896),
+}
+
+
+def winner_moves(n, m):
+    dom = CondorcetDomain(n, m)
+    moved = triples = 0
+    for profile in dom.members():
+        winner = dom.majority_winner(profile)
+        for voter in range(n):
+            for deviation in dom.unilateral_deviations(profile, voter):
+                triples += 1
+                moved += dom.majority_winner(deviation) != winner
+    return moved, triples
+
+
+@pytest.mark.parametrize("n, m", sorted(WINNER_MOVES))
+def test_only_odd_electorates_move_the_majority_winner_unilaterally(n, m):
+    # at even n every margin of the winner is at least 2 and one voter moves a
+    # margin by at most 2, so a deviation keeps the winner or leaves the domain
+    assert winner_moves(n, m) == WINNER_MOVES[n, m]
+
+
+@pytest.mark.slow
+def test_four_voters_never_move_the_majority_winner_at_four_alternatives():
+    assert winner_moves(4, 4) == (0, 4_785_408)

@@ -106,6 +106,12 @@ CASES = {
         ["adpath", "--n", "4", "--domain", TB, "--fix", "c", "--from", str(GOLDEN / "tb-start.txt"),
          "--to", str(GOLDEN / "tb-goal.txt")],
     ),
+    # the same path as text: lists of dicts and multi-line strings in a list
+    "adpath-tb-fixing-text": (
+        0,
+        ["adpath", "--n", "4", "--domain", TB, "--fix", "c", "--from", str(GOLDEN / "tb-start.txt"),
+         "--to", str(GOLDEN / "tb-goal.txt"), "--format", "text"],
+    ),
     # the batteries: the third carries the standing criterion 7 failure
     "theorems-1": (0, ["theorems", "--which", "1"]),
     "theorems-2": (0, ["theorems", "--which", "2"]),

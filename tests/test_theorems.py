@@ -17,13 +17,21 @@ from condlab.core import (
     all_relations,
     capped_enumeration,
 )
-from condlab.domains import CondorcetDomain, ExtendedDomain, majority_cycle_profile
-from condlab.sds import CondorcetRule, Dictatorship, RandomDictatorship, parse_sds
+from condlab.domains import CondorcetDomain, ExtendedDomain, FullDomain, majority_cycle_profile
+from condlab.sds import (
+    CondorcetRule,
+    Dictatorship,
+    Mixture,
+    RandomDictatorship,
+    SignedMixture,
+    parse_sds,
+)
 from condlab.theorems import (
     catalog,
     coefficient_grid,
     criterion_8,
     matches_proof_pattern,
+    mixture_sds,
     pattern_is_group_violation,
 )
 from test_ratlp import reference_fm_feasible
@@ -173,6 +181,24 @@ def test_battery_2_derives_its_tiebreakers_from_m(monkeypatch, capsys):
 ALL_TIEBREAKERS_3 = [rel.to_text() for rel in all_relations(3)]
 
 
+def test_criterion_4_refuses_a_repeated_order(monkeypatch):
+    monkeypatch.setattr(theorems, "check_strategyproof", lambda *args: pytest.fail("a scan ran"))
+    with pytest.raises(ValueError, match="tie-breaker 'a > b > c' repeats 'a>b>c'"):
+        theorems.criterion_4(4, 3, ["a>b>c", "a > b > c"])
+    with pytest.raises(ValueError, match="repeats"):
+        theorems.criterion_4(4, 3, ["a>b>c", "a>b>c"])
+
+
+@pytest.mark.parametrize("second, message", [
+    ("a>b", "tie-breaker ranks a different slate"),
+    ("a > b > c", "tie-breaker 'a > b > c' repeats 'a>b>c'"),
+])
+def test_battery_2_checks_every_tiebreaker_before_its_first_scan(monkeypatch, capsys, second, message):
+    monkeypatch.setattr(theorems, "check_strategyproof", lambda *args: pytest.fail("a scan ran"))
+    assert main(["theorems", "--which", "2", "--tiebreak", "a>b>c", "--tiebreak", second]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
 def test_criterion_4_holds_for_every_tiebreaker():
     result = theorems.criterion_4(4, 3, ALL_TIEBREAKERS_3, F(1, 2))
     assert result["ok"]
@@ -232,6 +258,26 @@ def test_batteries_refuse_fewer_than_three_alternatives(monkeypatch, capsys, whi
     assert json.loads(capsys.readouterr().out) == {
         "error": f"battery {which} needs at least 3 alternatives, got 2"
     }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_grid_point_without_the_majority_rule_is_the_random_dictatorship(n):
+    dom = FullDomain(n, 3)
+    for coeffs in coefficient_grid(n):
+        if coeffs.condorcet_weight == 0:
+            sds = mixture_sds(coeffs, CondorcetRule(n, 3))
+            rd = RandomDictatorship(coeffs.voter_weights, 3)
+            assert sds.valid_domain == dom
+            assert all(sds.evaluate(p) == rd.evaluate(p) for p in dom.members())
+
+
+def test_every_grid_point_is_a_mixture():
+    for n in (3, 4):
+        rule = CondorcetRule(n, 3)
+        assert {type(mixture_sds(coeffs, rule)) for coeffs in coefficient_grid(n)} == {Mixture}
+    signed = mixture_sds(MixtureCoefficients(F(-1, 3), (F(1, 3),) * 4), CondorcetRule(4, 3))
+    assert type(signed) is SignedMixture
+    assert [w for w, _ in signed.parts] == [F(-1, 3)] + [F(1, 3)] * 4
 
 
 def test_catalog_refuses_fewer_than_three_voters():
