@@ -29,7 +29,7 @@ _EXPORTS = {
     "sds": (
         "SDS", "Borda", "CondorcetRule", "Dictatorship", "Mixture", "Plurality",
         "RandomDictatorship", "SignedMixture", "TableMissError", "TableSDS",
-        "TieBreakingCondorcetRule", "parse_sds", "signed_mixture_counterexample",
+        "TieBreakingCondorcetRule", "parse_sds",
     ),
     "axioms": (
         "Verdict", "check_ex_post_efficient", "check_group_strategyproof",

@@ -91,10 +91,6 @@ class AdPath:
     def to_json_dict(self) -> dict:
         return {"steps": [step.to_text() for step in self.steps], "swaps": self.swaps}
 
-    @classmethod
-    def from_json_dict(cls, data) -> "AdPath":
-        return cls(tuple(Profile.from_text(text) for text in data["steps"]))
-
 
 def _endpoint_winners(dom: Domain, start: Profile, goal: Profile) -> Tuple[int, int]:
     """The majority winners of a path's endpoints, once ``dom`` is known to

@@ -123,6 +123,9 @@ def _cmd_check(args) -> Tuple[int, Dict]:
 
     if args.max_coalition is not None and args.max_coalition < 1:
         raise ValueError(f"max_coalition must be at least 1, got {args.max_coalition}")
+    if args.max_coalition is not None and (args.replay or args.axiom not in ("gsp", "all")):
+        what = "a replay" if args.replay else f"--axiom {args.axiom or 'sp'}"
+        raise ValueError(f"--max-coalition bounds only a gsp or all scan, not {what}")
     dom, sds = _domain_and_scheme(args.domain, args)
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as handle:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .core import PreferenceRelation, Profile, TieBreaker, parse_rational
+from .core import Profile, TieBreaker, parse_rational
 from .domains import (
     CondorcetDomain,
     Domain,
@@ -256,42 +256,26 @@ class TableSDS(SDS):
             ) from None
 
 
-def signed_mixture_counterexample(n: int) -> SignedMixture:
-    """Equal positive weight on every dictatorship, compensating negative
-    weight on the majority-winner rule, over three alternatives.
-
-    For an even electorate this is a well-defined scheme on the
-    majority-winner domain: with only three alternatives the winner is
-    somebody's favorite, so the negative weight is always covered.
-    """
-    if n % 2 != 0 or n < 4:
-        raise ValueError("the counterexample needs an even electorate of at least 4")
-    w = Fraction(1, n - 1)
-    parts = [(w, Dictatorship(i, n, 3)) for i in range(n)]
-    parts.append((-w, CondorcetRule(n, 3)))
-    return SignedMixture(parts)
-
-
 # -- textual scheme specifications -------------------------------------------
 
 
 def parse_table_file(text: str, n: int, m: int) -> dict:
-    """Parse table entries: blocks of profile lines, each closed by a lottery JSON line."""
+    """Parse table entries: profile blocks, each read by :meth:`Profile.from_text`
+    and closed by a lottery JSON line, of ``n`` voters over ``m`` alternatives."""
     mapping = {}
     lines: list = []
-    for raw in text.splitlines() + [""]:
-        stripped = raw.split("#", 1)[0].strip() if not raw.lstrip().startswith("{") else raw.strip()
-        if stripped.startswith("{"):
-            if len(lines) != n:
-                raise ValueError(f"table block has {len(lines)} voters, expected {n}")
-            profile = Profile(lines)
-            if profile in mapping:
-                raise ValueError(f"table names this profile twice:\n{profile.to_text()}")
-            mapping[profile] = Lottery.from_json_dict(json.loads(stripped), m)
-            lines = []
-        elif stripped:
-            lines.append(PreferenceRelation.from_text(stripped))
-    if lines:
+    for line in text.splitlines():
+        if not line.lstrip().startswith("{"):
+            lines.append(line)
+            continue
+        profile = Profile.from_text("\n".join(lines))
+        if (profile.n, profile.m) != (n, m):
+            raise ValueError(f"table block has shape ({profile.n}, {profile.m}), expected ({n}, {m})")
+        if profile in mapping:
+            raise ValueError(f"table names this profile twice:\n{profile.to_text()}")
+        mapping[profile] = Lottery.from_json_dict(json.loads(line), m)
+        lines = []
+    if any(line.split("#", 1)[0].strip() for line in lines):
         raise ValueError("trailing profile block without a lottery line")
     if not mapping:
         raise ValueError("no table entries found")

@@ -54,7 +54,6 @@ from .sds import (
     SignedMixture,
     TableSDS,
     TieBreakingCondorcetRule,
-    signed_mixture_counterexample,
 )
 
 # -- building blocks ----------------------------------------------------------
@@ -259,13 +258,15 @@ def criterion_2(n: int = 3, m: int = 3) -> Dict:
 
 
 def criterion_3() -> Dict:
-    """The even-electorate signed mixture is a well-defined strategyproof and
-    non-imposing scheme whose probed majority weight is negative; it runs at
-    four voters and three alternatives, the size its counterexample is
-    stated for."""
-    n, m = 4, 3
-    sds = signed_mixture_counterexample(n)
-    dom, rule = sds.valid_domain, sds.parts[-1][1]  # the last part is the majority rule
+    """The family's signed point at four voters and three alternatives, -1/3
+    on the majority rule and 1/3 on each dictatorship, is a well-defined
+    strategyproof and non-imposing scheme whose probed majority weight is
+    negative: the winner is some voter's favorite, which covers that weight."""
+    m = 3
+    expected = MixtureCoefficients(Fraction(-1, 3), (Fraction(1, 3),) * 4)
+    rule = CondorcetRule(4, m)
+    sds = mixture_sds(expected, rule)
+    dom = rule.valid_domain
     negatives: List[str] = []
     for profile in dom.members():
         try:
@@ -274,9 +275,6 @@ def criterion_3() -> Dict:
             negatives.append(profile.to_text())
     sp = check_strategyproof(sds, dom)
     ni = check_non_imposition(sds, dom)
-    expected = MixtureCoefficients(
-        Fraction(-1, n - 1), tuple([Fraction(1, n - 1)] * n)
-    )
     probes = {anchor: probe_coefficients(sds, anchor) for anchor in range(m)}
     probes_ok = all(c == expected for c in probes.values())
     mixture = verify_mixture(sds, dom, expected, rule)
@@ -634,5 +632,5 @@ def run_battery(
     if which == 1:
         return [criterion_1(n, m, step), criterion_2(n, m), criterion_3(), criterion_5(n, m, step)]
     if which == 2:
-        return [criterion_4(n, m, tiebreakers or default_tiebreakers(m), step)]
+        return [criterion_4(n, m, tiebreakers, step)]
     return [criterion_7((n,), step), criterion_8(n, m)]

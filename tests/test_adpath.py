@@ -105,7 +105,7 @@ def test_path_json_round_trip():
     assert data["steps"][0] == start.to_text()
     assert data["steps"][-1] == goal.to_text()
     assert len(data["swaps"]) == len(path) - 1
-    assert AdPath.from_json_dict(data) == path
+    assert AdPath(tuple(prof(text) for text in data["steps"])) == path
 
 
 # -- builder entry conditions --------------------------------------------------------

@@ -46,7 +46,6 @@ from condlab.sds import (
     TableSDS,
     TieBreakingCondorcetRule,
     parse_sds,
-    signed_mixture_counterexample,
 )
 from condlab.theorems import coefficient_grid, mixture_sds, perturbed_condorcet_table
 
@@ -130,7 +129,7 @@ def test_probe_coefficients_blend_and_anchor_independence():
 
 
 def test_probe_coefficients_signed_counterexample():
-    sds = signed_mixture_counterexample(4)
+    sds = mixture_sds(MixtureCoefficients(F(-1, 3), (F(1, 3),) * 4), CondorcetRule(4, 3))
     for anchor in range(3):
         got = probe_coefficients(sds, anchor)
         assert got.condorcet_weight == F(-1, 3)
@@ -194,8 +193,9 @@ def frozen_verify_mixture(sds, dom, coeffs, reference):
 
 
 def _signed_case(coeffs):
-    sds = signed_mixture_counterexample(4)
-    return sds, sds.valid_domain, coeffs, sds.parts[-1][1]
+    rule = CondorcetRule(4, 3)
+    sds = mixture_sds(MixtureCoefficients(F(-1, 3), (F(1, 3),) * 4), rule)
+    return sds, rule.valid_domain, coeffs, rule
 
 
 def _goes_negative_case():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from condlab.analysis import max_dictatorial_weight
+from condlab.analysis import MixtureCoefficients, max_dictatorial_weight
 from condlab.axioms import (
     Verdict,
     check_ex_post_efficient,
@@ -34,9 +34,8 @@ from condlab.sds import (
     RandomDictatorship,
     TableSDS,
     parse_sds,
-    signed_mixture_counterexample,
 )
-from condlab.theorems import catalog, criterion_1, perturbed_condorcet_table
+from condlab.theorems import catalog, criterion_1, mixture_sds, perturbed_condorcet_table
 
 F = Fraction
 
@@ -185,7 +184,7 @@ def test_condorcet_rule_non_imposing():
 
 
 def test_counterexample_non_imposing():
-    sds = signed_mixture_counterexample(4)
+    sds = mixture_sds(MixtureCoefficients(F(-1, 3), (F(1, 3),) * 4), CondorcetRule(4, 3))
     assert check_non_imposition(sds, CondorcetDomain(4, 3)).holds
 
 

@@ -256,6 +256,22 @@ def test_table_naming_a_profile_twice_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "block, m, shape",
+    [
+        ("a>b>c>d\nb>a>c>d\nc>d>a>b", "3", "(3, 4), expected (3, 3)"),
+        ("a>b>c\nb>a>c\nc>a>b", "4", "(3, 3), expected (3, 4)"),
+    ],
+    ids=["m4-block-under-m3", "m3-block-under-m4"],
+)
+def test_table_block_over_another_slate_is_a_usage_error(capsys, tmp_path, block, m, shape):
+    table = tmp_path / "table.txt"
+    table.write_text(block + '\n{"a": "1"}\n')
+    argv = ["check", "--n", "3", "--m", m, "--domain", "condorcet", "--sds", f"table:{table}"]
+    code, data = run_json(capsys, argv)
+    assert code == 2 and data == {"error": f"table block has shape {shape}"}
+
+
+@pytest.mark.parametrize(
     "entry", ['{"a": null, "b": "1"}', '{"a": 0.1, "b": 0.9}', '{"a": true}'], ids=["null", "float", "bool"]
 )
 def test_table_probabilities_must_be_strings(capsys, tmp_path, entry):
@@ -517,6 +533,38 @@ def test_check_refuses_max_coalition_below_one_for_every_axiom(capsys, axiom):
     argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--axiom", axiom]
     code, data = run_json(capsys, argv + ["--max-coalition", "0"])
     assert code == 2 and data == {"error": "max_coalition must be at least 1, got 0"}
+
+
+@pytest.mark.parametrize("axiom", [None, "sp", "expost"])
+def test_check_refuses_max_coalition_outside_a_gsp_scan(capsys, axiom):
+    # a missing --axiom means sp, which takes no coalition bound
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", "cond", "--max-coalition", "2"]
+    code, data = run_json(capsys, argv + (["--axiom", axiom] if axiom else []))
+    expected = f"--max-coalition bounds only a gsp or all scan, not --axiom {axiom or 'sp'}"
+    assert code == 2 and data == {"error": expected}
+
+
+def test_check_refuses_max_coalition_on_a_replay(capsys, tmp_path):
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", "mix:1/2*cond+1/2*dict:0"]
+    code, verdict = run_json(capsys, argv + ["--axiom", "gsp"])
+    assert code == 1 and verdict["witness"]["coalition"] == [0, 2]
+    witness_file = tmp_path / "gsp.json"
+    witness_file.write_text(json.dumps(verdict))
+    replay = argv + ["--replay", str(witness_file)]
+    code, data = run_json(capsys, replay + ["--max-coalition", "1"])
+    assert code == 2 and data == {"error": "--max-coalition bounds only a gsp or all scan, not a replay"}
+    assert run_json(capsys, replay) == (0, {"axiom": "group-strategyproof", "replayed": True})
+
+
+def test_check_all_scans_within_max_coalition(capsys):
+    # the blend is strategyproof, so only coalitions of two can break it
+    blend = "mix:1/2*cond+1/2*dict:0"
+    argv = ["check", "--n", "3", "--domain", "condorcet", "--sds", blend, "--axiom", "all"]
+    code, data = run_json(capsys, argv + ["--max-coalition", "1"])
+    assert data["verdicts"]["group-strategyproof"]["holds"] is True
+    code, data = run_json(capsys, argv + ["--max-coalition", "2"])
+    gsp = data["verdicts"]["group-strategyproof"]
+    assert code == 1 and gsp["holds"] is False and gsp["witness"]["coalition"] == [0, 2]
 
 
 def test_theorems_takes_no_seed():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condlab.analysis import InfeasibleModelError, max_dictatorial_weight
+from condlab.analysis import InfeasibleModelError, MixtureCoefficients, max_dictatorial_weight
 from condlab.axioms import (
     ImpositionWitness,
     ManipulationWitness,
@@ -45,9 +45,8 @@ from condlab.sds import (
     SignedMixture,
     TableSDS,
     TieBreakingCondorcetRule,
-    signed_mixture_counterexample,
 )
-from condlab.theorems import perturbed_condorcet_table
+from condlab.theorems import mixture_sds, perturbed_condorcet_table
 
 F = Fraction
 
@@ -373,7 +372,9 @@ def named_cases():
     uniform4 = TableSDS({p: Lottery.uniform(3) for p in full4.members()}, valid_domain=full4)
     return {
         "even-n-blend": (Mixture([(F(1, 3), cond4), (F(2, 3), rd4)]), dom4),
-        "even-n-signed": (signed_mixture_counterexample(4), dom4),
+        "even-n-signed": (
+            mixture_sds(MixtureCoefficients(F(-1, 3), (F(1, 3),) * 4), CondorcetRule(4, 3)), dom4
+        ),
         # negative wherever voter 0's favourite is not the winner: met at the
         # first deviation of voter 0, in the middle of the first profile's walk
         "signed-mid-scan": (

@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from condlab.analysis import MixtureCoefficients
 from condlab.core import PreferenceRelation, Profile, all_relations, condorcet_winner
 from condlab.domains import (
     CondorcetDomain,
@@ -29,8 +30,8 @@ from condlab.sds import (
     TieBreakingCondorcetRule,
     parse_sds,
     parse_table_file,
-    signed_mixture_counterexample,
 )
+from condlab.theorems import mixture_sds
 
 F = Fraction
 
@@ -219,23 +220,38 @@ def test_every_member_of_a_mixture_domain_is_a_member_of_each_part():
 # -- the signed counterexample ---------------------------------------------------
 
 
+def signed_point():
+    """The family's signed point at n=4, m=3: -1/3 on the majority rule and 1/3
+    on each voter's dictatorship."""
+    return mixture_sds(MixtureCoefficients(F(-1, 3), (F(1, 3),) * 4), CondorcetRule(4, 3))
+
+
 def test_counterexample_hand_value():
-    sds = signed_mixture_counterexample(4)
+    sds = signed_point()
     p = prof("a>b>c\na>b>c\nb>a>c\nc>a>b")
     # dictators put 1/3 on a, a, b, c; the majority winner a gets -1/3
     assert sds.evaluate(p) == Lottery([F(1, 3), F(1, 3), F(1, 3)])
 
 
 def test_counterexample_well_defined_everywhere():
-    sds = signed_mixture_counterexample(4)
+    sds = signed_point()
     for member in CondorcetDomain(4, 3).members():
         lot = sds.evaluate(member)
         assert sum(lot.probs) == 1
 
 
-def test_counterexample_parameter_validation():
-    with pytest.raises(ValueError):
-        signed_mixture_counterexample(3)
+def test_counterexample_matches_the_dictatorships_first_part_order():
+    # the family builder puts the majority rule first; the parts in the other
+    # order, dictatorships first and -1/3*cond last, give the same lotteries
+    family = signed_point()
+    w = F(1, 3)
+    dictatorships = [(w, Dictatorship(i, 4, 3)) for i in range(4)]
+    by_hand = SignedMixture(dictatorships + [(-w, CondorcetRule(4, 3))])
+    assert isinstance(family, SignedMixture) and family.parts[0][0] == -w
+    members = CondorcetDomain(4, 3).members()
+    assert len(members) > 0
+    for member in members:
+        assert family.evaluate(member) == by_hand.evaluate(member)
 
 
 def test_signed_mixture_flags_negative_mass():
@@ -398,6 +414,30 @@ def test_parse_table_file_round_trip(tmp_path):
     table = parse_sds(f"table:{path}", 3, 3)
     assert isinstance(table, TableSDS)
     assert table.evaluate(member) == Lottery([F(1, 2), F(1, 2), F(0)])
+
+
+@pytest.mark.parametrize(
+    "block, m, shape",
+    [
+        ("a>b>c>d\nb>a>c>d\nc>d>a>b", 3, "(3, 4), expected (3, 3)"),
+        ("a>b>c\nb>a>c\nc>a>b", 4, "(3, 3), expected (3, 4)"),
+        ("a>b>c\nb>a>c", 3, "(2, 3), expected (3, 3)"),
+    ],
+    ids=["m4-block-under-m3", "m3-block-under-m4", "two-voters-under-n3"],
+)
+def test_parse_table_file_refuses_a_block_of_another_shape(block, m, shape):
+    with pytest.raises(ValueError) as caught:
+        parse_table_file(block + '\n{"a": "1"}\n', 3, m)
+    assert str(caught.value) == f"table block has shape {shape}"
+
+
+def test_parse_table_file_reads_blocks_like_profile_files():
+    # the same comment and blank-line rules as profile files, inside a block too
+    text = '# first block\na>b>c  # voter 0\n\nb>a>c\n# voter 2\na>c>b\n{"a": "1"}\n'
+    assert parse_table_file(text, 3, 3) == {prof("a>b>c\nb>a>c\na>c>b"): Lottery.point(0, 3)}
+    with pytest.raises(ValueError, match="trailing"):
+        parse_table_file(text + "c>b>a\n# no lottery line\n", 3, 3)
+    assert parse_table_file(text + "\n# trailing comment\n\n", 3, 3) == parse_table_file(text, 3, 3)
 
 
 def test_parse_table_file_refuses_a_profile_named_twice():

@@ -170,12 +170,15 @@ def test_battery_1_runs_criterion_3_at_its_fixed_size(monkeypatch):
 
 
 def test_battery_2_derives_its_tiebreakers_from_m(monkeypatch, capsys):
-    # without --tiebreak: the alphabetical order over the slate and its reverse
-    calls = []
-    monkeypatch.setattr(theorems, "criterion_4", lambda *args: calls.append(args) or {"ok": True})
-    assert main(["theorems", "--which", "2", "--m", "4"]) == 0
-    assert main(["theorems", "--which", "2", "--m", "4", "--tiebreak", "b>a>c>d"]) == 0
-    assert calls == [(4, 4, ("a>b>c>d", "d>c>b>a"), F(1, 4)), (4, 4, ["b>a>c>d"], F(1, 4))]
+    # without --tiebreak: the alphabetical order over the slate and its reverse,
+    # filled in by criterion 4 itself; an empty grid leaves it nothing to scan
+    grids = []
+    monkeypatch.setattr(theorems, "coefficient_grid", lambda *args: grids.append(args) or [])
+    for tiebreak, expected in (([], ["a>b>c>d", "d>c>b>a"]), (["--tiebreak", "b>a>c>d"], ["b>a>c>d"])):
+        assert main(["theorems", "--which", "2", "--m", "4"] + tiebreak) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["results"][0]["details"]["tiebreakers"]) == expected
+    assert grids == [(4, F(1, 4))] * 3
 
 
 ALL_TIEBREAKERS_3 = [rel.to_text() for rel in all_relations(3)]
